@@ -9,10 +9,12 @@
 //!   (no parse needed), so a warm run can recognise an unchanged file
 //!   without touching the front end at all.
 //! * [`Fingerprint::ast`] — FNV-1a over the pretty-printed AST *plus every
-//!   node span*. The printer normalises whitespace and the lexer drops
-//!   comments, so edits that do not displace any token (trailing spaces,
-//!   comment text on an existing line, a comment added after the last item)
-//!   hash identically. Edits that *do* shift line or column numbers change
+//!   node span*, folded item by item (each function contributes its
+//!   [`FnFingerprint::body`]). The printer normalises whitespace and the
+//!   lexer drops comments, so edits that do not displace any token
+//!   (trailing spaces, comment text on an existing line, a comment added
+//!   after the last item) hash identically. Edits that *do* shift line or
+//!   column numbers change
 //!   the span fold and therefore the hash — deliberately, because checker
 //!   reports embed source positions, and replaying a cached report with a
 //!   stale position would be wrong. Cache-safety policy: any doubt is a
@@ -27,9 +29,7 @@ use crate::ast::{
     Declaration, Expr, ExprKind, ExternalDecl, Function, Initializer, Item, Stmt, StmtKind,
     SwitchCase, TranslationUnit,
 };
-use crate::printer::{
-    print_external_decl_text, print_function_signature, print_function_text, print_translation_unit,
-};
+use crate::printer::{print_external_decl_text, print_function_signature, print_function_text};
 use crate::token::Span;
 
 /// The FNV-1a 64-bit offset basis.
@@ -110,9 +110,35 @@ impl Fingerprint {
     /// plus the span of every node (so cached diagnostics never point at
     /// stale positions).
     pub fn of_unit(unit: &TranslationUnit) -> u64 {
+        let fns: Vec<FnFingerprint> = unit.functions().map(Fingerprint::of_function).collect();
+        Fingerprint::of_unit_with(unit, &fns)
+    }
+
+    /// [`Fingerprint::of_unit`] from the unit's per-function fingerprints
+    /// (definition order), for callers that already hold them: the fold of
+    /// every preprocessor line and every item's fingerprint in item order,
+    /// so each function is printed and span-walked once, not twice.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fns` has fewer entries than the unit has functions.
+    pub fn of_unit_with(unit: &TranslationUnit, fns: &[FnFingerprint]) -> u64 {
         let mut h = Fnv1a::new();
-        h.write_str(&print_translation_unit(unit));
-        fold_unit_spans(&mut h, unit);
+        for line in &unit.preprocessor_lines {
+            h.write_str(line);
+        }
+        let mut fns = fns.iter();
+        for item in &unit.items {
+            match item {
+                Item::Function(_) => {
+                    let fp = fns.next().expect("one fingerprint per function");
+                    h.write_u64(1).write_u64(fp.body);
+                }
+                Item::Decl(d) => {
+                    h.write_u64(2).write_u64(decl_fingerprint(d));
+                }
+            }
+        }
         h.finish()
     }
 
@@ -153,16 +179,20 @@ impl Fingerprint {
             h.write_str(line);
         }
         for item in &unit.items {
-            match item {
-                Item::Function(_) => {}
-                Item::Decl(d) => {
-                    h.write_str(&print_external_decl_text(d));
-                    fold_external(&mut h, d);
-                }
+            if let Item::Decl(d) = item {
+                h.write_u64(decl_fingerprint(d));
             }
         }
         h.finish()
     }
+}
+
+/// Printed text plus spans of one non-function item.
+fn decl_fingerprint(d: &ExternalDecl) -> u64 {
+    let mut h = Fnv1a::new();
+    h.write_str(&print_external_decl_text(d));
+    fold_external(&mut h, d);
+    h.finish()
 }
 
 /// The two content hashes of one function definition, the unit of
@@ -181,15 +211,6 @@ pub struct FnFingerprint {
 
 fn fold_span(h: &mut Fnv1a, span: Span) {
     h.write_u64((u64::from(span.line) << 32) | u64::from(span.col));
-}
-
-fn fold_unit_spans(h: &mut Fnv1a, unit: &TranslationUnit) {
-    for item in &unit.items {
-        match item {
-            Item::Function(f) => fold_function(h, f),
-            Item::Decl(d) => fold_external(h, d),
-        }
-    }
 }
 
 fn fold_function(h: &mut Fnv1a, f: &Function) {
@@ -392,6 +413,20 @@ mod tests {
             )
         };
         assert_ne!(ast_fp(&src("a()")), ast_fp(&src("b()")));
+    }
+
+    #[test]
+    fn ast_hash_sees_every_item_kind_and_item_order() {
+        let base = ast_fp("int gLen = 4;\nvoid f(void) { g(); }");
+        assert_ne!(base, ast_fp("int gLen = 5;\nvoid f(void) { g(); }"));
+        assert_ne!(
+            base,
+            ast_fp("#define LIMIT 8\nint gLen = 4;\nvoid f(void) { g(); }")
+        );
+        assert_ne!(
+            ast_fp("void a(void) { x(); }\nvoid b(void) { y(); }"),
+            ast_fp("void b(void) { y(); }\nvoid a(void) { x(); }")
+        );
     }
 
     #[test]

@@ -6,6 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mc_ast::parse_translation_unit;
+use mc_bench::checked_units;
 use mc_cfg::Cfg;
 use mc_checkers::{
     alloc_check::AllocCheck, buffer_mgmt::BufferMgmt, directory::Directory,
@@ -70,16 +71,13 @@ fn bench_cfg(c: &mut Criterion) {
 
 fn bench_checkers(c: &mut Criterion) {
     let proto = bitvector();
-    let units: Vec<CheckedUnit> = proto
-        .files
-        .iter()
-        .map(|f| CheckedUnit::new(parse_translation_unit(&f.source, &f.name).unwrap()))
-        .collect();
+    let sources = proto.sources();
+    let units: Vec<CheckedUnit> = checked_units(&sources);
     let spec = proto.spec.clone();
     let mut g = c.benchmark_group("checker");
     g.sample_size(20);
 
-    // The two metal checkers, via the driver.
+    // The two metal checkers, via the driver (parse and CFG included).
     for (label, src) in [
         ("wait_for_db", mc_checkers::WAIT_FOR_DB_METAL),
         ("msglen", mc_checkers::MSGLEN_METAL),
@@ -88,7 +86,7 @@ fn bench_checkers(c: &mut Criterion) {
             b.iter(|| {
                 let mut d = Driver::new();
                 d.add_metal_source(src).unwrap();
-                d.check_units(black_box(&units)).len()
+                d.check_sources(black_box(&sources)).unwrap().len()
             })
         });
     }
@@ -130,7 +128,7 @@ fn bench_checkers(c: &mut Criterion) {
         b.iter(|| {
             let mut d = Driver::new();
             d.add_checker(Box::new(Lanes::new(spec.clone())));
-            d.check_units(black_box(&units)).len()
+            d.check_sources(black_box(&sources)).unwrap().len()
         })
     });
     g.finish();
@@ -141,7 +139,7 @@ fn bench_checkers(c: &mut Criterion) {
         b.iter(|| {
             let mut d = Driver::new();
             mc_checkers::all_checkers(&mut d, &spec).unwrap();
-            d.check_units(black_box(&units)).len()
+            d.check_sources(black_box(&sources)).unwrap().len()
         })
     });
     g.finish();

@@ -9,6 +9,7 @@
 //! outside the criterion harness and writes `BENCH_driver.json`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use mc_bench::checked_units;
 use mc_checkers::all_checkers;
 use mc_corpus::plan::PLANS;
 use mc_corpus::{generate, Protocol, DEFAULT_SEED};
@@ -29,28 +30,21 @@ fn check_corpus(protocols: &[Protocol], jobs: usize) -> usize {
         let mut driver = Driver::new();
         driver.jobs(jobs);
         all_checkers(&mut driver, &proto.spec).expect("suite registers");
-        let units = driver.parse_units(&proto.sources()).expect("corpus parses");
-        reports += driver.check_units(&units).len();
+        reports += driver
+            .check_sources(&proto.sources())
+            .expect("corpus parses")
+            .len();
     }
     reports
 }
 
 fn bench_worker_counts(c: &mut Criterion) {
     let protocols = corpus();
-    let functions: usize = {
-        let driver = Driver::new();
-        protocols
-            .iter()
-            .map(|p| {
-                driver
-                    .parse_units(&p.sources())
-                    .expect("corpus parses")
-                    .iter()
-                    .map(|u| u.cfgs.len())
-                    .sum::<usize>()
-            })
-            .sum()
-    };
+    let functions: usize = protocols
+        .iter()
+        .flat_map(|p| checked_units(&p.sources()))
+        .map(|u| u.cfgs.len())
+        .sum();
     let baseline = check_corpus(&protocols, 1);
     let mut g = c.benchmark_group("driver_jobs");
     g.throughput(Throughput::Elements(functions as u64));

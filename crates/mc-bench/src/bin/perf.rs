@@ -38,13 +38,10 @@
 //!
 //! A sixth section measures the fleet-scale corpus (`--scale 10`):
 //! generation time, function count, and a cold check, so the scaling
-//! trajectory toward the ROADMAP's fleet-sized workloads is tracked.
-//!
-//! A seventh section races the two pool schedulers — the legacy fixed
-//! shared-counter partitioning vs the Chase-Lev work-stealing default —
-//! over the scaled corpus at four workers, recording wall time plus the
-//! stealing run's counters (steals, probe attempts, idle time, tasks per
-//! worker) so a scheduling regression is diagnosable from the JSON alone.
+//! trajectory toward the ROADMAP's fleet-sized workloads is tracked. It
+//! also records the work-stealing pool's counters over that check (steals,
+//! probe attempts, idle time, tasks per worker), so a scheduling
+//! regression is diagnosable from the JSON alone.
 //!
 //! Worker counts above the machine's available parallelism are skipped
 //! (and recorded in the output): timing an oversubscribed pool measures
@@ -52,13 +49,17 @@
 //! keep them anyway — on a 1-core CI runner that is the only way to
 //! exercise the multicore rows at all (expect parity, not speedups, and
 //! read the scheduler counters instead of the wall clock).
+//!
+//! Every check runs through the one executor, a cold
+//! `CheckEngine::in_memory()` per protocol.
 
+use mc_bench::checked_units;
 use mc_cfg::{run_traversal, Mode, Traversal};
 use mc_checkers::all_checkers;
 use mc_corpus::plan::PLANS;
 use mc_corpus::{generate, DEFAULT_SEED};
 use mc_driver::cache::DiskCache;
-use mc_driver::{CheckEngine, CheckedUnit, Driver, SchedMode, SchedStats, Summaries, Verdict};
+use mc_driver::{CheckEngine, CheckedUnit, Driver, SchedStats, Summaries, Verdict};
 use mc_json::Json;
 use mc_metal::{
     CandidatePlan, CompiledMachine, CompiledProgram, MetalMachine, MetalProgram, MetalReport,
@@ -74,13 +75,23 @@ struct Row {
     reports: usize,
 }
 
+/// What one full-corpus check did.
+struct CorpusRun {
+    /// Functions checked (every function: each protocol's check is cold).
+    functions: usize,
+    reports: usize,
+    /// The pool counters of every protocol's driver, merged.
+    sched: SchedStats,
+}
+
 fn check_corpus(
     sources: &[Vec<(String, String)>],
     specs: &[mc_checkers::flash::FlashSpec],
     jobs: usize,
     prune: bool,
 ) -> (usize, usize) {
-    check_corpus_full(sources, specs, jobs, prune, false)
+    let run = check_corpus_full(sources, specs, jobs, prune, false);
+    (run.functions, run.reports)
 }
 
 fn check_corpus_full(
@@ -89,83 +100,26 @@ fn check_corpus_full(
     jobs: usize,
     prune: bool,
     interproc: bool,
-) -> (usize, usize) {
-    let mut functions = 0;
-    let mut reports = 0;
+) -> CorpusRun {
+    let mut run = CorpusRun {
+        functions: 0,
+        reports: 0,
+        sched: SchedStats::default(),
+    };
     for (srcs, spec) in sources.iter().zip(specs) {
         let mut driver = Driver::new();
         driver.jobs(jobs);
         driver.prune(prune);
         driver.interproc(interproc);
         all_checkers(&mut driver, spec).expect("suite registers");
-        let units = driver.parse_units(srcs).expect("corpus parses");
-        functions += units.iter().map(|u| u.cfgs.len()).sum::<usize>();
-        reports += driver.check_units(&units).len();
+        let (reports, stats) = CheckEngine::in_memory()
+            .check_sources(&driver, srcs)
+            .expect("corpus parses");
+        run.functions += stats.functions_rechecked;
+        run.reports += reports.len();
+        run.sched.merge(&driver.take_sched_stats());
     }
-    (functions, reports)
-}
-
-/// Timed result of the scheduler A/B over the scaled corpus.
-struct SchedBench {
-    workers: usize,
-    wall_ms_fixed: f64,
-    wall_ms_stealing: f64,
-    speedup: f64,
-    /// Counters from the best stealing pass.
-    stats: SchedStats,
-}
-
-/// Races the fixed shared-counter pool against the work-stealing default
-/// over `sources`, asserting identical report counts, and keeps the
-/// stealing run's scheduler counters for the JSON output.
-fn bench_scheduler(
-    sources: &[Vec<(String, String)>],
-    specs: &[mc_checkers::flash::FlashSpec],
-    jobs: usize,
-    reps: usize,
-) -> SchedBench {
-    let mut wall = [f64::INFINITY; 2];
-    let mut reports = [0usize; 2];
-    let mut steal_stats = SchedStats::default();
-    for (slot, mode) in [SchedMode::Fixed, SchedMode::Stealing]
-        .into_iter()
-        .enumerate()
-    {
-        for _ in 0..reps {
-            let mut stats = SchedStats::default();
-            let mut r = 0usize;
-            let start = Instant::now();
-            for (srcs, spec) in sources.iter().zip(specs) {
-                let mut driver = Driver::new();
-                driver.jobs(jobs);
-                driver.prune(true);
-                driver.scheduler(mode);
-                all_checkers(&mut driver, spec).expect("suite registers");
-                let units = driver.parse_units(srcs).expect("corpus parses");
-                r += driver.check_units(&units).len();
-                stats.merge(&driver.take_sched_stats());
-            }
-            let ms = start.elapsed().as_secs_f64() * 1e3;
-            if ms < wall[slot] {
-                wall[slot] = ms;
-                if mode == SchedMode::Stealing {
-                    steal_stats = stats;
-                }
-            }
-            reports[slot] = r;
-        }
-    }
-    assert_eq!(
-        reports[0], reports[1],
-        "scheduler mode changed the report count — determinism violated"
-    );
-    SchedBench {
-        workers: jobs,
-        wall_ms_fixed: wall[0],
-        wall_ms_stealing: wall[1],
-        speedup: wall[0] / wall[1],
-        stats: steal_stats,
-    }
+    run
 }
 
 /// Timed result of the fleet-scale corpus section.
@@ -177,17 +131,13 @@ struct ScaleBench {
     gen_ms: f64,
     check_ms: f64,
     reports: usize,
+    workers: usize,
+    /// Pool counters of the cold check.
+    sched: SchedStats,
 }
 
 /// Generates the `--scale` fleet corpus and measures a cold check of it.
-fn bench_scale(
-    scale: usize,
-    jobs: usize,
-) -> (
-    ScaleBench,
-    Vec<Vec<(String, String)>>,
-    Vec<mc_checkers::flash::FlashSpec>,
-) {
+fn bench_scale(scale: usize, jobs: usize) -> ScaleBench {
     let start = Instant::now();
     let fleet = mc_corpus::generate_fleet(DEFAULT_SEED, scale);
     let gen_ms = start.elapsed().as_secs_f64() * 1e3;
@@ -195,18 +145,19 @@ fn bench_scale(
     let sources: Vec<Vec<(String, String)>> = fleet.iter().map(|p| p.sources()).collect();
     let specs: Vec<_> = fleet.iter().map(|p| p.spec.clone()).collect();
     let start = Instant::now();
-    let (functions, reports) = check_corpus(&sources, &specs, jobs, true);
+    let run = check_corpus_full(&sources, &specs, jobs, true, false);
     let check_ms = start.elapsed().as_secs_f64() * 1e3;
-    let bench = ScaleBench {
+    ScaleBench {
         scale,
         protocols: fleet.len(),
-        functions,
+        functions: run.functions,
         loc,
         gen_ms,
         check_ms,
-        reports,
-    };
-    (bench, sources, specs)
+        reports: run.reports,
+        workers: jobs,
+        sched: run.sched,
+    }
 }
 
 /// Timed result of the summary-engine comparison (pruning on in both).
@@ -233,9 +184,9 @@ fn bench_interproc(
     for (slot, interproc) in [false, true].into_iter().enumerate() {
         for _ in 0..reps {
             let start = Instant::now();
-            let (_, r) = check_corpus_full(sources, specs, jobs, true, interproc);
+            let run = check_corpus_full(sources, specs, jobs, true, interproc);
             wall[slot] = wall[slot].min(start.elapsed().as_secs_f64() * 1e3);
-            reports[slot] = r;
+            reports[slot] = run.reports;
         }
     }
     assert!(
@@ -252,7 +203,7 @@ fn bench_interproc(
         driver.prune(true);
         driver.interproc(true);
         all_checkers(&mut driver, spec).expect("suite registers");
-        let units = driver.parse_units(srcs).expect("corpus parses");
+        let units = checked_units(srcs);
         let refs: Vec<&CheckedUnit> = units.iter().collect();
         let stats = Summaries::compute(&driver, &refs, true).stats();
         summaries_computed += stats.computed;
@@ -301,8 +252,7 @@ fn bench_refute(
                 driver.prune(true);
                 driver.refute(refute);
                 all_checkers(&mut driver, spec).expect("suite registers");
-                let units = driver.parse_units(srcs).expect("corpus parses");
-                let reports = driver.check_units(&units);
+                let reports = driver.check_sources(srcs).expect("corpus parses");
                 total += reports.len();
                 demoted += reports
                     .iter()
@@ -361,10 +311,9 @@ fn bench_metal_dispatch(sources: &[Vec<(String, String)>], reps: usize) -> Metal
         .map(|p| CompiledProgram::compile(p).expect("builtin metal compiles"))
         .collect();
 
-    let driver = Driver::new();
     let units: Vec<CheckedUnit> = sources
         .iter()
-        .flat_map(|srcs| driver.parse_units(srcs).expect("corpus parses"))
+        .flat_map(|srcs| checked_units(srcs))
         .collect();
     let functions: usize = units.iter().map(|u| u.cfgs.len()).sum();
     let traversal = Traversal::new(Mode::StateSet);
@@ -585,16 +534,16 @@ fn bench_incremental(
     assert_eq!(disk.reports, cold.reports, "disk-warm run changed reports");
 
     // The replay must be byte-identical, not merely count-identical: one
-    // more dirty transition, diffed report-by-report against the batch
-    // driver on the same edited sources.
+    // more dirty transition, diffed report-by-report against a cold check
+    // of the same edited sources.
     check_engines(&mut engines, &drivers, &base);
     let final_sources = with_probe_body(sources, reps + 2);
     for ((e, d), s) in engines.iter_mut().zip(&drivers).zip(&final_sources) {
         let (replayed, _) = e.check_sources(d, s).expect("corpus parses");
-        let batch = d.check_sources(s).expect("corpus parses");
+        let cold = d.check_sources(s).expect("corpus parses");
         assert_eq!(
-            replayed, batch,
-            "function-granular replay diverged from the batch driver"
+            replayed, cold,
+            "function-granular replay diverged from a cold check"
         );
     }
     let _ = std::fs::remove_dir_all(&root);
@@ -789,36 +738,21 @@ fn main() {
         md.wall_ms_compiled, md.attempts_compiled, md.speedup, md.reports
     );
 
-    // Fleet scale: generate the scale-10 corpus and check it cold, then
-    // race the two pool schedulers over it at four workers.
+    // Fleet scale: generate the scale-10 corpus and check it cold.
     const SCALE: usize = 10;
-    const SCHED_WORKERS: usize = 4;
-    let (sc, fleet_sources, fleet_specs) = bench_scale(SCALE, ip_jobs);
+    let sc = bench_scale(SCALE, ip_jobs);
     println!(
         "scale {SCALE}: {} protocols, {} functions, {} loc  gen={:8.1} ms  cold check={:8.1} ms  {} reports",
         sc.protocols, sc.functions, sc.loc, sc.gen_ms, sc.check_ms, sc.reports
     );
-
-    let sb = bench_scheduler(&fleet_sources, &fleet_specs, SCHED_WORKERS, REPS.min(2));
     println!(
-        "sched fixed    wall={:8.1} ms  (workers={})",
-        sb.wall_ms_fixed, sb.workers
+        "scale {SCALE} pool (workers={}): {} steals / {} probes, idle {:.1} ms, tasks/worker {:?}",
+        sc.workers,
+        sc.sched.steals,
+        sc.sched.steal_attempts,
+        sc.sched.idle_ns as f64 / 1e6,
+        sc.sched.tasks_per_worker
     );
-    println!(
-        "sched stealing wall={:8.1} ms  {:.2}x vs fixed  ({} steals / {} probes, idle {:.1} ms, tasks/worker {:?})",
-        sb.wall_ms_stealing,
-        sb.speedup,
-        sb.stats.steals,
-        sb.stats.steal_attempts,
-        sb.stats.idle_ns as f64 / 1e6,
-        sb.stats.tasks_per_worker
-    );
-    if avail < SCHED_WORKERS {
-        println!(
-            "note: {avail} core(s) available — fixed-vs-stealing parity is expected here; \
-             the steal counters above are the evidence the scheduler is live"
-        );
-    }
 
     let json = Json::Object(vec![
         ("benchmark".into(), Json::Str("driver_throughput".into())),
@@ -990,53 +924,29 @@ fn main() {
                     Json::Float((sc.check_ms * 1e3).round() / 1e3),
                 ),
                 ("reports".into(), Json::Int(sc.reports as i64)),
-            ]),
-        ),
-        (
-            "scheduler".into(),
-            Json::Object(vec![
-                ("workers".into(), Json::Int(sb.workers as i64)),
-                ("corpus_scale".into(), Json::Int(SCALE as i64)),
                 (
-                    "wall_ms_fixed".into(),
-                    Json::Float((sb.wall_ms_fixed * 1e3).round() / 1e3),
-                ),
-                (
-                    "wall_ms_stealing".into(),
-                    Json::Float((sb.wall_ms_stealing * 1e3).round() / 1e3),
-                ),
-                (
-                    "speedup".into(),
-                    Json::Float((sb.speedup * 100.0).round() / 100.0),
-                ),
-                ("pools".into(), Json::Int(sb.stats.pools as i64)),
-                ("tasks".into(), Json::Int(sb.stats.tasks as i64)),
-                ("steals".into(), Json::Int(sb.stats.steals as i64)),
-                (
-                    "steal_attempts".into(),
-                    Json::Int(sb.stats.steal_attempts as i64),
-                ),
-                ("idle_ns".into(), Json::Int(sb.stats.idle_ns as i64)),
-                (
-                    "tasks_per_worker".into(),
-                    Json::Array(
-                        sb.stats
-                            .tasks_per_worker
-                            .iter()
-                            .map(|&t| Json::Int(t as i64))
-                            .collect(),
-                    ),
-                ),
-                (
-                    "note".into(),
-                    Json::Str(if avail < SCHED_WORKERS {
-                        format!(
-                            "{avail} core(s) available: fixed-vs-stealing parity expected; \
-                             the steal counters document scheduler activity"
-                        )
-                    } else {
-                        "stealing vs fixed measured at full parallelism".into()
-                    }),
+                    "scheduler".into(),
+                    Json::Object(vec![
+                        ("workers".into(), Json::Int(sc.workers as i64)),
+                        ("pools".into(), Json::Int(sc.sched.pools as i64)),
+                        ("tasks".into(), Json::Int(sc.sched.tasks as i64)),
+                        ("steals".into(), Json::Int(sc.sched.steals as i64)),
+                        (
+                            "steal_attempts".into(),
+                            Json::Int(sc.sched.steal_attempts as i64),
+                        ),
+                        ("idle_ns".into(), Json::Int(sc.sched.idle_ns as i64)),
+                        (
+                            "tasks_per_worker".into(),
+                            Json::Array(
+                                sc.sched
+                                    .tasks_per_worker
+                                    .iter()
+                                    .map(|&t| Json::Int(t as i64))
+                                    .collect(),
+                            ),
+                        ),
+                    ]),
                 ),
             ]),
         ),

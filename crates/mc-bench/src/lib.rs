@@ -10,7 +10,7 @@
 //! so the printed "Errors" and "False Pos" columns are *measured*, not
 //! copied.
 
-use mc_ast::Function;
+use mc_ast::{parse_translation_unit, Function};
 use mc_cfg::PathStats;
 use mc_checkers::{all_checkers, exec_restrict, flash};
 use mc_corpus::eval::{evaluate_full, tally, Outcome, Tally};
@@ -24,8 +24,8 @@ pub struct ProtocolRun {
     pub protocol: Protocol,
     /// Its plan (paper targets).
     pub plan: &'static ProtoPlan,
-    /// Parsed units with each function's CFG built once — the same cache
-    /// the driver checked, reused here for the Table 1 path statistics.
+    /// Parsed units with each function's CFG, for the Table 1 path
+    /// statistics and the applied counts.
     pub units: Vec<CheckedUnit>,
     /// All reports of the full suite.
     pub reports: Vec<Report>,
@@ -139,10 +139,9 @@ pub fn run_all_protocols_refuted(
             driver.interproc(interproc);
             driver.refute(refute);
             all_checkers(&mut driver, &protocol.spec).expect("suite registers");
-            let units = driver
-                .parse_units(&protocol.sources())
-                .expect("corpus parses");
-            let reports = driver.check_units(&units);
+            let sources = protocol.sources();
+            let reports = driver.check_sources(&sources).expect("corpus parses");
+            let units = checked_units(&sources);
             let kept: Vec<Report> = reports
                 .iter()
                 .filter(|r| r.verdict != Verdict::Refuted)
@@ -159,6 +158,20 @@ pub fn run_all_protocols_refuted(
                 interproc,
                 refute,
             }
+        })
+        .collect()
+}
+
+/// Parses `(source, file-name)` pairs and builds every function's CFG.
+///
+/// # Panics
+///
+/// Panics if a source does not parse (the generated corpus always does).
+pub fn checked_units(sources: &[(String, String)]) -> Vec<CheckedUnit> {
+    sources
+        .iter()
+        .map(|(src, file)| {
+            CheckedUnit::new(parse_translation_unit(src, file).expect("corpus parses"))
         })
         .collect()
 }

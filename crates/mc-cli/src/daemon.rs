@@ -29,7 +29,7 @@
 //!   `{"method": "diagnostics", "params": <envelope>}` to it.
 //! * `shutdown` — unlink the socket and exit after responding.
 //!
-//! The reports in every envelope are byte-identical to a cold batch
+//! The reports in every envelope are byte-identical to a cold one-shot
 //! `mcheck` run over the same files — the daemon is a transport, never a
 //! second analysis pipeline.
 //!
@@ -100,8 +100,8 @@ fn bind_socket(socket: &Path) -> Result<UnixListener, CliError> {
 }
 
 /// Runs the daemon on `socket` until a client sends `shutdown`. The
-/// options fix the checker suite, cache directory, and invalidation mode
-/// for every request this daemon will serve.
+/// options fix the checker suite and cache directory for every request
+/// this daemon will serve.
 ///
 /// # Errors
 ///
@@ -224,18 +224,24 @@ fn do_check(state: &Arc<State>, params: Option<&Json>) -> Result<Json, String> {
     };
     let mut opts = state.opts.clone();
     opts.files = files;
-    let (reports, suppressed, refuted, stats, effective_jobs) = {
-        // Lock order: driver, then engine — both are held for the whole
-        // check so a concurrent request cannot swap the jobs hint mid-run.
+    let (checked, stats, effective_jobs) = {
+        // Lock order: driver, then engine. The driver is held for the whole
+        // request so a concurrent one cannot swap the jobs hint mid-run;
+        // the engine only for the check itself.
         let mut driver = state.driver.lock().unwrap();
         driver.set_jobs(jobs_hint.or(state.opts.jobs));
         let sources = crate::read_sources(&opts.files).map_err(|e| e.to_string())?;
-        let mut engine = state.engine.lock().unwrap();
-        let out =
-            checked_reports(&driver, &mut engine, &opts, &sources).map_err(|e| e.to_string())?;
-        (out.0, out.1, out.2, out.3, driver.effective_jobs())
+        let (reports, stats) = state
+            .engine
+            .lock()
+            .unwrap()
+            .check_sources(&driver, &sources)
+            .map_err(|e| e.to_string())?;
+        let checked =
+            checked_reports(&driver, &opts, &sources, reports).map_err(|e| e.to_string())?;
+        (checked, stats, driver.effective_jobs())
     };
-    let envelope = json_envelope(&reports, suppressed, refuted);
+    let envelope = json_envelope(&checked.reports, checked.suppressed, checked.refuted);
     push_diagnostics(state, &envelope);
     Ok(Json::Object(vec![
         ("reports".into(), envelope),
@@ -255,7 +261,10 @@ fn do_check(state: &Arc<State>, params: Option<&Json>) -> Result<Json, String> {
                 ("jobs", Json::Int(effective_jobs as i64)),
             ]),
         ),
-        ("exit".into(), Json::Int(i64::from(!reports.is_empty()))),
+        (
+            "exit".into(),
+            Json::Int(i64::from(!checked.reports.is_empty())),
+        ),
     ]))
 }
 
@@ -453,14 +462,6 @@ fn config_args(opts: &Options) -> Vec<std::ffi::OsString> {
         args.push("--cache-cap-bytes".into());
         args.push(cap.to_string().into());
     }
-    args.push("--invalidate".into());
-    args.push(
-        match opts.invalidate {
-            mc_driver::Invalidation::Function => "function",
-            mc_driver::Invalidation::Component => "component",
-        }
-        .into(),
-    );
     for file in &opts.files {
         args.push(file.into());
     }

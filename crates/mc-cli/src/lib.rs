@@ -21,9 +21,7 @@
 
 use mc_checkers::flash::FlashSpec;
 use mc_driver::cache::DiskCache;
-use mc_driver::{
-    CheckEngine, Driver, Invalidation, MetalEngine, Report, RunStats, Severity, Verdict,
-};
+use mc_driver::{CheckEngine, Driver, Report, Severity, Verdict};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::time::SystemTime;
@@ -65,11 +63,6 @@ pub struct Options {
     /// the output, and satisfiable witnesses whose solver model reproduces
     /// the violation in concrete replay are promoted to `confirmed`.
     pub refute: bool,
-    /// Metal execution engine (`--metal-engine compiled|interp`). The
-    /// compiled engine lowers each state machine to an indexed decision
-    /// program; the interpreter is kept as a differential oracle. Reports
-    /// are byte-identical either way.
-    pub metal_engine: MetalEngine,
     /// Write the corpus to this directory instead of checking.
     pub emit_corpus: Option<PathBuf>,
     /// Corpus seed.
@@ -88,11 +81,6 @@ pub struct Options {
     /// Bound the on-disk cache to this many bytes; the oldest record files
     /// are evicted when a store pushes the total over (`None`: unbounded).
     pub cache_cap_bytes: Option<u64>,
-    /// Granularity at which a dirty file's previous results are reused
-    /// (`--invalidate function|component`). Function is the default;
-    /// component keeps the coarser pre-function-index behavior as a
-    /// differential oracle. Reports are byte-identical either way.
-    pub invalidate: Invalidation,
     /// Keep running: poll the input files (mtime + content hash) and
     /// re-check on every change.
     pub watch: bool,
@@ -142,7 +130,6 @@ impl Default for Options {
             prune: true,
             interproc: false,
             refute: true,
-            metal_engine: MetalEngine::default(),
             emit_corpus: None,
             seed: mc_corpus::DEFAULT_SEED,
             format: Format::Text,
@@ -150,7 +137,6 @@ impl Default for Options {
             cache_dir: None,
             no_cache: false,
             cache_cap_bytes: None,
-            invalidate: Invalidation::default(),
             watch: false,
             watch_interval_ms: 500,
             watch_iterations: None,
@@ -174,6 +160,12 @@ impl fmt::Display for CliError {
 }
 
 impl std::error::Error for CliError {}
+
+impl From<mc_driver::DriverError> for CliError {
+    fn from(e: mc_driver::DriverError) -> CliError {
+        CliError(e.to_string())
+    }
+}
 
 /// Usage text printed on `--help` or bad arguments.
 pub const USAGE: &str = "\
@@ -201,12 +193,6 @@ usage: mcheck [OPTIONS] <file.c>...
                            and hidden; satisfiable ones whose solver model
                            reproduces the violation in concrete replay are
                            promoted to `confirmed` with the input attached
-  --metal-engine <compiled|interp>
-                           how metal state machines execute (default
-                           compiled: each sm is lowered to an indexed
-                           decision program; interp keeps the reference
-                           interpreter as a differential oracle — reports
-                           are byte-identical either way)
   --format <text|json|sarif>
                            report output format (default text); reports
                            are ordered most-likely-real first (descending
@@ -224,12 +210,6 @@ usage: mcheck [OPTIONS] <file.c>...
   --cache-cap-bytes <n>    bound the on-disk cache: evict the oldest
                            record files when a store pushes the total
                            size over n bytes (default unbounded)
-  --invalidate <function|component>
-                           granularity of cached-result reuse inside a
-                           dirty file (default function: red/green per
-                           function; component re-checks the whole file,
-                           kept as a differential oracle — reports are
-                           byte-identical either way)
   --watch                  keep running: poll the input files (mtime +
                            content hash) and re-check on every change;
                            bursts of edits inside one poll interval
@@ -313,14 +293,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Options, Cl
             "--no-interproc" => opts.interproc = false,
             "--refute" => opts.refute = true,
             "--no-refute" => opts.refute = false,
-            "--metal-engine" => {
-                let v = it
-                    .next()
-                    .ok_or(CliError("--metal-engine needs a value".into()))?;
-                opts.metal_engine = MetalEngine::parse(&v).ok_or_else(|| {
-                    CliError(format!("unknown metal engine `{v}` (compiled | interp)"))
-                })?;
-            }
             "--format" => {
                 let v = it.next().ok_or(CliError("--format needs a value".into()))?;
                 opts.format = Format::parse(&v).ok_or_else(|| {
@@ -352,20 +324,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Options, Cl
                         )))
                     }
                 }
-            }
-            "--invalidate" => {
-                let v = it
-                    .next()
-                    .ok_or(CliError("--invalidate needs a value".into()))?;
-                opts.invalidate = match v.as_str() {
-                    "function" => Invalidation::Function,
-                    "component" => Invalidation::Component,
-                    other => {
-                        return Err(CliError(format!(
-                            "unknown invalidation granularity `{other}` (function | component)"
-                        )))
-                    }
-                };
             }
             "--watch" => opts.watch = true,
             "--watch-interval" => {
@@ -505,13 +463,12 @@ pub fn build_driver(opts: &Options) -> Result<Driver, CliError> {
     driver.prune(opts.prune);
     driver.interproc(opts.interproc);
     driver.refute(opts.refute);
-    driver.set_metal_engine(opts.metal_engine);
     if let Some(n) = opts.jobs {
         driver.jobs(n);
     }
     if opts.builtin {
         epoch.write_str("builtin");
-        mc_checkers::all_checkers(&mut driver, &spec).map_err(|e| CliError(e.to_string()))?;
+        mc_checkers::all_checkers(&mut driver, &spec)?;
     }
     for checker in &opts.checkers {
         let text = std::fs::read_to_string(checker)
@@ -542,7 +499,7 @@ fn read_sources(files: &[PathBuf]) -> Result<Vec<(String, String)>, CliError> {
 ///
 /// Returns [`CliError`] if the cache directory cannot be created.
 pub fn engine_for(opts: &Options) -> Result<CheckEngine, CliError> {
-    let mut engine = match &opts.cache_dir {
+    Ok(match &opts.cache_dir {
         Some(dir) if !opts.no_cache => {
             let mut disk =
                 DiskCache::open(dir).map_err(|e| CliError(format!("{}: {e}", dir.display())))?;
@@ -550,44 +507,72 @@ pub fn engine_for(opts: &Options) -> Result<CheckEngine, CliError> {
             CheckEngine::with_disk(disk)
         }
         _ => CheckEngine::in_memory(),
-    };
-    engine.set_invalidation(opts.invalidate);
-    Ok(engine)
+    })
 }
 
-/// One engine-backed check of `sources` with the same post-processing as
-/// [`run`]: metal load diagnostics folded in, confirmed-verdict promotion,
-/// confidence ordering, then the refuted and suppressed partitions.
-/// Returns the reports to show plus the suppressed count, the refuted
-/// count, and the engine's [`RunStats`]. Shared by the watch loop and the
-/// `mcheckd` daemon so every client surface agrees byte-for-byte with a
-/// batch run.
-pub fn checked_reports(
-    driver: &Driver,
-    engine: &mut CheckEngine,
-    opts: &Options,
-    sources: &[(String, String)],
-) -> Result<(Vec<Report>, usize, usize, RunStats), CliError> {
-    let (mut reports, stats) = engine
-        .check_sources(driver, sources)
-        .map_err(|e| CliError(e.to_string()))?;
+/// The reports of one check after the post-check pipeline, ready to
+/// render.
+#[derive(Debug)]
+pub struct Checked {
+    /// The reports to show, most likely real first.
+    pub reports: Vec<Report>,
+    /// Reports hidden by `// mc-suppress:` comments.
+    pub suppressed: usize,
+    /// Reports the refutation pass demoted (never shown).
+    pub refuted: usize,
+    /// The checked sources followed by the metal checker files: where
+    /// suppression comments were read and where excerpts come from.
+    pub sources: Vec<(String, String)>,
+}
+
+/// Ranks one engine check's reports of `sources`: metal load diagnostics
+/// folded in, confirmed-verdict promotion, confidence ordering.
+fn rank(driver: &Driver, opts: &Options, sources: &[(String, String)], reports: &mut Vec<Report>) {
+    // Load-time diagnostics from compiling the metal programs (unreachable
+    // states, shadowed rules, ...) ride along as ordinary warning reports.
     reports.extend(driver.metal_load_diagnostics());
     if opts.refute {
-        promote_confirmed(&mut reports, sources);
+        promote_confirmed(reports, sources);
     }
-    Report::sort_by_confidence(&mut reports);
-    let (reports, refuted) = partition_refuted(reports);
-    let mut supp_sources = sources.to_vec();
-    supp_sources.extend(read_sources(&opts.checkers)?);
-    let (reports, suppressed) = partition_suppressed(reports, &supp_sources);
-    Ok((reports, suppressed, refuted, stats))
+    Report::sort_by_confidence(reports);
 }
 
-/// Executes the parsed options. Returns the reports (empty for
-/// `--emit-corpus` runs) so `main` can set the exit code.
+/// The post-check pipeline every client surface shares — `run_full`, the
+/// watch loop and the `mcheckd` daemon — over the `reports` one engine
+/// check of `sources` returned: ranked as [`run`] ranks them, then the
+/// refuted and suppressed partitions. Suppression comments are honored
+/// wherever a report can point, including the metal checker files
+/// themselves (load-time validation warnings are reported against the
+/// checker's own source).
 ///
-/// A run with `--cache-dir` goes through the incremental [`CheckEngine`];
-/// reports are byte-identical to an uncached run either way.
+/// # Errors
+///
+/// Returns [`CliError`] for unreadable checker files.
+pub fn checked_reports(
+    driver: &Driver,
+    opts: &Options,
+    sources: &[(String, String)],
+    mut reports: Vec<Report>,
+) -> Result<Checked, CliError> {
+    rank(driver, opts, sources, &mut reports);
+    let (reports, refuted) = partition_refuted(reports);
+    let mut sources = sources.to_vec();
+    sources.extend(read_sources(&opts.checkers)?);
+    let (reports, suppressed) = partition_suppressed(reports, &sources);
+    Ok(Checked {
+        reports,
+        suppressed,
+        refuted,
+        sources,
+    })
+}
+
+/// Executes the parsed options. Returns every report, ranked (refuted and
+/// suppressed ones included; empty for `--emit-corpus` runs).
+///
+/// Every check goes through the incremental [`CheckEngine`] of
+/// [`engine_for`]: disk-backed with `--cache-dir`, in memory otherwise;
+/// reports are byte-identical either way.
 ///
 /// # Errors
 ///
@@ -597,27 +582,12 @@ pub fn run(opts: &Options) -> Result<Vec<Report>, CliError> {
         emit_corpus(dir, opts.seed, opts.scale)?;
         return Ok(Vec::new());
     }
-
     let driver = build_driver(opts)?;
     let sources = read_sources(&opts.files)?;
-    let mut reports = if opts.cache_dir.is_some() && !opts.no_cache {
-        let mut engine = engine_for(opts)?;
-        engine
-            .check_sources(&driver, &sources)
-            .map_err(|e| CliError(e.to_string()))?
-            .0
-    } else {
-        driver
-            .check_sources(&sources)
-            .map_err(|e| CliError(e.to_string()))?
-    };
-    // Load-time diagnostics from compiling the metal programs (unreachable
-    // states, shadowed rules, ...) ride along as ordinary warning reports.
-    reports.extend(driver.metal_load_diagnostics());
-    if opts.refute {
-        promote_confirmed(&mut reports, &sources);
-    }
-    Report::sort_by_confidence(&mut reports);
+    // The engine is dropped with this statement, before ranking replays
+    // witnesses in the simulator.
+    let (mut reports, _) = engine_for(opts)?.check_sources(&driver, &sources)?;
+    rank(&driver, opts, &sources, &mut reports);
     Ok(reports)
 }
 
@@ -717,45 +687,30 @@ pub fn run_watch(opts: &Options, out: &mut dyn std::io::Write) -> Result<(), Cli
     let interval = std::time::Duration::from_millis(opts.watch_interval_ms.max(1));
     let mut cycles = 0usize;
     let mut snaps: Vec<FileSnap> = opts.files.iter().map(|f| snap_of(f)).collect();
-    // Suppression comments are honored wherever a report can point,
-    // including the metal checker files themselves (load-time validation
-    // warnings are reported against the checker's own source). The checker
-    // files are read once, like build_driver does.
-    let checker_sources = read_sources(&opts.checkers)?;
     loop {
-        match read_sources(&opts.files) {
-            Ok(sources) => match engine.check_sources(&driver, &sources) {
-                Ok((mut reports, stats)) => {
-                    reports.extend(driver.metal_load_diagnostics());
-                    if opts.refute {
-                        promote_confirmed(&mut reports, &sources);
-                    }
-                    Report::sort_by_confidence(&mut reports);
-                    let (reports, refuted) = partition_refuted(reports);
-                    let mut supp_sources = sources.clone();
-                    supp_sources.extend(checker_sources.iter().cloned());
-                    let (reports, suppressed) = partition_suppressed(reports, &supp_sources);
-                    let _ = writeln!(
-                        out,
-                        "[watch] checked {} file(s) ({} re-checked, {} replayed): {} report(s)",
-                        stats.units,
-                        stats.units_checked,
-                        stats.units - stats.units_checked,
-                        reports.len()
-                    );
-                    render(
-                        opts.format,
-                        &reports,
-                        &supp_sources,
-                        suppressed,
-                        refuted,
-                        out,
-                    );
-                }
-                Err(e) => {
-                    let _ = writeln!(out, "mcheck: {e}");
-                }
-            },
+        let cycle = read_sources(&opts.files).and_then(|sources| {
+            let (reports, stats) = engine.check_sources(&driver, &sources)?;
+            Ok((checked_reports(&driver, opts, &sources, reports)?, stats))
+        });
+        match cycle {
+            Ok((c, stats)) => {
+                let _ = writeln!(
+                    out,
+                    "[watch] checked {} file(s) ({} re-checked, {} replayed): {} report(s)",
+                    stats.units,
+                    stats.units_checked,
+                    stats.units - stats.units_checked,
+                    c.reports.len()
+                );
+                render(
+                    opts.format,
+                    &c.reports,
+                    &c.sources,
+                    c.suppressed,
+                    c.refuted,
+                    out,
+                );
+            }
             Err(e) => {
                 let _ = writeln!(out, "{e}");
             }
@@ -818,20 +773,21 @@ pub fn run_full(
     if let Some((si, sn)) = opts.shard {
         return run_shard(opts, si, sn, err);
     }
+    let driver = build_driver(opts)?;
     if opts.merge {
-        let driver = build_driver(opts)?;
         let shards = validate_shard_manifests(opts, &driver)?;
         let _ = writeln!(err, "merge: folding {shards} shard manifest(s)");
     }
-    let reports = run(opts)?;
     let sources = read_sources(&opts.files)?;
-    let (reports, refuted) = partition_refuted(reports);
-    // Suppression comments are honored wherever a report can point,
-    // including the metal checker files themselves (load-time validation
-    // warnings are reported against the checker's own source).
-    let mut supp_sources = sources.clone();
-    supp_sources.extend(read_sources(&opts.checkers)?);
-    let (mut reports, suppressed) = partition_suppressed(reports, &supp_sources);
+    // The engine is dropped with this statement, before the post-check
+    // pipeline replays witnesses in the simulator.
+    let (reports, _) = engine_for(opts)?.check_sources(&driver, &sources)?;
+    let Checked {
+        mut reports,
+        suppressed,
+        refuted,
+        sources,
+    } = checked_reports(&driver, opts, &sources, reports)?;
     let mut exit = u8::from(!reports.is_empty());
     if let Some(path) = &opts.baseline {
         match apply_baseline(path, &mut reports)? {
@@ -853,14 +809,7 @@ pub fn run_full(
             }
         }
     }
-    render(
-        opts.format,
-        &reports,
-        &supp_sources,
-        suppressed,
-        refuted,
-        out,
-    );
+    render(opts.format, &reports, &sources, suppressed, refuted, out);
     if !reports.is_empty() && opts.format == Format::Text {
         let errors = reports
             .iter()
@@ -900,9 +849,7 @@ fn run_shard(
     let sources = read_sources(&opts.files)?;
     let mut engine = engine_for(opts)?;
     engine.set_shard(Some((si, sn)));
-    let (_, stats) = engine
-        .check_sources(&driver, &sources)
-        .map_err(|e| CliError(e.to_string()))?;
+    let (_, stats) = engine.check_sources(&driver, &sources)?;
     let dir = opts
         .cache_dir
         .as_ref()
@@ -1388,21 +1335,15 @@ mod cache_tests {
         assert!(USAGE.contains("--cache-dir") && USAGE.contains("--watch"));
     }
 
+    /// The differential oracles (the metal interpreter, whole-unit
+    /// invalidation) are library settings for tests, not product flags.
     #[test]
-    fn invalidate_flag_parses() {
-        let o = args(&["--builtin", "a.c"]).unwrap();
-        assert_eq!(
-            o.invalidate,
-            Invalidation::Function,
-            "function granularity is the default"
-        );
-        let o = args(&["--builtin", "--invalidate", "component", "a.c"]).unwrap();
-        assert_eq!(o.invalidate, Invalidation::Component);
-        let o = args(&["--builtin", "--invalidate", "function", "a.c"]).unwrap();
-        assert_eq!(o.invalidate, Invalidation::Function);
-        assert!(args(&["--builtin", "--invalidate", "file", "a.c"]).is_err());
-        assert!(args(&["--builtin", "--invalidate"]).is_err());
-        assert!(USAGE.contains("--invalidate"));
+    fn oracle_modes_are_unknown_options() {
+        for flag in [["--metal-engine", "interp"], ["--invalidate", "component"]] {
+            let err = args(&["--builtin", flag[0], flag[1], "a.c"]).unwrap_err();
+            assert!(err.0.starts_with("unknown option"), "{err}");
+            assert!(!USAGE.contains(flag[0]));
+        }
     }
 
     #[test]
@@ -1767,23 +1708,6 @@ mod metal_engine_tests {
     }
 
     #[test]
-    fn metal_engine_flag_parses() {
-        let o = args(&["--builtin", "a.c"]).unwrap();
-        assert_eq!(
-            o.metal_engine,
-            MetalEngine::Compiled,
-            "compiled is the default"
-        );
-        let o = args(&["--builtin", "--metal-engine", "interp", "a.c"]).unwrap();
-        assert_eq!(o.metal_engine, MetalEngine::Interp);
-        let o = args(&["--builtin", "--metal-engine", "compiled", "a.c"]).unwrap();
-        assert_eq!(o.metal_engine, MetalEngine::Compiled);
-        assert!(args(&["--builtin", "--metal-engine", "jit", "a.c"]).is_err());
-        assert!(args(&["--builtin", "--metal-engine"]).is_err());
-        assert!(USAGE.contains("--metal-engine"));
-    }
-
-    #[test]
     fn both_engines_produce_identical_reports() {
         let dir = temp_dir("parity");
         let src = dir.join("h.c");
@@ -1792,16 +1716,21 @@ mod metal_engine_tests {
             "void h(void) { MISCBUS_READ_DB(a, b); DB_FREE(); DB_FREE(); }",
         )
         .unwrap();
-        let compiled = run(&args(&["--builtin", src.to_str().unwrap()]).unwrap()).unwrap();
-        let interp = run(&args(&[
-            "--builtin",
-            "--metal-engine",
-            "interp",
-            src.to_str().unwrap(),
-        ])
-        .unwrap())
-        .unwrap();
-        assert_eq!(compiled, interp);
+        let opts = args(&["--builtin", src.to_str().unwrap()]).unwrap();
+        let sources = read_sources(&opts.files).unwrap();
+        let check = |engine: mc_driver::MetalEngine| {
+            let mut driver = build_driver(&opts).unwrap();
+            driver.set_metal_engine(engine);
+            let (reports, _) = engine_for(&opts)
+                .unwrap()
+                .check_sources(&driver, &sources)
+                .unwrap();
+            checked_reports(&driver, &opts, &sources, reports)
+                .unwrap()
+                .reports
+        };
+        let compiled = check(mc_driver::MetalEngine::Compiled);
+        assert_eq!(compiled, check(mc_driver::MetalEngine::Interp));
         assert!(!compiled.is_empty(), "the planted bugs are found");
         let _ = std::fs::remove_dir_all(&dir);
     }

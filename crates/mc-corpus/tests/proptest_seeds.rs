@@ -90,16 +90,16 @@ proptest! {
         seed in any::<u64>()
     ) {
         let proto = generate(plan_for("bitvector").unwrap(), seed);
-        let mut driver = Driver::new();
-        let units = driver.parse_units(&proto.sources()).unwrap();
-        let loopy: std::collections::HashSet<String> = units
+        let loopy: std::collections::HashSet<String> = proto
+            .files
             .iter()
-            .flat_map(|u| {
-                u.unit
+            .flat_map(|f| {
+                mc_ast::parse_translation_unit(&f.source, &f.name)
+                    .unwrap()
                     .functions()
-                    .zip(&u.cfgs)
-                    .filter(|(_, cfg)| !cfg.back_edges().is_empty())
-                    .map(|(f, _)| f.name.clone())
+                    .filter(|func| !mc_cfg::Cfg::build(func).back_edges().is_empty())
+                    .map(|func| func.name.clone())
+                    .collect::<Vec<_>>()
             })
             .collect();
         prop_assert!(loopy.len() < 4, "only the spin-loop FP sites may loop");

@@ -1,20 +1,21 @@
-//! The checker driver: parse sources, build every function's CFG exactly
-//! once, fan the per-function checks out over a worker pool, and merge the
-//! results in a stable order so parallel and sequential runs are
+//! The checker driver: the checker registry and run configuration, plus the
+//! per-function and per-component passes the executor in [`crate::query`]
+//! schedules. [`Driver::pool_map`] fans work out over a worker pool and
+//! merges results in index order, so parallel and sequential runs are
 //! byte-identical.
 //!
 //! Whole-program ("global") passes run once per *call-graph component*: the
 //! units of a program are partitioned by who-calls-whom (see
 //! [`call_components`]), and each [`Checker::check_program`] invocation sees
 //! one component. Components are the unit of invalidation for the
-//! incremental engine in [`crate::query`] — a global pass only re-runs when
-//! a unit in its component changed — and running the batch driver the same
-//! way keeps cold and warm reports byte-identical.
+//! incremental engine — a global pass only re-runs when a unit in its
+//! component changed.
 
+use crate::query::CheckEngine;
 use crate::report::Report;
-use crate::sched::{SchedMode, SchedStats};
+use crate::sched::SchedStats;
 use crate::summaries::Summaries;
-use mc_ast::{parse_translation_unit, Fnv1a, Function, ParseError, TranslationUnit};
+use mc_ast::{Fnv1a, Function, ParseError, TranslationUnit};
 use mc_cfg::{
     feasibility_stats, run_traversal_with, Cfg, FnSummary, Mode, SummaryLookup, Traversal,
 };
@@ -24,7 +25,6 @@ use mc_metal::{
 };
 use std::any::Any;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 /// An error from driving a check run.
@@ -74,17 +74,18 @@ impl From<CompileError> for DriverError {
 ///
 /// Building the CFG is the most expensive per-function step, and before
 /// this cache existed it happened once in the driver and again in every
-/// consumer that wanted path statistics. A `CheckedUnit` is built once
-/// (usually by [`Driver::parse_units`]) and shared by the check pass, the
-/// global emit/link pass, and the benchmark harness.
+/// consumer that wanted path statistics. A `CheckedUnit` is built once per
+/// parse and shared by the check pass, the summary engine, the global
+/// emit/link pass, and the benchmark harness.
 #[derive(Debug)]
 pub struct CheckedUnit {
     /// The parsed unit.
     pub unit: TranslationUnit,
     /// One CFG per function definition, in `unit.functions()` order.
     pub cfgs: Vec<Cfg>,
-    /// Lazily-computed per-function fingerprints, in definition order.
-    /// Only the incremental engine touches these; batch runs pay nothing.
+    /// Lazily-computed per-function fingerprints, in definition order
+    /// (the engine's parse query computes them on the worker that parsed
+    /// the unit).
     fn_fps: OnceLock<Vec<mc_ast::FnFingerprint>>,
     /// Lazily-computed per-function callee-name lists, in definition
     /// order (what [`mc_cfg::collect_calls`] returns for each function).
@@ -92,6 +93,9 @@ pub struct CheckedUnit {
     /// Lazily-computed unit environment hash: non-function items plus the
     /// unit's written-global set (see [`CheckedUnit::env_fp`]).
     env_fp: OnceLock<u64>,
+    /// Lazily-computed sorted identifiers assigned or address-taken in any
+    /// body of the unit.
+    written: OnceLock<Vec<String>>,
 }
 
 impl CheckedUnit {
@@ -104,6 +108,7 @@ impl CheckedUnit {
             fn_fps: OnceLock::new(),
             fn_calls: OnceLock::new(),
             env_fp: OnceLock::new(),
+            written: OnceLock::new(),
         }
     }
 
@@ -123,10 +128,22 @@ impl CheckedUnit {
         })
     }
 
-    /// Per-function callee-name lists, in definition order.
+    /// Per-function callee-name lists (sorted, deduplicated), in definition
+    /// order.
     pub fn fn_call_names(&self) -> &[Vec<String>] {
         self.fn_calls
             .get_or_init(|| self.unit.functions().map(mc_cfg::collect_calls).collect())
+    }
+
+    /// The unit's [`CallInfo`], derived from [`CheckedUnit::fn_call_names`].
+    pub fn call_info(&self) -> CallInfo {
+        let mut calls: Vec<String> = self.fn_call_names().concat();
+        calls.sort_unstable();
+        calls.dedup();
+        CallInfo {
+            defines: self.unit.functions().map(|f| f.name.clone()).collect(),
+            calls,
+        }
     }
 
     /// The unit's *environment* hash: everything outside function bodies
@@ -140,11 +157,18 @@ impl CheckedUnit {
         *self.env_fp.get_or_init(|| {
             let mut h = Fnv1a::new();
             h.write_u64(mc_ast::Fingerprint::of_unit_env(&self.unit));
-            for name in crate::refute::written_globals(&self.unit) {
-                h.write_str(&name);
+            for name in self.written_globals() {
+                h.write_str(name);
             }
             h.finish()
         })
+    }
+
+    /// The sorted identifiers assigned or address-taken in any body of the
+    /// unit: the globals witness refutation must not treat as constants.
+    pub(crate) fn written_globals(&self) -> &[String] {
+        self.written
+            .get_or_init(|| crate::refute::written_globals(&self.unit))
     }
 }
 
@@ -404,7 +428,11 @@ pub(crate) struct UnitLocal {
 /// counts, and recorded dependency edges); unit records are unchanged in
 /// shape but are now assembled from per-function slices, so mixing them
 /// with v6 records could replay stale per-function state.
-pub const CACHE_FORMAT_VERSION: u32 = 7;
+///
+/// v8: unit AST keys and unit environment hashes became folds of per-item
+/// fingerprints, so every `ast_key`, component key and `env_fp` changed
+/// value.
+pub const CACHE_FORMAT_VERSION: u32 = 8;
 
 /// The analysis driver: a set of checkers plus traversal settings.
 pub struct Driver {
@@ -422,7 +450,6 @@ pub struct Driver {
     interproc: bool,
     refute: bool,
     jobs: Option<usize>,
-    sched: SchedMode,
     /// Scheduler counters accumulated across fan-outs; drained with
     /// [`Driver::take_sched_stats`]. Interior mutability because checking
     /// runs through `&self`.
@@ -449,7 +476,6 @@ impl fmt::Debug for Driver {
             .field("interproc", &self.interproc)
             .field("refute", &self.refute)
             .field("jobs", &self.jobs)
-            .field("sched", &self.sched)
             .finish()
     }
 }
@@ -475,7 +501,6 @@ impl Driver {
             interproc: false,
             refute: false,
             jobs: None,
-            sched: SchedMode::default(),
             sched_stats: Mutex::new(SchedStats::default()),
             suite: Fnv1a::new(),
             config_epoch: 0,
@@ -579,23 +604,6 @@ impl Driver {
         })
     }
 
-    /// Selects how the worker pool hands out task indices (default:
-    /// [`SchedMode::Stealing`]).
-    ///
-    /// The mode never affects output — results are merged in index order
-    /// either way — so, like `--jobs`, it is not part of
-    /// [`Driver::suite_key`]. [`SchedMode::Fixed`] is kept for A/B
-    /// benchmarking against the shared-counter pool.
-    pub fn scheduler(&mut self, mode: SchedMode) -> &mut Self {
-        self.sched = mode;
-        self
-    }
-
-    /// The scheduling mode the next check run will use.
-    pub fn scheduler_mode(&self) -> SchedMode {
-        self.sched
-    }
-
     /// Drains the scheduler counters accumulated since construction (or
     /// since the previous call), resetting them to zero.
     pub fn take_sched_stats(&self) -> SchedStats {
@@ -665,7 +673,8 @@ impl Driver {
     /// [`MetalEngine::Compiled`]).
     ///
     /// Both engines produce byte-identical reports; the interpreter is kept
-    /// as a differential oracle and for the dispatch benchmark.
+    /// as a differential oracle for tests and for the dispatch benchmark
+    /// (`mcheck` always runs the compiled engine).
     pub fn set_metal_engine(&mut self, engine: MetalEngine) -> &mut Self {
         self.metal_engine = engine;
         self
@@ -813,7 +822,8 @@ impl Driver {
         self.check_sources(&[(src.to_string(), file.to_string())])
     }
 
-    /// Checks a set of `(source, file-name)` pairs as one program.
+    /// Checks a set of `(source, file-name)` pairs as one program: a cold
+    /// run of a fresh [`CheckEngine::in_memory`].
     ///
     /// All per-function checks run first (metal and native), then each
     /// native checker's whole-program pass.
@@ -823,18 +833,17 @@ impl Driver {
     /// Returns [`DriverError::Parse`] on the first file (in input order)
     /// that fails to parse.
     pub fn check_sources(&self, sources: &[(String, String)]) -> Result<Vec<Report>, DriverError> {
-        let units = self.parse_units(sources)?;
-        Ok(self.check_units(&units))
+        Ok(CheckEngine::in_memory().check_sources(self, sources)?.0)
     }
 
     /// Runs `f(0..n)` over the worker pool and returns the outputs in index
     /// order, regardless of which worker computed each item.
     ///
-    /// This is the one scheduling primitive in the crate: batch parsing,
-    /// per-function checking, and the incremental engine's query phases all
-    /// fan out through it, so "parallel output == sequential output" has a
-    /// single point of truth. With one effective worker no threads are
-    /// spawned at all.
+    /// This is the one scheduling primitive in the crate: parsing,
+    /// per-function checking, summary waves and program passes all fan out
+    /// through it, so "parallel output == sequential output" has a single
+    /// point of truth. With one effective worker no threads are spawned at
+    /// all.
     pub(crate) fn pool_map<T, F>(&self, n: usize, f: F) -> Vec<T>
     where
         T: Send + Sync,
@@ -855,36 +864,9 @@ impl Driver {
             return (0..n).map(f).collect();
         }
         let slots: Vec<OnceLock<T>> = (0..n).map(|_| OnceLock::new()).collect();
-        let logs = match self.sched {
-            SchedMode::Stealing => crate::sched::run_stealing(n, workers, |i| {
-                let _ = slots[i].set(f(i));
-            }),
-            SchedMode::Fixed => {
-                let next = AtomicUsize::new(0);
-                let worker_logs: Vec<OnceLock<crate::sched::WorkerLog>> =
-                    (0..workers).map(|_| OnceLock::new()).collect();
-                std::thread::scope(|scope| {
-                    for slot in &worker_logs {
-                        scope.spawn(|| {
-                            let mut log = crate::sched::WorkerLog::default();
-                            loop {
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                if i >= n {
-                                    break;
-                                }
-                                let _ = slots[i].set(f(i));
-                                log.executed += 1;
-                            }
-                            let _ = slot.set(log);
-                        });
-                    }
-                });
-                worker_logs
-                    .into_iter()
-                    .map(|s| s.into_inner().unwrap_or_default())
-                    .collect()
-            }
-        };
+        let logs = crate::sched::run_stealing(n, workers, |i| {
+            let _ = slots[i].set(f(i));
+        });
         self.sched_stats
             .lock()
             .expect("sched stats lock")
@@ -893,28 +875,6 @@ impl Driver {
             .into_iter()
             .map(|s| s.into_inner().expect("every work item completed"))
             .collect()
-    }
-
-    /// Parses `(source, file-name)` pairs and builds every function's CFG,
-    /// fanning the files out over the worker pool.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DriverError::Parse`] on the first file in *input* order
-    /// that fails to parse, regardless of which worker hit the error first.
-    pub fn parse_units(
-        &self,
-        sources: &[(String, String)],
-    ) -> Result<Vec<CheckedUnit>, DriverError> {
-        let parsed = self.pool_map(sources.len(), |i| {
-            let (src, file) = &sources[i];
-            parse_translation_unit(src, file).map(CheckedUnit::new)
-        });
-        let mut units = Vec::with_capacity(sources.len());
-        for result in parsed {
-            units.push(result?);
-        }
-        Ok(units)
     }
 
     /// Runs every registered checker's function pass over one function.
@@ -985,7 +945,7 @@ impl Driver {
             if metal.iter().any(has_witness)
                 || native.iter().any(|s| s.reports.iter().any(has_witness))
             {
-                let world = crate::refute::UnitWorld::new(&unit.unit);
+                let world = crate::refute::UnitWorld::new(&unit.unit, unit.written_globals());
                 for r in metal
                     .iter_mut()
                     .chain(native.iter_mut().flat_map(|s| s.reports.iter_mut()))
@@ -995,46 +955,6 @@ impl Driver {
             }
         }
         FunctionOutput { metal, native }
-    }
-
-    /// Runs the local (per-function) passes of every given unit over the
-    /// worker pool and merges the outputs per unit, in `(unit, function)`
-    /// index order — never completion order.
-    pub(crate) fn run_local_passes(
-        &self,
-        units: &[&CheckedUnit],
-        summaries: Option<&Summaries>,
-    ) -> Vec<UnitLocal> {
-        // One work item per function definition, in program order.
-        let fns: Vec<Vec<&Function>> = units.iter().map(|u| u.unit.functions().collect()).collect();
-        let mut items: Vec<(usize, usize)> = Vec::new();
-        for (u, fs) in fns.iter().enumerate() {
-            for f in 0..fs.len() {
-                items.push((u, f));
-            }
-        }
-
-        let outputs = self.pool_map(items.len(), |i| {
-            let (u, f) = items[i];
-            self.check_one_function(units[u], fns[u][f], &units[u].cfgs[f], summaries)
-        });
-
-        let mut locals: Vec<UnitLocal> = units
-            .iter()
-            .map(|_| UnitLocal {
-                reports: Vec::new(),
-                facts: self.native.iter().map(|_| Vec::new()).collect(),
-            })
-            .collect();
-        for (&(u, _), out) in items.iter().zip(outputs) {
-            let local = &mut locals[u];
-            local.reports.extend(out.metal);
-            for (i, sink) in out.native.into_iter().enumerate() {
-                local.reports.extend(sink.reports);
-                local.facts[i].extend(sink.facts);
-            }
-        }
-        locals
     }
 
     /// Re-runs only the fact-emitting passes of one function.
@@ -1093,60 +1013,8 @@ impl Driver {
             }
         }
         if self.refute && !reports.is_empty() {
-            let tus: Vec<&TranslationUnit> = units.iter().map(|u| &u.unit).collect();
-            crate::refute::decide_program_reports(&tus, &mut reports);
+            crate::refute::decide_program_reports(units, &mut reports);
         }
-        reports
-    }
-
-    /// Checks already-parsed units as one program.
-    ///
-    /// Functions are tagged with their `(unit, function)` index, fanned out
-    /// over the worker pool, and the per-function outputs are merged back
-    /// in index order — so the final report vector does not depend on the
-    /// worker count or on scheduling. Program passes then run once per
-    /// call-graph component (see [`call_components`]), exactly as the
-    /// incremental engine re-runs them, so batch and cached runs produce
-    /// byte-identical reports.
-    pub fn check_units(&self, units: &[CheckedUnit]) -> Vec<Report> {
-        let refs: Vec<&CheckedUnit> = units.iter().collect();
-        // One store over the whole batch: summaries are per-function and
-        // bottom-up, so this is equivalent to computing them per call-graph
-        // component (no summary ever crosses a component boundary).
-        let summaries = if self.needs_summaries() {
-            Some(Summaries::compute(self, &refs, self.interproc))
-        } else {
-            None
-        };
-        // Local traversals only see the store when call-site resolution is
-        // on; the lane checker's program pass sees it regardless.
-        let local_summaries = if self.interproc {
-            summaries.as_ref()
-        } else {
-            None
-        };
-        let mut locals = self.run_local_passes(&refs, local_summaries);
-
-        let mut reports = Vec::new();
-        for local in &mut locals {
-            reports.append(&mut local.reports);
-        }
-
-        if self.has_program_checkers() {
-            let infos: Vec<CallInfo> = refs.iter().map(|u| call_info(&u.unit)).collect();
-            for comp in call_components(&infos) {
-                let members: Vec<&CheckedUnit> = comp.iter().map(|&i| refs[i]).collect();
-                let mut facts: Vec<Vec<Fact>> = self.native.iter().map(|_| Vec::new()).collect();
-                for &i in &comp {
-                    for (ci, f) in locals[i].facts.iter_mut().enumerate() {
-                        facts[ci].append(f);
-                    }
-                }
-                reports.extend(self.run_program_passes(&members, facts, summaries.as_ref()));
-            }
-        }
-        reports.sort();
-        reports.dedup();
         reports
     }
 }
@@ -1155,37 +1023,13 @@ impl Driver {
 /// defines and which names it calls. Cheap to compute, serializable, and
 /// sufficient to rebuild the unit-level call graph without re-parsing —
 /// which is how the incremental engine partitions clean units into
-/// components.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// components. See [`CheckedUnit::call_info`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CallInfo {
     /// Names of functions the unit defines, in definition order.
     pub defines: Vec<String>,
     /// Names the unit's function bodies call, sorted and deduplicated.
     pub calls: Vec<String>,
-}
-
-/// Extracts the [`CallInfo`] of a parsed unit.
-pub fn call_info(unit: &TranslationUnit) -> CallInfo {
-    struct Calls(std::collections::BTreeSet<String>);
-    impl mc_ast::Visitor for Calls {
-        fn visit_expr(&mut self, expr: &mc_ast::Expr) {
-            if let Some((callee, _)) = expr.as_call() {
-                self.0.insert(callee.to_string());
-            }
-        }
-    }
-    let mut calls = Calls(std::collections::BTreeSet::new());
-    let defines = unit
-        .functions()
-        .map(|f| {
-            mc_ast::walk_function(&mut calls, f);
-            f.name.clone()
-        })
-        .collect();
-    CallInfo {
-        defines,
-        calls: calls.0.into_iter().collect(),
-    }
 }
 
 /// Partitions units into weakly-connected components of the unit-level call
@@ -1350,8 +1194,8 @@ fn rank_function_reports(
 mod tests {
     use super::*;
     use crate::report::Severity;
-    use mc_ast::Span;
-    use std::sync::atomic::AtomicUsize;
+    use mc_ast::{parse_translation_unit, Span};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     const SM: &str = r#"
         sm wait_for_db {
@@ -1705,5 +1549,8 @@ mod tests {
         assert_eq!(cu.cfgs.len(), 2);
         let names: Vec<&str> = cu.functions().map(|(f, _)| f.name.as_str()).collect();
         assert_eq!(names, ["a", "b"]);
+        let info = cu.call_info();
+        assert_eq!(info.defines, ["a", "b"]);
+        assert_eq!(info.calls, ["x", "y"]);
     }
 }

@@ -1,12 +1,14 @@
-//! The demand-driven query layer: an incremental front end over [`Driver`].
+//! The demand-driven query layer: the one executor of a [`Driver`]'s
+//! configuration.
 //!
-//! [`CheckEngine::check_sources`] produces byte-identical reports to
-//! [`Driver::check_sources`], but memoizes every intermediate artifact by
-//! content: a warm run re-does only the work whose inputs actually changed.
-//! Work is decomposed into [`Query`] values — parse a file, build its CFGs,
-//! check one function, regenerate one unit's program-pass facts — and each
-//! phase's queries are fanned out over the driver's worker pool, so the
-//! pool schedules *queries*, not units.
+//! [`CheckEngine::check_sources`] runs every check — [`Driver::check_sources`]
+//! is a cold run of a fresh in-memory engine — and memoizes every
+//! intermediate artifact by content: a warm run re-does only the work whose
+//! inputs actually changed, and produces byte-identical reports to a cold
+//! one. Work is decomposed into [`Query`] values — parse and fingerprint a
+//! file, check one function, regenerate one function's program-pass facts —
+//! and each phase's queries are fanned out over the driver's worker pool, so
+//! the pool schedules *queries*, not units.
 //!
 //! Invalidation is four-tiered, coarse to fine:
 //!
@@ -26,9 +28,9 @@
 //!    a per-function [`Query::Check`] node, which records a fresh
 //!    dependency edge set. An edit to one handler body re-checks a handful
 //!    of functions, not a 300-function component.
-//!    `--invalidate component` disables this tier and re-checks whole
-//!    dirty units — the differential oracle; both modes are byte-identical
-//!    to a cold batch run by contract.
+//!    [`Invalidation::Component`] disables this tier and re-checks whole
+//!    dirty units — the differential oracle tests compare against; both
+//!    modes are byte-identical to a cold run by contract.
 //! 4. **Component** — program passes re-run per call-graph component
 //!    whenever any member unit changed (see
 //!    [`call_components`](crate::call_components)); clean components replay
@@ -53,12 +55,10 @@ use crate::cache::{
     summary_content_hash, ComponentRecord, DiskCache, FnEntry, FnIndexLoad, FnIndexRecord,
     ProgramRecord, SummaryRecord, UnitRecord,
 };
-use crate::driver::{
-    call_components, call_info, CallInfo, CheckedUnit, Driver, DriverError, Fact, UnitLocal,
-};
+use crate::driver::{call_components, CallInfo, CheckedUnit, Driver, DriverError, Fact, UnitLocal};
 use crate::report::Report;
 use crate::summaries::Summaries;
-use mc_ast::{parse_translation_unit, Fingerprint, Fnv1a, ParseError, TranslationUnit};
+use mc_ast::{parse_translation_unit, Fingerprint, Fnv1a, ParseError};
 use mc_cfg::FnSummary;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
@@ -69,10 +69,10 @@ use std::sync::{Arc, Mutex};
 /// determinism guarantee.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Query {
-    /// Parse source file `i` and fingerprint the resulting AST.
+    /// Parse source file `i`, build every function CFG, and fingerprint
+    /// the unit: per-function fingerprints, the AST key folded from them,
+    /// the environment hash, and per-function callee names.
     Parse(usize),
-    /// Build every function CFG of parsed unit `i`.
-    Cfg(usize),
     /// Run the local (per-function) checks of one function.
     Check {
         /// Index of the unit in the run's input order.
@@ -114,8 +114,7 @@ struct ParsedUnit {
 
 /// What one query produced.
 enum QueryOutput {
-    Parsed(Result<(TranslationUnit, u64), ParseError>),
-    Cfg(Arc<CheckedUnit>),
+    Parsed(Result<ParsedUnit, ParseError>),
     Checked(crate::driver::FunctionOutput),
     Facts(Vec<Vec<Fact>>),
 }
@@ -171,9 +170,9 @@ pub struct RunStats {
 /// An engine is keyed by nothing — all scoping lives in the
 /// content-addressed keys — so one engine (or one cache directory) can
 /// serve different drivers, and runs under a changed configuration simply
-/// miss. Reports returned by [`check_sources`] are byte-identical to what
-/// [`Driver::check_sources`] returns for the same driver and sources,
-/// regardless of cache state and worker count.
+/// miss. Reports returned by [`check_sources`] are byte-identical to a
+/// cold run of a fresh engine for the same driver and sources, regardless
+/// of cache state, invalidation granularity and worker count.
 ///
 /// [`check_sources`]: CheckEngine::check_sources
 #[derive(Debug, Default)]
@@ -201,7 +200,7 @@ pub struct CheckEngine {
     /// Component function-summary stores by component key.
     summaries: HashMap<u64, Arc<Summaries>>,
     /// Per-function summary memo for incremental store computation, keyed
-    /// by the recursive input key (see [`Summaries::compute_incremental`]).
+    /// by the recursive input key (see [`Summaries::compute_memoized`]).
     fn_summaries: HashMap<u64, FnSummary>,
     /// Summary content hashes by `H(component key, function name)`,
     /// computed on demand while validating or recording summary reads.
@@ -232,8 +231,9 @@ impl CheckEngine {
 
     /// Sets the invalidation granularity (default
     /// [`Invalidation::Function`]). Both modes produce byte-identical
-    /// reports; [`Invalidation::Component`] re-checks whole dirty units
-    /// and exists as the differential oracle.
+    /// reports; [`Invalidation::Component`] re-checks whole dirty units and
+    /// recomputes summary stores from scratch, and exists as the
+    /// differential oracle for tests.
     pub fn set_invalidation(&mut self, mode: Invalidation) -> &mut Self {
         self.invalidation = mode;
         self
@@ -407,12 +407,11 @@ impl CheckEngine {
                 s
             }
             None => {
+                // Function granularity extends to summaries: functions whose
+                // inputs are unchanged replay from the per-function memo
+                // instead of re-running every checker's summarize pass.
                 let s = if self.invalidation == Invalidation::Function {
-                    // Function granularity extends to summaries: whole SCCs
-                    // whose members and callee inputs are unchanged replay
-                    // from the per-function memo instead of re-running
-                    // every checker's summarize pass.
-                    Summaries::compute_incremental(
+                    Summaries::compute_memoized(
                         driver,
                         members,
                         driver.interproc_enabled(),
@@ -545,13 +544,13 @@ impl CheckEngine {
                 }
             })
             .collect();
-        let infos: Vec<CallInfo> = (0..n)
+        let mut infos: Vec<CallInfo> = (0..n)
             .map(|i| match &recs[i] {
                 Some(r) => CallInfo {
                     defines: r.defines.clone(),
                     calls: r.calls.clone(),
                 },
-                None => call_info(&parsed[i].as_ref().expect("parsed").unit.unit),
+                None => parsed[i].as_ref().expect("parsed").unit.call_info(),
             })
             .collect();
         let comps = call_components(&infos);
@@ -695,8 +694,9 @@ impl CheckEngine {
                 self.check_dirty(driver, &parsed, &dirty, &unit_summaries)
             };
             for (&i, local) in dirty.iter().zip(locals) {
-                let pu = parsed[i].as_ref().expect("parsed above");
-                let info = call_info(&pu.unit.unit);
+                // `infos[i]` came from this unit's parse or from a record of
+                // the same content: either way it is this unit's call info.
+                let info = std::mem::take(&mut infos[i]);
                 let rec = Arc::new(UnitRecord {
                     src_key: src_keys[i],
                     ast_key: ast_keys[i],
@@ -759,7 +759,7 @@ impl CheckEngine {
 
                 // Program passes read summaries (the lane checker always,
                 // every checker under interproc); facts regeneration only
-                // mirrors what the batch local pass would have seen.
+                // mirrors what a cold local pass would have seen.
                 let mut comp_stores: Vec<Option<Arc<Summaries>>> = vec![None; rerun.len()];
                 if driver.needs_summaries() {
                     for (j, &c) in rerun.iter().enumerate() {
@@ -823,7 +823,7 @@ impl CheckEngine {
                         stats.facts_regenerated += 1;
                     }
                 }
-                let outputs = run_queries(driver, sources, &[], &parsed, &unit_summaries, &queries);
+                let outputs = run_queries(driver, sources, &parsed, &unit_summaries, &queries);
                 for (q, out) in queries.iter().zip(outputs) {
                     match (q, out) {
                         (Query::Facts { unit, .. }, QueryOutput::Facts(f)) => {
@@ -923,7 +923,7 @@ impl CheckEngine {
         Ok((reports, stats))
     }
 
-    /// Parses (and CFG-builds) the units in `need`, filling `parsed`,
+    /// Runs a [`Query::Parse`] for each unit in `need`, filling `parsed`,
     /// reusing the parse memo where the content is already known.
     ///
     /// # Errors
@@ -959,34 +959,15 @@ impl CheckEngine {
         stats.parses += todo.len();
 
         let queries: Vec<Query> = todo.iter().map(|&i| Query::Parse(i)).collect();
-        let outputs = run_queries(driver, sources, &[], parsed, &[], &queries);
-        let mut fps: Vec<u64> = Vec::with_capacity(todo.len());
-        let tu_slots: Vec<Mutex<Option<TranslationUnit>>> = {
-            let slots: Vec<Mutex<Option<TranslationUnit>>> =
-                sources.iter().map(|_| Mutex::new(None)).collect();
-            for (&i, out) in todo.iter().zip(outputs) {
-                match out {
-                    QueryOutput::Parsed(Ok((tu, fp))) => {
-                        *slots[i].lock().unwrap() = Some(tu);
-                        fps.push(fp);
-                    }
-                    QueryOutput::Parsed(Err(e)) => return Err(DriverError::Parse(e)),
-                    _ => unreachable!("parse query returns parse output"),
-                }
-            }
-            slots
-        };
-
-        let queries: Vec<Query> = todo.iter().map(|&i| Query::Cfg(i)).collect();
-        let outputs = run_queries(driver, sources, &tu_slots, parsed, &[], &queries);
-        for ((&i, out), fp) in todo.iter().zip(outputs).zip(fps) {
+        let outputs = run_queries(driver, sources, parsed, &[], &queries);
+        for (&i, out) in todo.iter().zip(outputs) {
             match out {
-                QueryOutput::Cfg(unit) => {
-                    let pu = ParsedUnit { unit, ast_fp: fp };
+                QueryOutput::Parsed(Ok(pu)) => {
                     self.checked.insert(content_keys[i], pu.clone());
                     parsed[i] = Some(pu);
                 }
-                _ => unreachable!("cfg query returns cfg output"),
+                QueryOutput::Parsed(Err(e)) => return Err(DriverError::Parse(e)),
+                _ => unreachable!("parse query returns parse output"),
             }
         }
         Ok(())
@@ -1012,7 +993,7 @@ impl CheckEngine {
                 });
             }
         }
-        let outputs = run_queries(driver, &[], &[], parsed, unit_summaries, &queries);
+        let outputs = run_queries(driver, &[], parsed, unit_summaries, &queries);
 
         let mut by_unit: HashMap<usize, UnitLocal> = dirty
             .iter()
@@ -1162,7 +1143,7 @@ impl CheckEngine {
             });
         }
 
-        let outputs = run_queries(driver, &[], &[], parsed, unit_summaries, &queries);
+        let outputs = run_queries(driver, &[], parsed, unit_summaries, &queries);
         let mut fresh: HashMap<(usize, usize), crate::driver::FunctionOutput> = HashMap::new();
         let mut gfacts: HashMap<(usize, usize), Vec<Vec<Fact>>> = HashMap::new();
         for (q, out) in queries.iter().zip(outputs) {
@@ -1260,180 +1241,6 @@ impl CheckEngine {
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    const SM: &str = r#"
-        sm wait_for_db {
-            decl { scalar } addr, buf;
-            start:
-                { WAIT_FOR_DB_FULL(addr); } ==> stop
-              | { MISCBUS_READ_DB(addr, buf); } ==> { err("Buffer not synchronized"); }
-            ;
-        }
-    "#;
-
-    fn driver() -> Driver {
-        let mut d = Driver::new();
-        d.add_metal_source(SM).unwrap();
-        d
-    }
-
-    fn sources() -> Vec<(String, String)> {
-        (0..6)
-            .map(|i| {
-                (
-                    format!(
-                        "void f{i}(void) {{ MISCBUS_READ_DB(a, b); }}\n\
-                         void g{i}(void) {{ WAIT_FOR_DB_FULL(x); MISCBUS_READ_DB(x, y); }}"
-                    ),
-                    format!("u{i}.c"),
-                )
-            })
-            .collect()
-    }
-
-    #[test]
-    fn engine_matches_batch_and_memoizes() {
-        let d = driver();
-        let srcs = sources();
-        let batch = d.check_sources(&srcs).unwrap();
-
-        let mut engine = CheckEngine::in_memory();
-        let (cold, s1) = engine.check_sources(&d, &srcs).unwrap();
-        assert_eq!(cold, batch);
-        assert!(!s1.program_hit);
-        assert_eq!(s1.units_checked, srcs.len());
-
-        let (warm, s2) = engine.check_sources(&d, &srcs).unwrap();
-        assert_eq!(warm, batch);
-        assert!(s2.program_hit);
-        assert_eq!(s2.units_checked, 0);
-        assert_eq!(s2.parses, 0);
-    }
-
-    #[test]
-    fn one_dirty_unit_rechecks_only_itself() {
-        let d = driver();
-        let mut srcs = sources();
-        let mut engine = CheckEngine::in_memory();
-        engine.check_sources(&d, &srcs).unwrap();
-
-        srcs[2]
-            .0
-            .push_str("\nvoid extra2(void) { MISCBUS_READ_DB(p, q); }\n");
-        let (reports, stats) = engine.check_sources(&d, &srcs).unwrap();
-        assert_eq!(stats.units_checked, 1);
-        assert_eq!(stats.source_hits, srcs.len() - 1);
-        assert_eq!(reports, d.check_sources(&srcs).unwrap());
-    }
-
-    #[test]
-    fn layout_only_edit_replays_via_ast_key() {
-        let d = driver();
-        let mut srcs = sources();
-        let mut engine = CheckEngine::in_memory();
-        let (cold, _) = engine.check_sources(&d, &srcs).unwrap();
-
-        // Trailing whitespace displaces no token: AST (spans included) is
-        // unchanged, so the unit replays without re-checking.
-        srcs[0].0.push_str("   \n");
-        let (warm, stats) = engine.check_sources(&d, &srcs).unwrap();
-        assert_eq!(stats.ast_hits, 1);
-        assert_eq!(stats.units_checked, 0);
-        assert_eq!(warm, cold);
-    }
-
-    #[test]
-    fn suite_change_misses_everything() {
-        let srcs = sources();
-        let mut engine = CheckEngine::in_memory();
-        let d1 = driver();
-        engine.check_sources(&d1, &srcs).unwrap();
-
-        let mut d2 = driver();
-        d2.prune(false);
-        assert_ne!(d1.suite_key(), d2.suite_key());
-        let (reports, stats) = engine.check_sources(&d2, &srcs).unwrap();
-        assert!(!stats.program_hit);
-        assert_eq!(stats.units_checked, srcs.len());
-        assert_eq!(reports, d2.check_sources(&srcs).unwrap());
-    }
-
-    #[test]
-    fn config_epoch_invalidates() {
-        let srcs = sources();
-        let mut engine = CheckEngine::in_memory();
-        let d1 = driver();
-        engine.check_sources(&d1, &srcs).unwrap();
-
-        let mut d2 = driver();
-        d2.set_config_epoch(7);
-        let (_, stats) = engine.check_sources(&d2, &srcs).unwrap();
-        assert!(!stats.program_hit);
-        assert_eq!(stats.units_checked, srcs.len());
-    }
-
-    #[test]
-    fn refuted_and_sat_verdicts_survive_the_cache() {
-        // Verdicts are decided inside the local pass, so cached unit
-        // records carry them: warm runs must replay refuted/sat reports
-        // byte-identically, without re-running the solver.
-        let mut d = driver();
-        d.refute(true);
-        let srcs: Vec<(String, String)> = vec![
-            (
-                "void inf(void) {\n\
-                 nak = gCredit - gDebit;\n\
-                 if (gCredit == gDebit) {\n\
-                 if (nak > 0) { MISCBUS_READ_DB(a, b); }\n\
-                 }\n\
-                 }"
-                .into(),
-                "inf.c".into(),
-            ),
-            (
-                "void sat(void) { if (gLen > 4) { MISCBUS_READ_DB(x, y); } }".into(),
-                "sat.c".into(),
-            ),
-        ];
-        let batch = d.check_sources(&srcs).unwrap();
-        assert!(batch
-            .iter()
-            .any(|r| r.verdict == crate::report::Verdict::Refuted));
-        assert!(batch
-            .iter()
-            .any(|r| r.verdict == crate::report::Verdict::Sat && !r.model.is_empty()));
-
-        let mut engine = CheckEngine::in_memory();
-        let (cold, s1) = engine.check_sources(&d, &srcs).unwrap();
-        assert_eq!(cold, batch);
-        assert_eq!(s1.units_checked, srcs.len());
-        let (warm, s2) = engine.check_sources(&d, &srcs).unwrap();
-        assert!(s2.program_hit);
-        assert_eq!(warm, batch);
-    }
-
-    #[test]
-    fn parse_error_only_surfaces_for_dirty_units() {
-        let d = driver();
-        let mut srcs = sources();
-        let mut engine = CheckEngine::in_memory();
-        engine.check_sources(&d, &srcs).unwrap();
-
-        srcs[3].0 = "void broken( {".into();
-        let err = engine.check_sources(&d, &srcs).unwrap_err();
-        assert!(matches!(err, DriverError::Parse(_)));
-        assert!(err.to_string().contains("u3.c"));
-
-        // Fixing the file recovers, and clean units were never re-parsed.
-        srcs[3].0 = "void fixed(void) { a(); }".into();
-        let (_, stats) = engine.check_sources(&d, &srcs).unwrap();
-        assert_eq!(stats.units_checked, 1);
-    }
-}
-
 fn ast_key_of(suite: u64, file: &str, ast_fp: u64) -> u64 {
     let mut h = Fnv1a::new();
     h.write_u64(suite).write_str(file).write_u64(ast_fp);
@@ -1486,7 +1293,6 @@ fn local_call_closure(
 fn run_queries(
     driver: &Driver,
     sources: &[(String, String)],
-    tu_slots: &[Mutex<Option<TranslationUnit>>],
     parsed: &[Option<ParsedUnit>],
     unit_summaries: &[Option<Arc<Summaries>>],
     queries: &[Query],
@@ -1497,20 +1303,20 @@ fn run_queries(
         Query::Parse(i) => {
             let (src, file) = &sources[i];
             QueryOutput::Parsed(parse_translation_unit(src, file).map(|tu| {
-                let fp = Fingerprint::of_unit(&tu);
-                (tu, fp)
+                let unit = CheckedUnit::new(tu);
+                // Every later phase reads these; computing them here keeps
+                // them on the worker pool instead of the serial merge.
+                let ast_fp = Fingerprint::of_unit_with(&unit.unit, unit.fn_fingerprints());
+                unit.env_fp();
+                unit.fn_call_names();
+                ParsedUnit {
+                    unit: Arc::new(unit),
+                    ast_fp,
+                }
             }))
         }
-        Query::Cfg(i) => {
-            let tu = tu_slots[i]
-                .lock()
-                .unwrap()
-                .take()
-                .expect("parse ran before cfg");
-            QueryOutput::Cfg(Arc::new(CheckedUnit::new(tu)))
-        }
         Query::Check { unit, function } => {
-            let cu = parsed[unit].as_ref().expect("cfg ran before check");
+            let cu = parsed[unit].as_ref().expect("parsed before check");
             let f = cu
                 .unit
                 .unit
@@ -1525,7 +1331,7 @@ fn run_queries(
             ))
         }
         Query::Facts { unit, function } => {
-            let cu = parsed[unit].as_ref().expect("cfg ran before facts");
+            let cu = parsed[unit].as_ref().expect("parsed before facts");
             let f = cu
                 .unit
                 .unit
@@ -1540,4 +1346,186 @@ fn run_queries(
             ))
         }
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const SM: &str = r#"
+        sm wait_for_db {
+            decl { scalar } addr, buf;
+            start:
+                { WAIT_FOR_DB_FULL(addr); } ==> stop
+              | { MISCBUS_READ_DB(addr, buf); } ==> { err("Buffer not synchronized"); }
+            ;
+        }
+    "#;
+
+    fn driver() -> Driver {
+        let mut d = Driver::new();
+        d.add_metal_source(SM).unwrap();
+        d
+    }
+
+    fn sources() -> Vec<(String, String)> {
+        (0..6)
+            .map(|i| {
+                (
+                    format!(
+                        "void f{i}(void) {{ MISCBUS_READ_DB(a, b); }}\n\
+                         void g{i}(void) {{ WAIT_FOR_DB_FULL(x); MISCBUS_READ_DB(x, y); }}"
+                    ),
+                    format!("u{i}.c"),
+                )
+            })
+            .collect()
+    }
+
+    /// The reference every run must reproduce: a fresh, cold engine that
+    /// re-checks whole units.
+    fn oracle(d: &Driver, srcs: &[(String, String)]) -> Vec<Report> {
+        let mut engine = CheckEngine::in_memory();
+        engine.set_invalidation(Invalidation::Component);
+        engine.check_sources(d, srcs).unwrap().0
+    }
+
+    #[test]
+    fn engine_matches_the_cold_oracle_and_memoizes() {
+        let d = driver();
+        let srcs = sources();
+        let expected = oracle(&d, &srcs);
+
+        let mut engine = CheckEngine::in_memory();
+        let (cold, s1) = engine.check_sources(&d, &srcs).unwrap();
+        assert_eq!(cold, expected);
+        assert!(!s1.program_hit);
+        assert_eq!(s1.units_checked, srcs.len());
+
+        let (warm, s2) = engine.check_sources(&d, &srcs).unwrap();
+        assert_eq!(warm, expected);
+        assert!(s2.program_hit);
+        assert_eq!(s2.units_checked, 0);
+        assert_eq!(s2.parses, 0);
+    }
+
+    #[test]
+    fn one_dirty_unit_rechecks_only_itself() {
+        let d = driver();
+        let mut srcs = sources();
+        let mut engine = CheckEngine::in_memory();
+        engine.check_sources(&d, &srcs).unwrap();
+
+        srcs[2]
+            .0
+            .push_str("\nvoid extra2(void) { MISCBUS_READ_DB(p, q); }\n");
+        let (reports, stats) = engine.check_sources(&d, &srcs).unwrap();
+        assert_eq!(stats.units_checked, 1);
+        assert_eq!(stats.source_hits, srcs.len() - 1);
+        assert_eq!(reports, oracle(&d, &srcs));
+    }
+
+    #[test]
+    fn layout_only_edit_replays_via_ast_key() {
+        let d = driver();
+        let mut srcs = sources();
+        let mut engine = CheckEngine::in_memory();
+        let (cold, _) = engine.check_sources(&d, &srcs).unwrap();
+
+        // Trailing whitespace displaces no token: AST (spans included) is
+        // unchanged, so the unit replays without re-checking.
+        srcs[0].0.push_str("   \n");
+        let (warm, stats) = engine.check_sources(&d, &srcs).unwrap();
+        assert_eq!(stats.ast_hits, 1);
+        assert_eq!(stats.units_checked, 0);
+        assert_eq!(warm, cold);
+    }
+
+    #[test]
+    fn suite_change_misses_everything() {
+        let srcs = sources();
+        let mut engine = CheckEngine::in_memory();
+        let d1 = driver();
+        engine.check_sources(&d1, &srcs).unwrap();
+
+        let mut d2 = driver();
+        d2.prune(false);
+        assert_ne!(d1.suite_key(), d2.suite_key());
+        let (reports, stats) = engine.check_sources(&d2, &srcs).unwrap();
+        assert!(!stats.program_hit);
+        assert_eq!(stats.units_checked, srcs.len());
+        assert_eq!(reports, oracle(&d2, &srcs));
+    }
+
+    #[test]
+    fn config_epoch_invalidates() {
+        let srcs = sources();
+        let mut engine = CheckEngine::in_memory();
+        let d1 = driver();
+        engine.check_sources(&d1, &srcs).unwrap();
+
+        let mut d2 = driver();
+        d2.set_config_epoch(7);
+        let (_, stats) = engine.check_sources(&d2, &srcs).unwrap();
+        assert!(!stats.program_hit);
+        assert_eq!(stats.units_checked, srcs.len());
+    }
+
+    #[test]
+    fn refuted_and_sat_verdicts_survive_the_cache() {
+        // Verdicts are decided inside the local pass, so cached unit
+        // records carry them: warm runs must replay refuted/sat reports
+        // byte-identically, without re-running the solver.
+        let mut d = driver();
+        d.refute(true);
+        let srcs: Vec<(String, String)> = vec![
+            (
+                "void inf(void) {\n\
+                 nak = gCredit - gDebit;\n\
+                 if (gCredit == gDebit) {\n\
+                 if (nak > 0) { MISCBUS_READ_DB(a, b); }\n\
+                 }\n\
+                 }"
+                .into(),
+                "inf.c".into(),
+            ),
+            (
+                "void sat(void) { if (gLen > 4) { MISCBUS_READ_DB(x, y); } }".into(),
+                "sat.c".into(),
+            ),
+        ];
+        let expected = oracle(&d, &srcs);
+        assert!(expected
+            .iter()
+            .any(|r| r.verdict == crate::report::Verdict::Refuted));
+        assert!(expected
+            .iter()
+            .any(|r| r.verdict == crate::report::Verdict::Sat && !r.model.is_empty()));
+
+        let mut engine = CheckEngine::in_memory();
+        let (cold, s1) = engine.check_sources(&d, &srcs).unwrap();
+        assert_eq!(cold, expected);
+        assert_eq!(s1.units_checked, srcs.len());
+        let (warm, s2) = engine.check_sources(&d, &srcs).unwrap();
+        assert!(s2.program_hit);
+        assert_eq!(warm, expected);
+    }
+
+    #[test]
+    fn parse_error_only_surfaces_for_dirty_units() {
+        let d = driver();
+        let mut srcs = sources();
+        let mut engine = CheckEngine::in_memory();
+        engine.check_sources(&d, &srcs).unwrap();
+
+        srcs[3].0 = "void broken( {".into();
+        let err = engine.check_sources(&d, &srcs).unwrap_err();
+        assert!(matches!(err, DriverError::Parse(_)));
+        assert!(err.to_string().contains("u3.c"));
+
+        // Fixing the file recovers, and clean units were never re-parsed.
+        srcs[3].0 = "void fixed(void) { a(); }".into();
+        let (_, stats) = engine.check_sources(&d, &srcs).unwrap();
+        assert_eq!(stats.units_checked, 1);
+    }
 }

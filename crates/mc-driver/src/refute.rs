@@ -9,6 +9,7 @@
 //! refutes; anything the executor cannot decide leaves the report
 //! [`Verdict::Unchecked`].
 
+use crate::driver::CheckedUnit;
 use crate::report::{Report, Verdict};
 use mc_ast::{
     Expr, ExprKind, ExternalDecl, Function, Initializer, Item, Stmt, StmtKind, TranslationUnit,
@@ -34,7 +35,7 @@ pub(crate) struct UnitWorld<'a> {
 /// cannot name a scalar `int` global, so they are ignored here.
 fn mark_written(e: &Expr, out: &mut HashSet<String>) {
     match &e.kind {
-        ExprKind::Ident(n) => {
+        ExprKind::Ident(n) if !out.contains(n) => {
             out.insert(n.clone());
         }
         ExprKind::Cast { expr, .. } => mark_written(expr, out),
@@ -136,13 +137,8 @@ pub(crate) fn written_globals(unit: &TranslationUnit) -> Vec<String> {
 }
 
 impl<'a> UnitWorld<'a> {
-    pub(crate) fn new(unit: &'a TranslationUnit) -> UnitWorld<'a> {
-        let mut assigned: HashSet<String> = HashSet::new();
-        for item in &unit.items {
-            if let Item::Function(f) = item {
-                f.body.iter().for_each(|s| scan_stmt(s, &mut assigned));
-            }
-        }
+    /// The world of `unit`, whose [`written_globals`] are `written`.
+    pub(crate) fn new(unit: &'a TranslationUnit, written: &[String]) -> UnitWorld<'a> {
         let mut constants = HashMap::new();
         for item in &unit.items {
             match item {
@@ -159,7 +155,7 @@ impl<'a> UnitWorld<'a> {
                 Item::Decl(ExternalDecl::Var(d)) => {
                     if let Some(Initializer::Expr(e)) = &d.init {
                         if let ExprKind::IntLit(v, _) = e.kind {
-                            if !assigned.contains(d.name.as_str()) {
+                            if written.binary_search(&d.name).is_err() {
                                 constants.insert(d.name.as_str(), v);
                             }
                         }
@@ -213,18 +209,18 @@ pub(crate) fn decide(r: &mut Report, function: &Function, world: &UnitWorld<'_>)
 /// are not reconstructible (their steps are summary notes, not path
 /// steps), so in practice these stay `Unchecked` — the walk is cheap and
 /// keeps the policy uniform across report classes.
-pub(crate) fn decide_program_reports(units: &[&TranslationUnit], reports: &mut [Report]) {
+pub(crate) fn decide_program_reports(units: &[&CheckedUnit], reports: &mut [Report]) {
     for r in reports.iter_mut() {
         if r.steps.is_empty() {
             continue;
         }
-        let Some(unit) = units.iter().find(|u| u.file == r.file) else {
+        let Some(unit) = units.iter().find(|u| u.unit.file == r.file) else {
             continue;
         };
-        let Some(function) = unit.function(&r.function) else {
+        let Some(function) = unit.unit.function(&r.function) else {
             continue;
         };
-        let world = UnitWorld::new(unit);
+        let world = UnitWorld::new(&unit.unit, unit.written_globals());
         decide(r, function, &world);
     }
 }
@@ -243,7 +239,7 @@ mod tests {
             "w.c",
         )
         .unwrap();
-        let w = UnitWorld::new(&unit);
+        let w = UnitWorld::new(&unit, &written_globals(&unit));
         assert_eq!(w.constant("LEN_NODATA"), Some(0));
         assert_eq!(w.constant("LEN_WORD"), Some(4));
         assert_eq!(w.constant("LEN_CACHELINE"), Some(5));
@@ -261,7 +257,7 @@ mod tests {
             "w.c",
         )
         .unwrap();
-        let w = UnitWorld::new(&unit);
+        let w = UnitWorld::new(&unit, &written_globals(&unit));
         // Assigned or address-taken: the initializer is not the value at
         // every read, so it must not register as a constant.
         assert_eq!(w.constant("G_SET"), None);
@@ -280,7 +276,7 @@ mod tests {
             "w.c",
         )
         .unwrap();
-        let w = UnitWorld::new(&unit);
+        let w = UnitWorld::new(&unit, &written_globals(&unit));
         let f = unit.function("f").unwrap();
         // Build engine-faithful steps straight off the CFG: the entry
         // statement, the taken branch, the then-block statement.

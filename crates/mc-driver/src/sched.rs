@@ -2,13 +2,10 @@
 //!
 //! The driver distributes per-item work (file parses, `(unit, function)`
 //! checks, summary waves, program-pass reruns) over a pool of scoped
-//! threads. Historically every worker pulled the next index from one
-//! shared `fetch_add` counter; that is still available as
-//! [`SchedMode::Fixed`], but the default is [`SchedMode::Stealing`]: each
-//! worker owns a bounded Chase-Lev deque pre-filled with a contiguous
-//! block of task indices, pops locally from the bottom, and steals from
-//! the top of a victim's deque when its own runs dry. Because all tasks
-//! are known up front the deques never grow, which keeps the
+//! threads. Each worker owns a bounded Chase-Lev deque pre-filled with a
+//! contiguous block of task indices, pops locally from the bottom, and
+//! steals from the top of a victim's deque when its own runs dry. Because
+//! all tasks are known up front the deques never grow, which keeps the
 //! implementation in safe Rust — the buffers are plain `AtomicUsize`
 //! slots written once at construction, so the only synchronization that
 //! matters is the `top` counter's compare-exchange (the linearization
@@ -20,30 +17,10 @@
 use std::sync::atomic::{AtomicIsize, Ordering};
 use std::time::Instant;
 
-/// How the driver's worker pool hands out task indices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedMode {
-    /// One shared atomic counter; every worker `fetch_add`s the next index.
-    Fixed,
-    /// Per-worker Chase-Lev deques with stealing (the default).
-    #[default]
-    Stealing,
-}
-
-impl SchedMode {
-    /// Stable name used in benchmark output.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            SchedMode::Fixed => "fixed",
-            SchedMode::Stealing => "stealing",
-        }
-    }
-}
-
 /// Counters accumulated across every pool fan-out of a driver.
 ///
-/// Retrieved (and reset) with `Driver::take_sched_stats`; the bench
-/// harness emits them as the `scheduler` section of `BENCH_driver.json`.
+/// Retrieved (and reset) with `Driver::take_sched_stats`; the `perf` bin
+/// records them for the scale-10 cold check in `BENCH_driver.json`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SchedStats {
     /// Number of pool fan-outs (one per `pool_map` call that ran work).
@@ -183,9 +160,8 @@ impl Deque {
 /// per index; no ordering is guaranteed (callers merge by index slot).
 ///
 /// Task indices are dealt out in contiguous blocks (worker `w` owns block
-/// `w`), matching the locality of the old fixed partitioning; owners
-/// drain their block in ascending order and thieves take from the high
-/// end of a victim's remaining range.
+/// `w`) for locality; owners drain their block in ascending order and
+/// thieves take from the high end of a victim's remaining range.
 pub(crate) fn run_stealing<E>(n: usize, workers: usize, exec: E) -> Vec<WorkerLog>
 where
     E: Fn(usize) + Sync,

@@ -24,9 +24,7 @@
 
 use crate::driver::{CheckedUnit, Driver, FunctionContext};
 use mc_ast::Function;
-use mc_cfg::{
-    collect_calls, collect_clobbers, tarjan_sccs, Cfg, FnSummary, Resolved, SummaryLookup,
-};
+use mc_cfg::{collect_clobbers, tarjan_sccs, Cfg, FnSummary, Resolved, SummaryLookup};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Counters from one summary-engine run, reported by `mc-bench`.
@@ -112,7 +110,8 @@ impl Summaries {
     }
 
     /// Computes a summary for every function definition in `units`,
-    /// bottom-up over the call graph.
+    /// bottom-up over the call graph: [`Summaries::compute_memoized`] with
+    /// a fresh memo, plus the `call_sites_resolved` count.
     ///
     /// `with_transfers` enables the state-transfer half (metal machines and
     /// [`Checker::summarize_function`] transfer computation); counter
@@ -120,72 +119,15 @@ impl Summaries {
     /// program pass needs them even when call-site resolution is off.
     /// Duplicate definitions resolve last-wins, matching the old global
     /// linker.
+    ///
+    /// [`Checker::summarize_function`]: crate::Checker::summarize_function
     pub fn compute(driver: &Driver, units: &[&CheckedUnit], with_transfers: bool) -> Summaries {
-        let (defs, adj) = collect_defs(units);
-
-        let mut store = Summaries::empty();
-        for def in &defs {
-            store.defined.insert(def.function.name.clone());
-        }
-
-        // Group SCCs into topological *waves*: an SCC's level is one more
-        // than the deepest level among its out-of-SCC callees, so no call
-        // edge ever connects two SCCs of the same level. Every definition
-        // in a wave can then be summarized concurrently over the worker
-        // pool — each sees exactly the store state a sequential bottom-up
-        // visit would have shown it (all lower waves published, its own
-        // SCC unpublished, so mutually-recursive functions still resolve
-        // as `Recursive`). Wave results are keyed by name into the
-        // `BTreeMap`, so store contents are independent of completion
-        // order.
-        let sccs: Vec<Vec<usize>> = tarjan_sccs(&adj).into_iter().collect();
-        let mut scc_of = vec![0usize; defs.len()];
-        for (si, scc) in sccs.iter().enumerate() {
-            for &m in scc {
-                scc_of[m] = si;
-            }
-        }
-        // `tarjan_sccs` yields callees before callers, so every callee
-        // SCC's level is final when its caller's is computed.
-        let mut level = vec![0usize; sccs.len()];
-        for (si, scc) in sccs.iter().enumerate() {
-            let mut lv = 0;
-            for &m in scc {
-                for &c in &adj[m] {
-                    if scc_of[c] != si {
-                        lv = lv.max(level[scc_of[c]] + 1);
-                    }
-                }
-            }
-            level[si] = lv;
-        }
-        let max_level = level.iter().copied().max().unwrap_or(0);
-        let mut waves: Vec<Vec<(usize, bool)>> = vec![Vec::new(); max_level + 1];
-        for (si, scc) in sccs.iter().enumerate() {
-            // A lone node with a self-loop is still a cycle.
-            let cyclic = scc.len() > 1 || adj[scc[0]].contains(&scc[0]);
-            // Sort members by name so wave item order never depends on
-            // unit order within a cycle.
-            let mut members = scc.clone();
-            members.sort_by(|&a, &b| defs[a].function.name.cmp(&defs[b].function.name));
-            for &m in &members {
-                waves[level[si]].push((m, cyclic));
-            }
-        }
-        for wave in &waves {
-            let batch = driver.pool_map(wave.len(), |i| {
-                let (m, cyclic) = wave[i];
-                summarize_def(driver, &store, &defs[m], cyclic, with_transfers)
-            });
-            for summary in batch {
-                store.map.insert(summary.function.clone(), summary);
-            }
-        }
-
-        // Stats: every summary counts as computed; a call site counts as
-        // resolved when its callee ended up in the store.
-        store.stats.computed = store.map.len();
-        store.stats.call_sites_resolved = defs
+        let mut store =
+            Summaries::compute_memoized(driver, units, with_transfers, &mut HashMap::new());
+        // A call site counts as resolved when its callee ended up in the
+        // store.
+        store.stats.call_sites_resolved = collect_defs(units)
+            .0
             .iter()
             .map(|d| count_resolved_calls(d.function, &store))
             .sum();
@@ -198,18 +140,31 @@ impl Summaries {
     /// are unchanged reuses its previous summary instead of re-running
     /// the emit half.
     ///
-    /// Input keys are built bottom-up over the same SCC order as
-    /// [`Summaries::compute`]: a member's key folds the suite key, the
-    /// cyclic flag, every SCC member's `(name, file, body fingerprint)`,
-    /// and each out-of-SCC callee's *input key* (undefined callees fold as
-    /// name-only). Equal keys therefore guarantee the whole bottom-up
-    /// computation would replay identically, so the store this returns is
-    /// byte-identical to a fresh [`Summaries::compute`] — only cheaper
-    /// after an edit, when untouched functions (the vast majority) reuse.
+    /// SCCs are grouped into topological *waves*: an SCC's level is one
+    /// more than the deepest level among its out-of-SCC callees, so no call
+    /// edge ever connects two SCCs of the same level. Every definition in a
+    /// wave is summarized concurrently over the worker pool — each sees
+    /// exactly the store state a sequential bottom-up visit would have
+    /// shown it (all lower waves published, its own SCC unpublished, so
+    /// mutually-recursive functions still resolve as `Recursive`). Wave
+    /// results are keyed by name into the `BTreeMap`, so store contents are
+    /// independent of completion order.
     ///
-    /// `stats.call_sites_resolved` is left at zero, matching a store
+    /// Input keys are built bottom-up over the same SCC order: a member's
+    /// key folds the suite key, the cyclic flag, every SCC member's `(name,
+    /// file, body fingerprint)` (plus its unit's environment hash when a
+    /// registered checker is [`unit_sensitive`]), and each out-of-SCC
+    /// callee's *input key* (undefined callees fold as name-only). Equal
+    /// keys therefore guarantee the bottom-up computation would replay
+    /// identically, so the store is identical to a fresh computation —
+    /// only cheaper after an edit, when untouched functions reuse.
+    ///
+    /// `stats.computed` counts the summaries not taken from the memo;
+    /// `stats.call_sites_resolved` is left at zero, as in a store
     /// reassembled from cache records.
-    pub fn compute_incremental(
+    ///
+    /// [`unit_sensitive`]: crate::Checker::unit_sensitive
+    pub fn compute_memoized(
         driver: &Driver,
         units: &[&CheckedUnit],
         with_transfers: bool,
@@ -222,13 +177,36 @@ impl Summaries {
             store.defined.insert(def.function.name.clone());
         }
 
+        let sccs = tarjan_sccs(&adj);
+        let mut scc_of = vec![0usize; defs.len()];
+        for (si, scc) in sccs.iter().enumerate() {
+            for &m in scc {
+                scc_of[m] = si;
+            }
+        }
+        // `tarjan_sccs` yields callees before callers, so every callee
+        // SCC's level and input keys are final when its caller's are
+        // computed.
         let suite = driver.suite_key();
+        let unit_sensitive = driver.has_unit_sensitive_checkers();
+        let mut level = vec![0usize; sccs.len()];
         let mut key_of: Vec<u64> = vec![0; defs.len()];
-        let mut reused = 0usize;
-        for scc in tarjan_sccs(&adj) {
+        let mut waves: Vec<Vec<(usize, bool)>> = Vec::new();
+        for (si, scc) in sccs.iter().enumerate() {
+            let mut lv = 0;
+            for &m in scc {
+                for &c in &adj[m] {
+                    if scc_of[c] != si {
+                        lv = lv.max(level[scc_of[c]] + 1);
+                    }
+                }
+            }
+            level[si] = lv;
+            // A lone node with a self-loop is still a cycle.
             let cyclic = scc.len() > 1 || adj[scc[0]].contains(&scc[0]);
-            let in_scc: std::collections::HashSet<usize> = scc.iter().copied().collect();
-            let mut members = scc;
+            // Sort members by name so wave item order never depends on
+            // unit order within a cycle.
+            let mut members = scc.clone();
             members.sort_by(|&a, &b| defs[a].function.name.cmp(&defs[b].function.name));
             for &m in &members {
                 let def = &defs[m];
@@ -237,15 +215,19 @@ impl Summaries {
                     .write_u64(u64::from(with_transfers))
                     .write_u64(u64::from(cyclic));
                 for &s in &members {
-                    h.write_str(&defs[s].function.name)
-                        .write_str(&defs[s].unit.unit.file)
-                        .write_u64(defs[s].unit.fn_fingerprints()[defs[s].fidx].body);
+                    let member = &defs[s];
+                    h.write_str(&member.function.name)
+                        .write_str(&member.unit.unit.file)
+                        .write_u64(member.unit.fn_fingerprints()[member.fidx].body);
+                    if unit_sensitive {
+                        h.write_u64(member.unit.env_fp());
+                    }
                 }
                 h.write_str(&def.function.name);
                 for callee in &def.unit.fn_call_names()[def.fidx] {
                     h.write_str(callee);
                     match def.callee_index(callee) {
-                        Some(c) if !in_scc.contains(&c) => {
+                        Some(c) if scc_of[c] != si => {
                             h.write_u64(1).write_u64(key_of[c]);
                         }
                         // Same-SCC callees are covered by the member fold
@@ -258,26 +240,42 @@ impl Summaries {
                 }
                 key_of[m] = h.finish();
             }
-            let all_cached = members.iter().all(|&m| memo.contains_key(&key_of[m]));
-            if all_cached {
-                reused += members.len();
-                for &m in &members {
-                    let summary = memo[&key_of[m]].clone();
-                    store.map.insert(summary.function.clone(), summary);
-                }
-                continue;
+            if waves.len() <= lv {
+                waves.resize(lv + 1, Vec::new());
             }
-            let batch: Vec<FnSummary> = members
+            waves[lv].extend(members.into_iter().map(|m| (m, cyclic)));
+        }
+
+        let mut computed = 0;
+        for wave in &waves {
+            // Summarize the memo misses against the lower waves only, then
+            // publish the whole wave: a reused summary must not become
+            // visible to a same-SCC member mid-wave.
+            let todo: Vec<(usize, bool)> = wave
                 .iter()
-                .map(|&m| summarize_def(driver, &store, &defs[m], cyclic, with_transfers))
+                .copied()
+                .filter(|(m, _)| !memo.contains_key(&key_of[*m]))
                 .collect();
-            for (&m, summary) in members.iter().zip(batch) {
-                memo.insert(key_of[m], summary.clone());
+            let batch = driver.pool_map(todo.len(), |i| {
+                let (m, cyclic) = todo[i];
+                summarize_def(driver, &store, &defs[m], cyclic, with_transfers)
+            });
+            computed += batch.len();
+            let mut batch = batch.into_iter();
+            for &(m, _) in wave {
+                let summary = match memo.get(&key_of[m]) {
+                    Some(s) => s.clone(),
+                    None => {
+                        let s = batch.next().expect("one summary per memo miss");
+                        memo.insert(key_of[m], s.clone());
+                        s
+                    }
+                };
                 store.map.insert(summary.function.clone(), summary);
             }
         }
 
-        store.stats.computed = store.map.len() - reused;
+        store.stats.computed = computed;
         store
     }
 }
@@ -357,7 +355,7 @@ fn summarize_def(
     let mut summary = FnSummary {
         function: def.function.name.clone(),
         file: def.unit.unit.file.clone(),
-        calls: collect_calls(def.function),
+        calls: def.unit.fn_call_names()[def.fidx].clone(),
         clobbers: collect_clobbers(def.function),
         ..FnSummary::default()
     };
@@ -368,9 +366,17 @@ fn summarize_def(
         // engines compute identical transfer maps).
         match driver.metal_engine() {
             mc_metal::MetalEngine::Compiled => {
-                for cp in driver.compiled_programs() {
-                    let t =
-                        mc_metal::compute_transfers_compiled(cp, def.cfg, traversal, Some(store));
+                let programs: Vec<&mc_metal::CompiledProgram> =
+                    driver.compiled_programs().iter().collect();
+                let plans = mc_metal::CandidatePlan::build_many(&programs, def.cfg);
+                for (cp, plan) in programs.into_iter().zip(&plans) {
+                    let t = mc_metal::compute_transfers_compiled(
+                        cp,
+                        plan,
+                        def.cfg,
+                        traversal,
+                        Some(store),
+                    );
                     if !t.is_empty() {
                         summary.transfers.insert(cp.name().to_string(), t);
                     }

@@ -1936,18 +1936,19 @@ impl PathMachine for CompiledMachine<'_> {
 /// Computes the state transfer of one function for a compiled program —
 /// the compiled-engine counterpart of [`crate::compute_transfers`], with
 /// identical output (the summary layer dispatches on the configured
-/// engine).
+/// engine). `plan` is `prog`'s candidate plan for `cfg`
+/// ([`CandidatePlan::build_many`] builds those of several programs in one
+/// walk); it serves every per-state traversal.
 pub fn compute_transfers_compiled(
     prog: &CompiledProgram,
+    plan: &CandidatePlan<'_>,
     cfg: &mc_cfg::Cfg,
     traversal: mc_cfg::Traversal,
     oracle: Option<&dyn mc_cfg::SummaryLookup>,
 ) -> BTreeMap<String, Vec<String>> {
     let mut transfers = BTreeMap::new();
-    // One plan serves every per-state traversal of this function.
-    let plan = CandidatePlan::build(prog, cfg);
     for si in 0..prog.state_names.len() {
-        let mut m = mc_cfg::EndCollector::new(CompiledMachine::with_plan(prog, &plan));
+        let mut m = mc_cfg::EndCollector::new(CompiledMachine::with_plan(prog, plan));
         mc_cfg::run_traversal_with(cfg, &mut m, StateId(si), traversal, oracle);
         let mut ends: Vec<String> = m
             .ends
@@ -2127,7 +2128,8 @@ mod tests {
         let tu = parse_translation_unit(src, "t.c").unwrap();
         let cfg = Cfg::build(tu.function("h").unwrap());
         let t1 = compute_transfers(&prog, &cfg, Traversal::default(), None);
-        let t2 = compute_transfers_compiled(&cp, &cfg, Traversal::default(), None);
+        let plan = CandidatePlan::build(&cp, &cfg);
+        let t2 = compute_transfers_compiled(&cp, &plan, &cfg, Traversal::default(), None);
         assert_eq!(t1, t2);
         assert!(t1.contains_key("all"));
     }

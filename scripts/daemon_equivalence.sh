@@ -32,7 +32,7 @@ trap cleanup EXIT
 
 "$MCHECK" --emit-corpus "$work/corpus" >/dev/null
 # One protocol is enough: the gate is about transport equivalence, not
-# corpus coverage (cache_equivalence.sh sweeps every protocol).
+# corpus coverage (tests/oracle_matrix.rs sweeps every protocol).
 pdir=$(find "$work/corpus" -mindepth 1 -maxdepth 1 -type d | sort | head -n 1)
 pdir=$(readlink -f "$pdir")
 spec="$pdir/spec.json"

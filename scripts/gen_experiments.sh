@@ -183,8 +183,8 @@ survives all three analyses. Pinned by
 `interproc_witness_splice_refutes_through_the_helper` in `mc-corpus`,
 seed-independent via `proptest_seeds.rs`, and held in CI by
 `scripts/fp_gate.sh` against `scripts/fp_baseline.txt` (all three
-rungs, per-fingerprint) and `scripts/refute_equivalence.sh` (verdicts
-byte-identical across `--jobs 1/4/8` and warm-vs-cold cache). The
+rungs, per-fingerprint) and `tests/oracle_matrix.rs` (verdicts
+byte-identical across `--jobs 1/4/8`, cache state, and shard farms). The
 confidence line shows the ranking the paper did by hand (§9.1's NAK and
 debug-print heuristics, automated in `mc-driver`): surviving reports
 are sorted most-likely-real first, and planted bugs rank a full
@@ -234,16 +234,14 @@ so every table here is unaffected), the driver schedules workers with an
 in-tree work-stealing deque, and `--shard i/N` + `mcheck merge` split a
 check across processes sharing one cache with byte-identical folded
 output (`tests/shard.rs` pins the {1,2,4}-shard × {1,4}-job matrix;
-`scripts/shard_equivalence.sh` holds it in CI over both corpora).
+`tests/oracle_matrix.rs` holds it over both corpora).
 Measured fleet numbers from `BENCH_driver.json` (`cargo run --release
--p mc-bench --bin perf`; single-core CI shows wall-clock parity between
-the fixed and stealing pools, with the steal counters as evidence the
-scheduler is live):
+-p mc-bench --bin perf`; the pool counters of the cold check are the
+evidence the work-stealing scheduler is live):
 
 EOF
 echo '```json'
 sed -n '/"scale": {/,/^  }/p' BENCH_driver.json
-sed -n '/"scheduler": {/,/^  }/p' BENCH_driver.json
 echo '```'
 cat <<'EOF'
 

@@ -5,13 +5,14 @@
 //!
 //! Together with `tests/determinism.rs` this pins the property that makes
 //! caching safe to leave on: output never depends on what happens to be in
-//! the cache or on thread scheduling.
+//! the cache or on thread scheduling. The reference every run is held to is
+//! [`oracle`]: a fresh, cold engine re-checking whole units.
 
 use flash_mc::checkers::all_checkers;
 use flash_mc::corpus::plan::PLANS;
 use flash_mc::corpus::{generate, DEFAULT_SEED};
 use flash_mc::driver::cache::DiskCache;
-use flash_mc::driver::{CheckEngine, Driver, Report};
+use flash_mc::driver::{CheckEngine, Driver, Invalidation, Report};
 
 fn corpus_sources(
     plan_idx: usize,
@@ -37,6 +38,13 @@ fn rendered(reports: &[Report]) -> String {
         .join("\n")
 }
 
+/// A cold check by a fresh in-memory engine with whole-unit invalidation.
+fn oracle(driver: &Driver, sources: &[(String, String)]) -> Vec<Report> {
+    let mut engine = CheckEngine::in_memory();
+    engine.set_invalidation(Invalidation::Component);
+    engine.check_sources(driver, sources).expect("parses").0
+}
+
 fn scratch_dir(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("mc-incr-test-{tag}-{}", std::process::id()))
 }
@@ -44,9 +52,7 @@ fn scratch_dir(tag: &str) -> std::path::PathBuf {
 #[test]
 fn cold_warm_disk_and_touch_identical_across_worker_counts() {
     let (sources, spec) = corpus_sources(0);
-    let baseline = driver_for(&spec, 1)
-        .check_sources(&sources)
-        .expect("corpus parses");
+    let baseline = oracle(&driver_for(&spec, 1), &sources);
 
     let dir = scratch_dir("jobs");
     let _ = std::fs::remove_dir_all(&dir);
@@ -117,10 +123,10 @@ fn one_dirty_warm_run_equals_fresh_cold_run() {
     let (from_scratch, _) = CheckEngine::in_memory()
         .check_sources(&driver, &edited)
         .expect("parses");
-    let batch = driver.check_sources(&edited).expect("parses");
+    let cold = oracle(&driver, &edited);
     assert_eq!(incremental, from_scratch, "incremental diverged from cold");
-    assert_eq!(incremental, batch, "engine diverged from the batch driver");
-    assert_eq!(rendered(&incremental), rendered(&batch));
+    assert_eq!(incremental, cold, "incremental diverged from the oracle");
+    assert_eq!(rendered(&incremental), rendered(&cold));
 }
 
 /// One edit step of the invalidation matrix: a probe callee/caller pair
@@ -201,7 +207,7 @@ fn interproc_driver(spec: &flash_mc::checkers::flash::FlashSpec, jobs: usize) ->
 }
 
 /// The full invalidation matrix, at every worker count: every step's
-/// incremental output is byte-identical to a from-scratch batch run on the
+/// incremental output is byte-identical to a from-scratch oracle run on the
 /// same sources, and the per-step stats show the intended tier answered —
 /// function replay for a body edit, the AST key for a layout edit, a
 /// red caller for a callee-summary change, a program replay for a revert.
@@ -209,20 +215,14 @@ fn interproc_driver(spec: &flash_mc::checkers::flash::FlashSpec, jobs: usize) ->
 fn invalidation_matrix_byte_identical_across_jobs() {
     let (sources, spec) = corpus_sources(0);
 
-    // Batch output is jobs-independent by contract, so one jobs=1 baseline
+    // Oracle output is jobs-independent by contract, so one jobs=1 baseline
     // per step also pins cross-job byte identity for the engines below.
     let baseline_driver = interproc_driver(&spec, 1);
     let base_sources = with_probes(&sources, &PROBE_BASE);
-    let prime_baseline = baseline_driver
-        .check_sources(&base_sources)
-        .expect("probes parse");
+    let prime_baseline = oracle(&baseline_driver, &base_sources);
     let baselines: Vec<Vec<Report>> = MATRIX
         .iter()
-        .map(|(_, e)| {
-            baseline_driver
-                .check_sources(&with_probes(&sources, e))
-                .expect("probes parse")
-        })
+        .map(|(_, e)| oracle(&baseline_driver, &with_probes(&sources, e)))
         .collect();
 
     for jobs in [1usize, 4, 8] {
@@ -299,23 +299,22 @@ fn invalidation_matrix_byte_identical_across_jobs() {
     }
 }
 
-/// The component-replay oracle (`--invalidate component`) walks the same
-/// matrix and must agree with function-granular invalidation step for
-/// step — the differential contract that keeps the fast path honest.
+/// A long-lived component-replay engine ([`Invalidation::Component`])
+/// walks the same matrix and must agree with function-granular
+/// invalidation step for step — the differential contract that keeps the
+/// fast path honest.
 #[test]
 fn component_oracle_matches_function_invalidation_step_for_step() {
-    use flash_mc::driver::Invalidation;
-
     let (sources, spec) = corpus_sources(0);
     let driver = interproc_driver(&spec, 4);
     let base_sources = with_probes(&sources, &PROBE_BASE);
 
     let mut fine = CheckEngine::in_memory();
-    let mut oracle = CheckEngine::in_memory();
-    oracle.set_invalidation(Invalidation::Component);
+    let mut coarse = CheckEngine::in_memory();
+    coarse.set_invalidation(Invalidation::Component);
 
     let (a, _) = fine.check_sources(&driver, &base_sources).expect("parses");
-    let (b, _) = oracle
+    let (b, _) = coarse
         .check_sources(&driver, &base_sources)
         .expect("parses");
     assert_eq!(a, b, "prime diverged between invalidation modes");
@@ -323,13 +322,13 @@ fn component_oracle_matches_function_invalidation_step_for_step() {
     for (label, edit) in &MATRIX {
         let step = with_probes(&sources, edit);
         let (fine_reports, fine_stats) = fine.check_sources(&driver, &step).expect("parses");
-        let (oracle_reports, _) = oracle.check_sources(&driver, &step).expect("parses");
+        let (coarse_reports, _) = coarse.check_sources(&driver, &step).expect("parses");
         assert_eq!(
-            fine_reports, oracle_reports,
+            fine_reports, coarse_reports,
             "step={label}: function-granular and component invalidation \
              disagreed ({fine_stats:?})"
         );
-        assert_eq!(rendered(&fine_reports), rendered(&oracle_reports));
+        assert_eq!(rendered(&fine_reports), rendered(&coarse_reports));
     }
 }
 
@@ -387,7 +386,7 @@ fn metal_program_change_invalidates_and_matches_cold() {
     assert_eq!(stats.units_checked, srcs.len(), "{stats:?}");
     assert_eq!(
         under_v2,
-        d2.check_sources(&srcs).expect("parses"),
+        oracle(&d2, &srcs),
         "post-edit engine output diverged from cold"
     );
     assert!(
@@ -418,4 +417,116 @@ fn reverting_an_edit_restores_the_original_reports_from_cache() {
     assert!(stats.program_hit, "revert should hit the program cache");
     assert_eq!(reverted, original);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The engine partitions units by [`CallInfo`] derived from the callee
+/// names its parse query already collected; that must equal a direct walk
+/// of every call expression in the unit.
+#[test]
+fn derived_call_info_matches_a_direct_walk_on_the_seed_corpus() {
+    use flash_mc::ast::{parse_translation_unit, walk_function, Expr, Visitor};
+    use flash_mc::driver::{CallInfo, CheckedUnit};
+    use std::collections::BTreeSet;
+
+    struct Calls(BTreeSet<String>);
+    impl Visitor for Calls {
+        fn visit_expr(&mut self, expr: &Expr) {
+            if let Some((callee, _)) = expr.as_call() {
+                self.0.insert(callee.to_string());
+            }
+        }
+    }
+    for plan_idx in 0..PLANS.len() {
+        let (sources, _) = corpus_sources(plan_idx);
+        for (src, file) in &sources {
+            let unit = CheckedUnit::new(parse_translation_unit(src, file).expect("parses"));
+            let mut calls = Calls(BTreeSet::new());
+            let defines = unit
+                .unit
+                .functions()
+                .map(|f| {
+                    walk_function(&mut calls, f);
+                    f.name.clone()
+                })
+                .collect();
+            let walked = CallInfo {
+                defines,
+                calls: calls.0.into_iter().collect(),
+            };
+            assert_eq!(unit.call_info(), walked, "{file}");
+        }
+    }
+}
+
+/// `sources` with one function body edited in place: a global write
+/// inserted before the first statement of the first file's first non-empty
+/// function, on the same line, so no other function moves.
+fn edit_one_body(sources: &[(String, String)]) -> Vec<(String, String)> {
+    let mut out = sources.to_vec();
+    let (src, file) = &out[0];
+    let unit = flash_mc::ast::parse_translation_unit(src, file).expect("parses");
+    let span = unit
+        .functions()
+        .find_map(|f| f.body.first())
+        .expect("a non-empty body")
+        .span;
+    let line_start: usize = src
+        .split_inclusive('\n')
+        .take(span.line as usize - 1)
+        .map(str::len)
+        .sum();
+    out[0]
+        .0
+        .insert_str(line_start + span.col as usize - 1, "gSummaryProbe = 1; ");
+    out
+}
+
+/// The one bottom-up summary engine: after a one-function body edit, the
+/// store built from a warm memo equals a fresh computation in every field
+/// (compared through the `SummaryRecord` cache form), for every seed
+/// protocol, with transfers on and off, at one and four workers.
+#[test]
+fn memoized_summaries_after_a_body_edit_equal_a_fresh_computation() {
+    use flash_mc::ast::parse_translation_unit;
+    use flash_mc::driver::cache::SummaryRecord;
+    use flash_mc::driver::{CheckedUnit, Summaries};
+
+    let parse = |srcs: &[(String, String)]| -> Vec<CheckedUnit> {
+        srcs.iter()
+            .map(|(src, file)| CheckedUnit::new(parse_translation_unit(src, file).expect("parses")))
+            .collect()
+    };
+    let record = |s: &Summaries| {
+        mc_json::to_string(&SummaryRecord {
+            key: 0,
+            summaries: s.iter().cloned().collect(),
+        })
+    };
+    for plan_idx in 0..PLANS.len() {
+        let (sources, spec) = corpus_sources(plan_idx);
+        let edited = edit_one_body(&sources);
+        let (before, after) = (parse(&sources), parse(&edited));
+        let (before, after): (Vec<&CheckedUnit>, Vec<&CheckedUnit>) =
+            (before.iter().collect(), after.iter().collect());
+        for interproc in [false, true] {
+            for jobs in [1usize, 4] {
+                let mut driver = driver_for(&spec, jobs);
+                driver.interproc(interproc);
+                let mut memo = std::collections::HashMap::new();
+                Summaries::compute_memoized(&driver, &before, interproc, &mut memo);
+                let warm = Summaries::compute_memoized(&driver, &after, interproc, &mut memo);
+                let fresh = Summaries::compute(&driver, &after, interproc);
+                let cell = format!("plan {plan_idx}, interproc={interproc}, jobs={jobs}");
+                let json = record(&warm);
+                assert_eq!(json, record(&fresh), "{cell}");
+                let back: SummaryRecord = mc_json::from_str(&json).expect("round trip");
+                assert!(back.summaries.iter().eq(fresh.iter()), "{cell}");
+                assert!(fresh.stats().call_sites_resolved > 0, "{cell}");
+                assert!(
+                    warm.stats().computed < fresh.stats().computed,
+                    "{cell}: the warm memo should spare the unedited functions"
+                );
+            }
+        }
+    }
 }
