@@ -53,7 +53,7 @@ mod violations;
 
 pub(crate) use violations::{dedup_found, stamp_witness};
 
-use mc_driver::{Driver, DriverError};
+use mc_driver::{Checker, Driver, DriverError};
 
 /// The metal source of the buffer-race checker (Figure 2 of the paper).
 pub const WAIT_FOR_DB_METAL: &str = include_str!("../metal/wait_for_db.metal");
@@ -72,23 +72,36 @@ sm refcount_bump {
 }
 "#;
 
-/// Registers the full checker suite — the two metal checkers, the §11
-/// refcount check, and the six native extensions — on `driver`.
+/// The suite's metal sources — the two metal checkers and the §11
+/// refcount check — in registration order.
+pub const METAL_SOURCES: [&str; 3] = [WAIT_FOR_DB_METAL, MSGLEN_METAL, REFCOUNT_BUMP_METAL];
+
+/// The suite's six native extensions, in registration order.
+pub fn native_checkers(spec: &flash::FlashSpec) -> Vec<Box<dyn Checker>> {
+    vec![
+        Box::new(buffer_mgmt::BufferMgmt::new(spec.clone())),
+        Box::new(lanes::Lanes::new(spec.clone())),
+        Box::new(exec_restrict::ExecRestrict::new(spec.clone())),
+        Box::new(alloc_check::AllocCheck::new()),
+        Box::new(directory::Directory::new(spec.clone())),
+        Box::new(send_wait::SendWait::new()),
+    ]
+}
+
+/// Registers the full checker suite — [`METAL_SOURCES`], then
+/// [`native_checkers`] — on `driver`.
 ///
 /// # Errors
 ///
 /// Returns [`DriverError::Metal`] if an embedded metal source fails to
 /// parse (a build-time invariant; the test suite pins it).
 pub fn all_checkers(driver: &mut Driver, spec: &flash::FlashSpec) -> Result<(), DriverError> {
-    driver.add_metal_source(WAIT_FOR_DB_METAL)?;
-    driver.add_metal_source(MSGLEN_METAL)?;
-    driver.add_metal_source(REFCOUNT_BUMP_METAL)?;
-    driver.add_checker(Box::new(buffer_mgmt::BufferMgmt::new(spec.clone())));
-    driver.add_checker(Box::new(lanes::Lanes::new(spec.clone())));
-    driver.add_checker(Box::new(exec_restrict::ExecRestrict::new(spec.clone())));
-    driver.add_checker(Box::new(alloc_check::AllocCheck::new()));
-    driver.add_checker(Box::new(directory::Directory::new(spec.clone())));
-    driver.add_checker(Box::new(send_wait::SendWait::new()));
+    for src in METAL_SOURCES {
+        driver.add_metal_source(src)?;
+    }
+    for checker in native_checkers(spec) {
+        driver.add_checker(checker);
+    }
     Ok(())
 }
 

@@ -4,6 +4,13 @@
 //! merges results in index order, so parallel and sequential runs are
 //! byte-identical.
 //!
+//! A `Driver` is configuration only: it runs metal programs through their
+//! compiled decision programs and has no engine switch, so
+//! [`Driver::suite_key`] folds no engine name. The reference semantics,
+//! `mc_metal`'s interpreter, is held byte-identical to the compiled path by
+//! tests that register it as an ordinary [`Checker`]; the reference for
+//! incremental runs is a cold run of a fresh [`CheckEngine::in_memory`].
+//!
 //! Whole-program ("global") passes run once per *call-graph component*: the
 //! units of a program are partitioned by who-calls-whom (see
 //! [`call_components`]), and each [`Checker::check_program`] invocation sees
@@ -20,8 +27,7 @@ use mc_cfg::{
     feasibility_stats, run_traversal_with, Cfg, FnSummary, Mode, SummaryLookup, Traversal,
 };
 use mc_metal::{
-    CompileError, CompiledMachine, CompiledProgram, MetalEngine, MetalMachine, MetalParseError,
-    MetalProgram, MetalReport,
+    CompileError, CompiledMachine, CompiledProgram, MetalParseError, MetalProgram, MetalReport,
 };
 use std::any::Any;
 use std::fmt;
@@ -358,8 +364,8 @@ pub trait Checker: Send + Sync {
     ///
     /// Defaults to `false`; none of the built-in checkers read the unit at
     /// all. A custom checker that does must return `true`, which makes the
-    /// engine fall back to whole-unit invalidation — correctness over
-    /// granularity.
+    /// engine re-check every function of a dirty unit and regenerate every
+    /// function's facts — correctness over granularity.
     fn unit_sensitive(&self) -> bool {
         false
     }
@@ -432,17 +438,18 @@ pub(crate) struct UnitLocal {
 /// v8: unit AST keys and unit environment hashes became folds of per-item
 /// fingerprints, so every `ast_key`, component key and `env_fp` changed
 /// value.
+///
+/// The metal engine name later left the suite key without a bump: that
+/// changed every key's value, so older records simply miss.
 pub const CACHE_FORMAT_VERSION: u32 = 8;
 
 /// The analysis driver: a set of checkers plus traversal settings.
 pub struct Driver {
-    metal: Vec<MetalProgram>,
-    /// Decision-program lowering of each entry of `metal`, index-aligned.
+    /// Decision-program lowering of each registered metal program.
     compiled: Vec<CompiledProgram>,
     /// Where each metal program came from (a `--checker` file path), when
     /// known; used to locate load-time diagnostics.
     metal_origins: Vec<Option<String>>,
-    metal_engine: MetalEngine,
     native: Vec<Box<dyn Checker>>,
     /// Path traversal mode used for metal machines.
     pub mode: Mode,
@@ -465,7 +472,7 @@ impl fmt::Debug for Driver {
         f.debug_struct("Driver")
             .field(
                 "metal",
-                &self.metal.iter().map(|m| &m.name).collect::<Vec<_>>(),
+                &self.compiled.iter().map(|m| m.name()).collect::<Vec<_>>(),
             )
             .field(
                 "native",
@@ -491,10 +498,8 @@ impl Driver {
     /// feasibility pruning and the machine's available parallelism.
     pub fn new() -> Driver {
         Driver {
-            metal: Vec::new(),
             compiled: Vec::new(),
             metal_origins: Vec::new(),
-            metal_engine: MetalEngine::default(),
             native: Vec::new(),
             mode: Mode::StateSet,
             prune: true,
@@ -627,7 +632,6 @@ impl Driver {
         self.suite.write_str("metal-name:");
         self.suite.write_str(&prog.name);
         self.compiled.push(CompiledProgram::compile(&prog)?);
-        self.metal.push(prog);
         self.metal_origins.push(None);
         Ok(self)
     }
@@ -664,25 +668,8 @@ impl Driver {
         self.suite.write_str("metal-src:");
         self.suite.write_str(src);
         self.compiled.push(CompiledProgram::compile(&prog)?);
-        self.metal.push(prog);
         self.metal_origins.push(origin);
         Ok(self)
-    }
-
-    /// Selects the metal execution engine (default:
-    /// [`MetalEngine::Compiled`]).
-    ///
-    /// Both engines produce byte-identical reports; the interpreter is kept
-    /// as a differential oracle for tests and for the dispatch benchmark
-    /// (`mcheck` always runs the compiled engine).
-    pub fn set_metal_engine(&mut self, engine: MetalEngine) -> &mut Self {
-        self.metal_engine = engine;
-        self
-    }
-
-    /// The metal engine the next check run will use.
-    pub fn metal_engine(&self) -> MetalEngine {
-        self.metal_engine
     }
 
     /// Load-time diagnostics from lowering the registered metal programs:
@@ -767,21 +754,11 @@ impl Driver {
         // Refutation rewrites verdicts and confidences in place, so cached
         // records from a refuting and a non-refuting run must never alias.
         h.write_str(if self.refute { "refute" } else { "norefute" });
-        // The engines are differentially tested to produce identical
-        // reports, but cached results must still never alias across them:
-        // an engine bug would otherwise be masked (or unmasked) by whichever
-        // engine happened to fill the cache first.
-        h.write_str(self.metal_engine.as_str());
         h.finish()
     }
 
-    /// The registered metal programs, in registration order.
-    pub(crate) fn metal_programs(&self) -> &[MetalProgram] {
-        &self.metal
-    }
-
-    /// The compiled form of the registered metal programs, index-aligned
-    /// with [`Driver::metal_programs`].
+    /// The compiled form of the registered metal programs, in registration
+    /// order.
     pub(crate) fn compiled_programs(&self) -> &[CompiledProgram] {
         &self.compiled
     }
@@ -802,15 +779,15 @@ impl Driver {
     }
 
     /// Whether any registered checker declares itself
-    /// [`unit_sensitive`](Checker::unit_sensitive); the function-granular
-    /// invalidation tier disables itself when one does.
+    /// [`unit_sensitive`](Checker::unit_sensitive); the engine then treats
+    /// every function of a dirty unit as red.
     pub(crate) fn has_unit_sensitive_checkers(&self) -> bool {
         self.native.iter().any(|c| c.unit_sensitive())
     }
 
     /// Number of registered checkers (metal + native).
     pub fn checker_count(&self) -> usize {
-        self.metal.len() + self.native.len()
+        self.compiled.len() + self.native.len()
     }
 
     /// Checks a single source string.
@@ -899,36 +876,19 @@ impl Driver {
             summaries,
         };
         let mut metal = Vec::new();
-        match self.metal_engine {
-            MetalEngine::Compiled => {
-                // One extraction walk serves every compiled program's plan.
-                let refs: Vec<&mc_metal::CompiledProgram> = self.compiled.iter().collect();
-                let plans = mc_metal::CandidatePlan::build_many(&refs, cfg);
-                for (cp, plan) in self.compiled.iter().zip(&plans) {
-                    let mut machine = CompiledMachine::with_plan(cp, plan);
-                    let init = machine.start_state();
-                    run_traversal_with(cfg, &mut machine, init, traversal, oracle);
-                    metal.extend(
-                        machine
-                            .reports
-                            .iter()
-                            .map(|r| convert_metal_report(r, &unit.unit.file, &function.name)),
-                    );
-                }
-            }
-            MetalEngine::Interp => {
-                for prog in &self.metal {
-                    let mut machine = MetalMachine::new(prog);
-                    let init = machine.start_state();
-                    run_traversal_with(cfg, &mut machine, init, traversal, oracle);
-                    metal.extend(
-                        machine
-                            .reports
-                            .iter()
-                            .map(|r| convert_metal_report(r, &unit.unit.file, &function.name)),
-                    );
-                }
-            }
+        // One extraction walk serves every compiled program's plan.
+        let refs: Vec<&CompiledProgram> = self.compiled.iter().collect();
+        let plans = mc_metal::CandidatePlan::build_many(&refs, cfg);
+        for (cp, plan) in self.compiled.iter().zip(&plans) {
+            let mut machine = CompiledMachine::with_plan(cp, plan);
+            let init = machine.start_state();
+            run_traversal_with(cfg, &mut machine, init, traversal, oracle);
+            metal.extend(
+                machine
+                    .reports
+                    .iter()
+                    .map(|r| convert_metal_report(r, &unit.unit.file, &function.name)),
+            );
         }
         let mut native: Vec<CheckSink> = self
             .native

@@ -61,8 +61,7 @@ pub use driver::{
     call_components, CallInfo, CheckSink, CheckedUnit, Checker, Driver, DriverError, Fact,
     FunctionContext, ProgramContext, CACHE_FORMAT_VERSION,
 };
-pub use mc_metal::MetalEngine;
-pub use query::{CheckEngine, Invalidation, Query, RunStats};
+pub use query::{CheckEngine, RunStats};
 pub use report::{Report, Severity, Verdict};
 pub use sched::SchedStats;
 pub use summaries::{Summaries, SummaryStats};

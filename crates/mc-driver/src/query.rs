@@ -5,10 +5,11 @@
 //! is a cold run of a fresh in-memory engine — and memoizes every
 //! intermediate artifact by content: a warm run re-does only the work whose
 //! inputs actually changed, and produces byte-identical reports to a cold
-//! one. Work is decomposed into [`Query`] values — parse and fingerprint a
-//! file, check one function, regenerate one function's program-pass facts —
-//! and each phase's queries are fanned out over the driver's worker pool, so
-//! the pool schedules *queries*, not units.
+//! one. Each phase — parse and fingerprint the files, check the red
+//! functions, regenerate facts — fans its items out over the driver's
+//! worker pool, so the pool schedules functions, not units. The reference
+//! every run is held to is a cold run of a fresh
+//! [`CheckEngine::in_memory`]; the engine has no second execution mode.
 //!
 //! Invalidation is four-tiered, coarse to fine:
 //!
@@ -17,29 +18,27 @@
 //! 2. **Unit** — each unit's local reports, keyed by its raw source text
 //!    (fast path) with a parsed-AST fallback that survives edits displacing
 //!    no token (trailing whitespace, comment-only changes).
-//! 3. **Function** (the default, [`Invalidation::Function`]) — a dirty
-//!    unit is *diffed* against its per-function dependency index
-//!    ([`FnIndexRecord`]): every function is re-fingerprinted, and a
-//!    function is **green** — its cached report slice replays verbatim —
-//!    when its body fingerprint, its unit's environment hash, and every
-//!    read it recorded at check time (same-unit callee bodies for witness
-//!    refutation, callee summary content hashes under interprocedural
-//!    resolution) are unchanged. Everything else is **red** and re-runs as
-//!    a per-function [`Query::Check`] node, which records a fresh
-//!    dependency edge set. An edit to one handler body re-checks a handful
-//!    of functions, not a 300-function component.
-//!    [`Invalidation::Component`] disables this tier and re-checks whole
-//!    dirty units — the differential oracle tests compare against; both
-//!    modes are byte-identical to a cold run by contract.
+//! 3. **Function** — a dirty unit is *diffed* against its per-function
+//!    dependency index ([`FnIndexRecord`]): every function is
+//!    re-fingerprinted, and a function is **green** — its cached report
+//!    slice replays verbatim — when its body fingerprint, its unit's
+//!    environment hash, and every read it recorded at check time (same-unit
+//!    callee bodies for witness refutation, callee summary content hashes
+//!    under interprocedural resolution) are unchanged. Everything else is
+//!    **red** and re-checks, recording a fresh dependency edge set. An edit
+//!    to one handler body re-checks a handful of functions, not a
+//!    300-function component. When a registered checker is
+//!    [`unit_sensitive`](crate::Checker::unit_sensitive), every function of
+//!    a dirty unit is red.
 //! 4. **Component** — program passes re-run per call-graph component
 //!    whenever any member unit changed (see
 //!    [`call_components`](crate::call_components)); clean components replay
 //!    their cached reports.
 //!
 //! [`Fact`]s are opaque `Any` values and are never cached: when a dirty
-//! component contains clean units, those units' facts are regenerated with
-//! per-function [`Query::Facts`] nodes (cheaper than a full check — metal
-//! machines and purely-local checkers are skipped) while their reports
+//! component contains clean units, those units' facts are regenerated per
+//! function (cheaper than a full check — metal machines and purely-local
+//! checkers are skipped) while their reports
 //! replay from cache. The function index additionally records how many
 //! facts each function emitted per checker, so functions that emit none —
 //! all of the built-in suite — skip regeneration entirely.
@@ -58,51 +57,10 @@ use crate::cache::{
 use crate::driver::{call_components, CallInfo, CheckedUnit, Driver, DriverError, Fact, UnitLocal};
 use crate::report::Report;
 use crate::summaries::Summaries;
-use mc_ast::{parse_translation_unit, Fingerprint, Fnv1a, ParseError};
-use mc_cfg::FnSummary;
+use mc_ast::{parse_translation_unit, Fingerprint, Fnv1a, Function, ParseError};
+use mc_cfg::{Cfg, FnSummary};
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
-
-/// One schedulable unit of work. The engine's phases each build a batch of
-/// queries and fan it out over [`Driver::jobs`] workers; outputs are
-/// merged in query order, never completion order, preserving the driver's
-/// determinism guarantee.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Query {
-    /// Parse source file `i`, build every function CFG, and fingerprint
-    /// the unit: per-function fingerprints, the AST key folded from them,
-    /// the environment hash, and per-function callee names.
-    Parse(usize),
-    /// Run the local (per-function) checks of one function.
-    Check {
-        /// Index of the unit in the run's input order.
-        unit: usize,
-        /// Function index within the unit, in definition order.
-        function: usize,
-    },
-    /// Regenerate the program-pass facts of one function without
-    /// re-checking it.
-    Facts {
-        /// Index of the unit in the run's input order.
-        unit: usize,
-        /// Function index within the unit, in definition order.
-        function: usize,
-    },
-}
-
-/// The granularity at which a dirty file's previous results are reused.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Invalidation {
-    /// Red/green per function (the default): a dirty unit replays every
-    /// function whose fingerprints and recorded reads are unchanged and
-    /// re-checks only the red remainder.
-    #[default]
-    Function,
-    /// Re-check every function of a dirty unit — the pre-function-index
-    /// behavior, kept as the differential oracle. Byte-identical output by
-    /// contract.
-    Component,
-}
 
 /// A parsed unit with its CFGs and AST fingerprint, shared between memo
 /// table entries and the current run.
@@ -112,11 +70,44 @@ struct ParsedUnit {
     ast_fp: u64,
 }
 
-/// What one query produced.
-enum QueryOutput {
-    Parsed(Result<ParsedUnit, ParseError>),
-    Checked(crate::driver::FunctionOutput),
-    Facts(Vec<Vec<Fact>>),
+impl ParsedUnit {
+    /// Parses one file, builds every function CFG, and fingerprints the
+    /// unit: per-function fingerprints, the AST key folded from them, the
+    /// environment hash, and per-function callee names. Every later phase
+    /// reads these; computing them here keeps them on the worker pool
+    /// instead of the serial merge.
+    fn parse(src: &str, file: &str) -> Result<ParsedUnit, ParseError> {
+        let unit = CheckedUnit::new(parse_translation_unit(src, file)?);
+        let ast_fp = Fingerprint::of_unit_with(&unit.unit, unit.fn_fingerprints());
+        unit.env_fp();
+        unit.fn_call_names();
+        Ok(ParsedUnit {
+            unit: Arc::new(unit),
+            ast_fp,
+        })
+    }
+}
+
+/// Runs `f` over every `(unit, function)` item on the driver's worker
+/// pool, passing the function, its CFG and its unit's summary store;
+/// outputs come back in item order.
+fn map_functions<T, F>(
+    driver: &Driver,
+    parsed: &[Option<ParsedUnit>],
+    unit_summaries: &[Option<Arc<Summaries>>],
+    items: &[(usize, usize)],
+    f: F,
+) -> Vec<T>
+where
+    T: Send + Sync,
+    F: Fn(&CheckedUnit, &Function, &Cfg, Option<&Summaries>) -> T + Sync,
+{
+    driver.pool_map(items.len(), |k| {
+        let (i, fidx) = items[k];
+        let cu = &parsed[i].as_ref().expect("parsed before checking").unit;
+        let (function, cfg) = cu.functions().nth(fidx).expect("function index in range");
+        f(cu, function, cfg, unit_summaries[i].as_deref())
+    })
 }
 
 /// Counters describing how much of a run was served from cache; returned
@@ -172,14 +163,12 @@ pub struct RunStats {
 /// serve different drivers, and runs under a changed configuration simply
 /// miss. Reports returned by [`check_sources`] are byte-identical to a
 /// cold run of a fresh engine for the same driver and sources, regardless
-/// of cache state, invalidation granularity and worker count.
+/// of cache state and worker count.
 ///
 /// [`check_sources`]: CheckEngine::check_sources
 #[derive(Debug, Default)]
 pub struct CheckEngine {
     disk: Option<DiskCache>,
-    /// Invalidation granularity for dirty units.
-    invalidation: Invalidation,
     /// When `Some((i, n))`, this engine is shard `i` of `n`: it runs local
     /// checks only for dirty units it owns (unit-fingerprint hash mod
     /// `n`), skips whole-program passes, and never writes a program
@@ -227,21 +216,6 @@ impl CheckEngine {
     /// The disk cache, if one is attached.
     pub fn disk(&self) -> Option<&DiskCache> {
         self.disk.as_ref()
-    }
-
-    /// Sets the invalidation granularity (default
-    /// [`Invalidation::Function`]). Both modes produce byte-identical
-    /// reports; [`Invalidation::Component`] re-checks whole dirty units and
-    /// recomputes summary stores from scratch, and exists as the
-    /// differential oracle for tests.
-    pub fn set_invalidation(&mut self, mode: Invalidation) -> &mut Self {
-        self.invalidation = mode;
-        self
-    }
-
-    /// The configured invalidation granularity.
-    pub fn invalidation(&self) -> Invalidation {
-        self.invalidation
     }
 
     /// Puts the engine in shard mode (`Some((i, n))`, `i < n`) or back to
@@ -410,16 +384,12 @@ impl CheckEngine {
                 // Function granularity extends to summaries: functions whose
                 // inputs are unchanged replay from the per-function memo
                 // instead of re-running every checker's summarize pass.
-                let s = if self.invalidation == Invalidation::Function {
-                    Summaries::compute_memoized(
-                        driver,
-                        members,
-                        driver.interproc_enabled(),
-                        &mut self.fn_summaries,
-                    )
-                } else {
-                    Summaries::compute(driver, members, driver.interproc_enabled())
-                };
+                let s = Summaries::compute_memoized(
+                    driver,
+                    members,
+                    driver.interproc_enabled(),
+                    &mut self.fn_summaries,
+                );
                 if let Some(d) = &self.disk {
                     d.store_summaries(&SummaryRecord {
                         key,
@@ -665,34 +635,23 @@ impl CheckEngine {
             }
         }
 
-        // Tier 3: local pass for genuinely changed units — red/green per
-        // function by default, whole-unit under `--invalidate component`
-        // or when a custom checker reads the unit beyond what the function
-        // index fingerprints.
-        let function_mode =
-            self.invalidation == Invalidation::Function && !driver.has_unit_sensitive_checkers();
+        // Tier 3: local pass for genuinely changed units, red/green per
+        // function.
+        let unit_sensitive = driver.has_unit_sensitive_checkers();
         stats.units_checked = dirty.len();
         let mut dirty_facts: HashMap<usize, Vec<Vec<Fact>>> = HashMap::new();
         if !dirty.is_empty() {
-            let locals = if function_mode {
-                self.check_dirty_fn(
-                    driver,
-                    sources,
-                    &src_keys,
-                    &parsed,
-                    &dirty,
-                    &unit_summaries,
-                    &comp_keys,
-                    &comp_of,
-                    &mut stats,
-                )
-            } else {
-                stats.functions_rechecked += dirty
-                    .iter()
-                    .map(|&i| parsed[i].as_ref().expect("parsed above").unit.cfgs.len())
-                    .sum::<usize>();
-                self.check_dirty(driver, &parsed, &dirty, &unit_summaries)
-            };
+            let locals = self.check_dirty_fn(
+                driver,
+                sources,
+                &src_keys,
+                &parsed,
+                &dirty,
+                &unit_summaries,
+                &comp_keys,
+                &comp_of,
+                &mut stats,
+            );
             for (&i, local) in dirty.iter().zip(locals) {
                 // `infos[i]` came from this unit's parse or from a record of
                 // the same content: either way it is this unit's call info.
@@ -783,7 +742,7 @@ impl CheckEngine {
                     .filter(|i| !dirty_set.contains(i))
                     .collect();
                 let mut regen_facts: HashMap<usize, Vec<Vec<Fact>>> = HashMap::new();
-                let mut queries: Vec<Query> = Vec::new();
+                let mut items: Vec<(usize, usize)> = Vec::new();
                 for &i in &regen {
                     regen_facts.insert(i, (0..driver.native_count()).map(|_| Vec::new()).collect());
                     let cu = &parsed[i].as_ref().expect("parsed above").unit;
@@ -792,7 +751,9 @@ impl CheckEngine {
                     // content records how many facts each function emits;
                     // zero-emitters — the whole built-in suite — skip
                     // regeneration outright.
-                    let skip: Option<Vec<bool>> = if function_mode {
+                    let skip: Option<Vec<bool>> = if unit_sensitive {
+                        None
+                    } else {
                         let idx_key = fn_index_key(suite, &sources[i].1);
                         self.lookup_fn_index(idx_key, &mut stats)
                             .filter(|p| p.src_key == src_keys[i] && p.functions.len() == nfn)
@@ -805,34 +766,28 @@ impl CheckEngine {
                                     })
                                     .collect()
                             })
-                    } else {
-                        None
                     };
-                    let mut any = false;
-                    for f in 0..nfn {
-                        if skip.as_ref().is_some_and(|s| s[f]) {
-                            continue;
-                        }
-                        queries.push(Query::Facts {
-                            unit: i,
-                            function: f,
-                        });
-                        any = true;
-                    }
-                    if any || !function_mode {
+                    let before = items.len();
+                    items.extend(
+                        (0..nfn)
+                            .filter(|&f| !skip.as_ref().is_some_and(|s| s[f]))
+                            .map(|f| (i, f)),
+                    );
+                    if items.len() > before {
                         stats.facts_regenerated += 1;
                     }
                 }
-                let outputs = run_queries(driver, sources, &parsed, &unit_summaries, &queries);
-                for (q, out) in queries.iter().zip(outputs) {
-                    match (q, out) {
-                        (Query::Facts { unit, .. }, QueryOutput::Facts(f)) => {
-                            let dest = regen_facts.get_mut(unit).expect("regen unit");
-                            for (ci, v) in f.into_iter().enumerate() {
-                                dest[ci].extend(v);
-                            }
-                        }
-                        _ => unreachable!("facts query returns facts"),
+                let outputs = map_functions(
+                    driver,
+                    &parsed,
+                    &unit_summaries,
+                    &items,
+                    |cu, f, cfg, store| driver.collect_function_facts(cu, f, cfg, store),
+                );
+                for (&(i, _), facts) in items.iter().zip(outputs) {
+                    let dest = regen_facts.get_mut(&i).expect("regen unit");
+                    for (ci, v) in facts.into_iter().enumerate() {
+                        dest[ci].extend(v);
                     }
                 }
 
@@ -923,7 +878,7 @@ impl CheckEngine {
         Ok((reports, stats))
     }
 
-    /// Runs a [`Query::Parse`] for each unit in `need`, filling `parsed`,
+    /// Parses each unit in `need` over the worker pool, filling `parsed`,
     /// reusing the parse memo where the content is already known.
     ///
     /// # Errors
@@ -958,78 +913,22 @@ impl CheckEngine {
         }
         stats.parses += todo.len();
 
-        let queries: Vec<Query> = todo.iter().map(|&i| Query::Parse(i)).collect();
-        let outputs = run_queries(driver, sources, parsed, &[], &queries);
+        let outputs = driver.pool_map(todo.len(), |k| {
+            let (src, file) = &sources[todo[k]];
+            ParsedUnit::parse(src, file)
+        });
         for (&i, out) in todo.iter().zip(outputs) {
-            match out {
-                QueryOutput::Parsed(Ok(pu)) => {
-                    self.checked.insert(content_keys[i], pu.clone());
-                    parsed[i] = Some(pu);
-                }
-                QueryOutput::Parsed(Err(e)) => return Err(DriverError::Parse(e)),
-                _ => unreachable!("parse query returns parse output"),
-            }
+            let pu = out.map_err(DriverError::Parse)?;
+            self.checked.insert(content_keys[i], pu.clone());
+            parsed[i] = Some(pu);
         }
         Ok(())
     }
 
-    /// Runs the full local pass of every dirty unit as per-function
-    /// [`Query::Check`] items over the pool, merging per unit in
-    /// `(unit, function)` order.
-    fn check_dirty(
-        &self,
-        driver: &Driver,
-        parsed: &[Option<ParsedUnit>],
-        dirty: &[usize],
-        unit_summaries: &[Option<Arc<Summaries>>],
-    ) -> Vec<UnitLocal> {
-        let mut queries: Vec<Query> = Vec::new();
-        for &i in dirty {
-            let unit = &parsed[i].as_ref().expect("parsed above").unit;
-            for f in 0..unit.cfgs.len() {
-                queries.push(Query::Check {
-                    unit: i,
-                    function: f,
-                });
-            }
-        }
-        let outputs = run_queries(driver, &[], parsed, unit_summaries, &queries);
-
-        let mut by_unit: HashMap<usize, UnitLocal> = dirty
-            .iter()
-            .map(|&i| {
-                (
-                    i,
-                    UnitLocal {
-                        reports: Vec::new(),
-                        facts: (0..driver.native_count()).map(|_| Vec::new()).collect(),
-                    },
-                )
-            })
-            .collect();
-        for (q, out) in queries.iter().zip(outputs) {
-            let (i, fo) = match (q, out) {
-                (Query::Check { unit, .. }, QueryOutput::Checked(fo)) => (*unit, fo),
-                _ => unreachable!("check query returns check output"),
-            };
-            let local = by_unit.get_mut(&i).expect("dirty unit");
-            local.reports.extend(fo.metal);
-            for (ci, sink) in fo.native.into_iter().enumerate() {
-                local.reports.extend(sink.reports);
-                local.facts[ci].extend(sink.facts);
-            }
-        }
-        dirty
-            .iter()
-            .map(|&i| by_unit.remove(&i).expect("dirty unit"))
-            .collect()
-    }
-
-    /// The function-granular tier-3 pass: diffs every dirty unit against
-    /// its function index, replays green functions' cached report slices
-    /// verbatim, re-checks red ones as per-function [`Query::Check`] nodes
-    /// that record fresh dependency edges, and snapshots a new index for
-    /// the next run.
+    /// The tier-3 pass: diffs every dirty unit against its function index,
+    /// replays green functions' cached report slices verbatim, re-checks
+    /// red ones over the worker pool, recording fresh dependency edges,
+    /// and snapshots a new index for the next run.
     ///
     /// A function is **green** when its body fingerprint matches its
     /// recorded entry, the unit environment hash matches, and every read
@@ -1037,7 +936,9 @@ impl CheckEngine {
     /// callee body fingerprints under refutation, callee summary content
     /// hashes under interprocedural resolution. Any doubt — no prior
     /// record, a changed environment, a duplicate function name making
-    /// name-matching ambiguous — is red.
+    /// name-matching ambiguous, a registered
+    /// [`unit_sensitive`](crate::Checker::unit_sensitive) checker reading
+    /// what the index does not fingerprint — is red.
     #[allow(clippy::too_many_arguments)]
     fn check_dirty_fn(
         &mut self,
@@ -1054,6 +955,7 @@ impl CheckEngine {
         let suite = driver.suite_key();
         let refute = driver.refute_enabled();
         let interproc = driver.interproc_enabled();
+        let unit_sensitive = driver.has_unit_sensitive_checkers();
 
         struct UnitPlan {
             idx_key: u64,
@@ -1064,7 +966,8 @@ impl CheckEngine {
         }
 
         let mut plans: Vec<UnitPlan> = Vec::with_capacity(dirty.len());
-        let mut queries: Vec<Query> = Vec::new();
+        let mut red: Vec<(usize, usize)> = Vec::new();
+        let mut green_facts: Vec<(usize, usize)> = Vec::new();
         for &i in dirty {
             let cu = &parsed[i].as_ref().expect("parsed above").unit;
             let idx_key = fn_index_key(suite, &sources[i].1);
@@ -1080,7 +983,7 @@ impl CheckEngine {
                 names.iter().all(|n| seen.insert(*n))
             };
             let prior = prior.filter(|p| {
-                unique && p.env_fp == env && {
+                !unit_sensitive && unique && p.env_fp == env && {
                     let mut seen = HashSet::new();
                     p.functions.iter().all(|e| seen.insert(e.name.as_str()))
                 }
@@ -1119,19 +1022,13 @@ impl CheckEngine {
                     Some(e) => {
                         stats.functions_replayed += 1;
                         if e.fact_counts.iter().any(|&c| c > 0) {
-                            queries.push(Query::Facts {
-                                unit: i,
-                                function: f,
-                            });
+                            green_facts.push((i, f));
                         }
                         green.push(Some(e.clone()));
                     }
                     None => {
                         stats.functions_rechecked += 1;
-                        queries.push(Query::Check {
-                            unit: i,
-                            function: f,
-                        });
+                        red.push((i, f));
                         green.push(None);
                     }
                 }
@@ -1143,20 +1040,20 @@ impl CheckEngine {
             });
         }
 
-        let outputs = run_queries(driver, &[], parsed, unit_summaries, &queries);
-        let mut fresh: HashMap<(usize, usize), crate::driver::FunctionOutput> = HashMap::new();
-        let mut gfacts: HashMap<(usize, usize), Vec<Vec<Fact>>> = HashMap::new();
-        for (q, out) in queries.iter().zip(outputs) {
-            match (q, out) {
-                (Query::Check { unit, function }, QueryOutput::Checked(fo)) => {
-                    fresh.insert((*unit, *function), fo);
-                }
-                (Query::Facts { unit, function }, QueryOutput::Facts(ff)) => {
-                    gfacts.insert((*unit, *function), ff);
-                }
-                _ => unreachable!("query output matches query kind"),
-            }
-        }
+        // Both batches are in `(unit, function)` order, which is the order
+        // the merge below consumes them in.
+        let mut fresh = map_functions(driver, parsed, unit_summaries, &red, |cu, f, cfg, s| {
+            driver.check_one_function(cu, f, cfg, s)
+        })
+        .into_iter();
+        let mut gfacts = map_functions(
+            driver,
+            parsed,
+            unit_summaries,
+            &green_facts,
+            |cu, f, cfg, s| driver.collect_function_facts(cu, f, cfg, s),
+        )
+        .into_iter();
 
         let mut locals: Vec<UnitLocal> = Vec::with_capacity(dirty.len());
         for (plan, &i) in plans.into_iter().zip(dirty) {
@@ -1176,7 +1073,7 @@ impl CheckEngine {
                     Some(entry) => {
                         local.reports.extend(entry.reports.iter().cloned());
                         if entry.fact_counts.iter().any(|&c| c > 0) {
-                            let ff = gfacts.remove(&(i, f)).expect("green facts regenerated");
+                            let ff = gfacts.next().expect("green facts regenerated");
                             for (ci, v) in ff.into_iter().enumerate() {
                                 local.facts[ci].extend(v);
                             }
@@ -1184,7 +1081,7 @@ impl CheckEngine {
                         entries.push(entry);
                     }
                     None => {
-                        let fo = fresh.remove(&(i, f)).expect("red function checked");
+                        let fo = fresh.next().expect("red function checked");
                         let mut slice: Vec<Report> = fo.metal;
                         let mut fact_counts: Vec<u64> = Vec::with_capacity(fo.native.len());
                         for (ci, sink) in fo.native.into_iter().enumerate() {
@@ -1288,66 +1185,6 @@ fn local_call_closure(
     deps
 }
 
-/// Fans a batch of queries out over the driver's worker pool and returns
-/// their outputs in query order.
-fn run_queries(
-    driver: &Driver,
-    sources: &[(String, String)],
-    parsed: &[Option<ParsedUnit>],
-    unit_summaries: &[Option<Arc<Summaries>>],
-    queries: &[Query],
-) -> Vec<QueryOutput> {
-    let store_of =
-        |unit: usize| -> Option<&Summaries> { unit_summaries.get(unit).and_then(|s| s.as_deref()) };
-    driver.pool_map(queries.len(), |qi| match queries[qi] {
-        Query::Parse(i) => {
-            let (src, file) = &sources[i];
-            QueryOutput::Parsed(parse_translation_unit(src, file).map(|tu| {
-                let unit = CheckedUnit::new(tu);
-                // Every later phase reads these; computing them here keeps
-                // them on the worker pool instead of the serial merge.
-                let ast_fp = Fingerprint::of_unit_with(&unit.unit, unit.fn_fingerprints());
-                unit.env_fp();
-                unit.fn_call_names();
-                ParsedUnit {
-                    unit: Arc::new(unit),
-                    ast_fp,
-                }
-            }))
-        }
-        Query::Check { unit, function } => {
-            let cu = parsed[unit].as_ref().expect("parsed before check");
-            let f = cu
-                .unit
-                .unit
-                .functions()
-                .nth(function)
-                .expect("function index in range");
-            QueryOutput::Checked(driver.check_one_function(
-                &cu.unit,
-                f,
-                &cu.unit.cfgs[function],
-                store_of(unit),
-            ))
-        }
-        Query::Facts { unit, function } => {
-            let cu = parsed[unit].as_ref().expect("parsed before facts");
-            let f = cu
-                .unit
-                .unit
-                .functions()
-                .nth(function)
-                .expect("function index in range");
-            QueryOutput::Facts(driver.collect_function_facts(
-                &cu.unit,
-                f,
-                &cu.unit.cfgs[function],
-                store_of(unit),
-            ))
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1382,12 +1219,9 @@ mod tests {
             .collect()
     }
 
-    /// The reference every run must reproduce: a fresh, cold engine that
-    /// re-checks whole units.
+    /// The reference every run must reproduce: a fresh, cold engine.
     fn oracle(d: &Driver, srcs: &[(String, String)]) -> Vec<Report> {
-        let mut engine = CheckEngine::in_memory();
-        engine.set_invalidation(Invalidation::Component);
-        engine.check_sources(d, srcs).unwrap().0
+        CheckEngine::in_memory().check_sources(d, srcs).unwrap().0
     }
 
     #[test]
@@ -1527,5 +1361,65 @@ mod tests {
         srcs[3].0 = "void fixed(void) { a(); }".into();
         let (_, stats) = engine.check_sources(&d, &srcs).unwrap();
         assert_eq!(stats.units_checked, 1);
+    }
+
+    /// Reports, on `reader`, the statement count of its sibling function
+    /// — read through `ctx.unit`, a dependency the function index does not
+    /// record.
+    struct SiblingSize;
+
+    impl crate::Checker for SiblingSize {
+        fn name(&self) -> &str {
+            "sibling_size"
+        }
+        fn check_function(&self, ctx: &crate::FunctionContext<'_>, sink: &mut crate::CheckSink) {
+            if ctx.function.name != "reader" {
+                return;
+            }
+            let n = ctx
+                .unit
+                .functions()
+                .find(|f| f.name == "sibling")
+                .map_or(0, |f| f.body.len());
+            sink.push(Report::warning(
+                self.name(),
+                ctx.file,
+                &ctx.function.name,
+                ctx.function.span,
+                format!("sibling has {n} statement(s)"),
+            ));
+        }
+        fn unit_sensitive(&self) -> bool {
+            true
+        }
+    }
+
+    #[test]
+    fn unit_sensitive_checker_rechecks_every_function_of_a_dirty_unit() {
+        let mut d = driver();
+        d.add_checker(Box::new(SiblingSize));
+        let unit = |sibling: &str| {
+            format!(
+                "void reader(void) {{ a(); }}\n\
+                 void sibling(void) {{ {sibling} }}\n\
+                 void other(void) {{ MISCBUS_READ_DB(p, q); }}\n"
+            )
+        };
+        let mut srcs = sources();
+        srcs.push((unit("b();"), "s.c".into()));
+        let mut engine = CheckEngine::in_memory();
+        engine.check_sources(&d, &srcs).unwrap();
+
+        // Only the sibling's body changes: `reader`'s own fingerprint and
+        // the unit environment stay the same.
+        srcs.last_mut().unwrap().0 = unit("b(); c();");
+        let (warm, stats) = engine.check_sources(&d, &srcs).unwrap();
+        assert_eq!(warm, oracle(&d, &srcs));
+        assert!(warm
+            .iter()
+            .any(|r| r.message == "sibling has 2 statement(s)"));
+        assert_eq!(stats.units_checked, 1);
+        assert_eq!(stats.functions_rechecked, 3, "{stats:?}");
+        assert_eq!(stats.functions_replayed, 0, "{stats:?}");
     }
 }

@@ -6,9 +6,9 @@
 //! paper's §7 global framework) into infrastructure every checker shares:
 //!
 //! * the *emit* half is [`Checker::summarize_function`] plus the metal
-//!   transfer computation ([`mc_metal::compute_transfers`]) — each checker
-//!   contributes what it knows about one function to that function's
-//!   summary;
+//!   transfer computation ([`mc_metal::compute_transfers_compiled`]) — each
+//!   checker contributes what it knows about one function to that
+//!   function's summary;
 //! * the *link* half is the bottom-up order: callees are summarized before
 //!   their callers (Tarjan SCCs of the function-level call graph, visited
 //!   in reverse topological order), so a caller's summary can fold its
@@ -361,34 +361,12 @@ fn summarize_def(
     };
     let transfers = with_transfers && !cyclic;
     if transfers {
-        // Transfers run under the same engine as the local passes, so a
-        // differential run exercises the compiled summary path too (both
-        // engines compute identical transfer maps).
-        match driver.metal_engine() {
-            mc_metal::MetalEngine::Compiled => {
-                let programs: Vec<&mc_metal::CompiledProgram> =
-                    driver.compiled_programs().iter().collect();
-                let plans = mc_metal::CandidatePlan::build_many(&programs, def.cfg);
-                for (cp, plan) in programs.into_iter().zip(&plans) {
-                    let t = mc_metal::compute_transfers_compiled(
-                        cp,
-                        plan,
-                        def.cfg,
-                        traversal,
-                        Some(store),
-                    );
-                    if !t.is_empty() {
-                        summary.transfers.insert(cp.name().to_string(), t);
-                    }
-                }
-            }
-            mc_metal::MetalEngine::Interp => {
-                for prog in driver.metal_programs() {
-                    let t = mc_metal::compute_transfers(prog, def.cfg, traversal, Some(store));
-                    if !t.is_empty() {
-                        summary.transfers.insert(prog.name.clone(), t);
-                    }
-                }
+        let programs: Vec<&mc_metal::CompiledProgram> = driver.compiled_programs().iter().collect();
+        let plans = mc_metal::CandidatePlan::build_many(&programs, def.cfg);
+        for (cp, plan) in programs.into_iter().zip(&plans) {
+            let t = mc_metal::compute_transfers_compiled(cp, plan, def.cfg, traversal, Some(store));
+            if !t.is_empty() {
+                summary.transfers.insert(cp.name().to_string(), t);
             }
         }
     }

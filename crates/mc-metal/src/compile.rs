@@ -33,42 +33,12 @@ use mc_ast::{BinaryOp, Expr, ExprKind, Initializer, Span, Stmt, StmtKind, Type, 
 use mc_cfg::{PathEvent, PathMachine, Witness};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-/// Which metal execution engine the driver should use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum MetalEngine {
-    /// The indexed decision-program engine ([`CompiledMachine`]).
-    #[default]
-    Compiled,
-    /// The reference interpreter ([`crate::MetalMachine`]), kept as a
-    /// differential oracle.
-    Interp,
-}
-
-impl MetalEngine {
-    /// Parses an engine name as accepted by `--metal-engine`.
-    pub fn parse(s: &str) -> Option<MetalEngine> {
-        match s {
-            "compiled" => Some(MetalEngine::Compiled),
-            "interp" => Some(MetalEngine::Interp),
-            _ => None,
-        }
-    }
-
-    /// The canonical name of the engine (`compiled` or `interp`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            MetalEngine::Compiled => "compiled",
-            MetalEngine::Interp => "interp",
-        }
-    }
-}
-
 /// A hard error that prevents a program from being compiled.
 ///
 /// Compilation only fails on structural impossibilities (e.g. a pattern
 /// with more than 255 distinct wildcards); everything a parsed program can
 /// legitimately express compiles, possibly with [`CompileDiag`] warnings,
-/// so engine choice never changes which checkers load.
+/// so every program the interpreter can run also loads compiled.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompileError {
     /// Human-readable description of the failure.
@@ -2270,15 +2240,6 @@ mod tests {
             .diagnostics()
             .iter()
             .any(|d| d.kind == CompileDiagKind::UnmatchablePattern));
-    }
-
-    #[test]
-    fn engine_enum_round_trips() {
-        assert_eq!(MetalEngine::parse("compiled"), Some(MetalEngine::Compiled));
-        assert_eq!(MetalEngine::parse("interp"), Some(MetalEngine::Interp));
-        assert_eq!(MetalEngine::parse("other"), None);
-        assert_eq!(MetalEngine::default().as_str(), "compiled");
-        assert_eq!(MetalEngine::Interp.as_str(), "interp");
     }
 
     #[test]

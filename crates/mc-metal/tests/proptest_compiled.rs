@@ -4,8 +4,9 @@
 //! byte-identical to the interpreter — same messages, same spans, same
 //! witness paths, same order — and the same number of rule applications.
 //!
-//! This is the oracle that keeps `--metal-engine compiled` honest: the
-//! interpreter is the semantics, the compiler is only allowed to be faster.
+//! This is the oracle that keeps the compiled engine — the only one the
+//! driver runs — honest: the interpreter is the semantics, the compiler is
+//! only allowed to be faster.
 
 use mc_ast::parse_translation_unit;
 use mc_cfg::{run_machine, Cfg, Mode};

@@ -1,34 +1,40 @@
 //! Engine-equivalence guarantee: the compiled metal engine is an
 //! optimization, never a behavior change. For every corpus protocol and
-//! every driver configuration, `--metal-engine compiled` must produce a
-//! report vector byte-identical to `--metal-engine interp` — same
-//! diagnostics, same witness paths, same order.
+//! every driver configuration, the built-in suite must produce a report
+//! vector byte-identical to the same suite with its metal programs run by
+//! the interpreter (registered through the test-side adapter in
+//! `common`) — same diagnostics, same witness paths, same order.
 //!
-//! This is the property that lets the driver default to the compiled
-//! engine while keeping the interpreter as the differential oracle.
+//! This is the property that lets the driver run only the compiled engine
+//! while the interpreter stays the reference semantics.
+
+mod common;
 
 use flash_mc::checkers::all_checkers;
 use flash_mc::corpus::plan::PLANS;
 use flash_mc::corpus::{generate, DEFAULT_SEED};
-use flash_mc::driver::{Driver, MetalEngine, Report};
+use flash_mc::driver::{Driver, Report};
 use proptest::prelude::*;
 
-/// Runs the full built-in checker suite over one protocol's sources with
-/// the given metal engine and returns the merged report vector.
+/// Runs the full built-in checker suite over one protocol's sources, with
+/// interpreted or compiled metal, and returns the merged report vector.
 fn check_protocol(
     plan_idx: usize,
     seed: u64,
-    engine: MetalEngine,
+    interp: bool,
     prune: bool,
     interproc: bool,
 ) -> Vec<Report> {
     let proto = generate(&PLANS[plan_idx], seed);
     let mut driver = Driver::new();
     driver.jobs(1);
-    driver.set_metal_engine(engine);
     driver.prune(prune);
     driver.interproc(interproc);
-    all_checkers(&mut driver, &proto.spec).expect("suite registers");
+    if interp {
+        common::interp_suite(&mut driver, &proto.spec);
+    } else {
+        all_checkers(&mut driver, &proto.spec).expect("suite registers");
+    }
     driver
         .check_sources(&proto.sources())
         .expect("corpus parses")
@@ -42,8 +48,8 @@ fn full_corpus_identical_across_engines() {
     for (i, _) in PLANS.iter().enumerate() {
         let seed = DEFAULT_SEED.wrapping_add(i as u64);
         for (prune, interproc) in [(true, false), (false, false), (true, true)] {
-            let interp = check_protocol(i, seed, MetalEngine::Interp, prune, interproc);
-            let compiled = check_protocol(i, seed, MetalEngine::Compiled, prune, interproc);
+            let interp = check_protocol(i, seed, true, prune, interproc);
+            let compiled = check_protocol(i, seed, false, prune, interproc);
             assert_eq!(
                 compiled, interp,
                 "protocol #{i} (prune={prune}, interproc={interproc}) \
@@ -61,8 +67,8 @@ proptest! {
         (plan_idx, seed_offset, prune) in (0usize..6, 0u64..1024, any::<bool>())
     ) {
         let seed = DEFAULT_SEED.wrapping_add(seed_offset);
-        let interp = check_protocol(plan_idx, seed, MetalEngine::Interp, prune, false);
-        let compiled = check_protocol(plan_idx, seed, MetalEngine::Compiled, prune, false);
+        let interp = check_protocol(plan_idx, seed, true, prune, false);
+        let compiled = check_protocol(plan_idx, seed, false, prune, false);
         prop_assert_eq!(
             compiled,
             interp,

@@ -6,13 +6,13 @@
 //! Together with `tests/determinism.rs` this pins the property that makes
 //! caching safe to leave on: output never depends on what happens to be in
 //! the cache or on thread scheduling. The reference every run is held to is
-//! [`oracle`]: a fresh, cold engine re-checking whole units.
+//! [`oracle`]: a cold run of a fresh engine.
 
 use flash_mc::checkers::all_checkers;
 use flash_mc::corpus::plan::PLANS;
 use flash_mc::corpus::{generate, DEFAULT_SEED};
 use flash_mc::driver::cache::DiskCache;
-use flash_mc::driver::{CheckEngine, Driver, Invalidation, Report};
+use flash_mc::driver::{CheckEngine, Driver, Report};
 
 fn corpus_sources(
     plan_idx: usize,
@@ -38,11 +38,12 @@ fn rendered(reports: &[Report]) -> String {
         .join("\n")
 }
 
-/// A cold check by a fresh in-memory engine with whole-unit invalidation.
+/// A cold check by a fresh in-memory engine.
 fn oracle(driver: &Driver, sources: &[(String, String)]) -> Vec<Report> {
-    let mut engine = CheckEngine::in_memory();
-    engine.set_invalidation(Invalidation::Component);
-    engine.check_sources(driver, sources).expect("parses").0
+    CheckEngine::in_memory()
+        .check_sources(driver, sources)
+        .expect("parses")
+        .0
 }
 
 fn scratch_dir(tag: &str) -> std::path::PathBuf {
@@ -120,12 +121,8 @@ fn one_dirty_warm_run_equals_fresh_cold_run() {
         "every other unit should replay, got {stats:?}"
     );
 
-    let (from_scratch, _) = CheckEngine::in_memory()
-        .check_sources(&driver, &edited)
-        .expect("parses");
     let cold = oracle(&driver, &edited);
-    assert_eq!(incremental, from_scratch, "incremental diverged from cold");
-    assert_eq!(incremental, cold, "incremental diverged from the oracle");
+    assert_eq!(incremental, cold, "incremental diverged from a cold run");
     assert_eq!(rendered(&incremental), rendered(&cold));
 }
 
@@ -296,39 +293,6 @@ fn invalidation_matrix_byte_identical_across_jobs() {
                 other => unreachable!("unknown matrix step {other}"),
             }
         }
-    }
-}
-
-/// A long-lived component-replay engine ([`Invalidation::Component`])
-/// walks the same matrix and must agree with function-granular
-/// invalidation step for step — the differential contract that keeps the
-/// fast path honest.
-#[test]
-fn component_oracle_matches_function_invalidation_step_for_step() {
-    let (sources, spec) = corpus_sources(0);
-    let driver = interproc_driver(&spec, 4);
-    let base_sources = with_probes(&sources, &PROBE_BASE);
-
-    let mut fine = CheckEngine::in_memory();
-    let mut coarse = CheckEngine::in_memory();
-    coarse.set_invalidation(Invalidation::Component);
-
-    let (a, _) = fine.check_sources(&driver, &base_sources).expect("parses");
-    let (b, _) = coarse
-        .check_sources(&driver, &base_sources)
-        .expect("parses");
-    assert_eq!(a, b, "prime diverged between invalidation modes");
-
-    for (label, edit) in &MATRIX {
-        let step = with_probes(&sources, edit);
-        let (fine_reports, fine_stats) = fine.check_sources(&driver, &step).expect("parses");
-        let (coarse_reports, _) = coarse.check_sources(&driver, &step).expect("parses");
-        assert_eq!(
-            fine_reports, coarse_reports,
-            "step={label}: function-granular and component invalidation \
-             disagreed ({fine_stats:?})"
-        );
-        assert_eq!(rendered(&fine_reports), rendered(&coarse_reports));
     }
 }
 

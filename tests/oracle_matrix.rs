@@ -6,11 +6,14 @@
 //! default flags and under `--interproc` (refutation is on by default, so
 //! verdicts and solver models are in every cell). Every cell's stdout and
 //! exit code must equal an uncached single-process run at one worker. The
-//! metal interpreter, reachable only through `Driver::set_metal_engine`,
-//! is held to the same bytes.
+//! metal interpreter, which the driver never runs and tests register
+//! through the adapter in `common`, is held to the same bytes.
 
+mod common;
+
+use flash_mc::checkers::flash::FlashSpec;
 use flash_mc::corpus::{generate_fleet, Protocol, DEFAULT_SEED};
-use flash_mc::driver::MetalEngine;
+use flash_mc::driver::Driver;
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
@@ -61,21 +64,26 @@ fn run(args: &[String]) -> (u8, Vec<u8>) {
     (code, out)
 }
 
-/// `run_full`'s output for `args` with the metal interpreter swapped in
-/// through the library setter.
+/// `run_full`'s output for `args` (an uncached `--builtin --spec` run)
+/// with the built-in suite's metal programs run by the interpreter.
 fn run_interp(args: &[String]) -> (u8, Vec<u8>) {
     let opts = mc_cli::parse_args(args.iter().cloned()).expect("args parse");
-    let mut driver = mc_cli::build_driver(&opts).expect("driver builds");
-    driver.set_metal_engine(MetalEngine::Interp);
+    let spec_path = opts.spec.as_ref().expect("matrix runs pass --spec");
+    let spec: FlashSpec =
+        mc_json::from_str(&std::fs::read_to_string(spec_path).unwrap()).expect("spec parses");
+    let mut driver = Driver::new();
+    driver
+        .prune(opts.prune)
+        .interproc(opts.interproc)
+        .refute(opts.refute)
+        .set_jobs(opts.jobs);
+    common::interp_suite(&mut driver, &spec);
     let sources: Vec<(String, String)> = opts
         .files
         .iter()
         .map(|f| (std::fs::read_to_string(f).unwrap(), f.display().to_string()))
         .collect();
-    let (reports, _) = mc_cli::engine_for(&opts)
-        .expect("engine")
-        .check_sources(&driver, &sources)
-        .expect("checks");
+    let reports = driver.check_sources(&sources).expect("checks");
     let c = mc_cli::checked_reports(&driver, &opts, &sources, reports).expect("post-check");
     let mut out = Vec::new();
     mc_cli::render(
