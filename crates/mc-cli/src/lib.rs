@@ -584,10 +584,12 @@ pub fn run(opts: &Options) -> Result<Vec<Report>, CliError> {
 /// (NAK paths, debug-guarded code) still order confirmed reports among
 /// themselves.
 ///
-/// Replay needs the checked sources as an executable program; files the
-/// simulator's handler subset cannot parse (or checkers with no dynamic
-/// manifestation) simply leave their reports at `sat` — promotion is
-/// strictly best-effort and never demotes.
+/// Replay needs the checked sources as an executable program. They are
+/// parsed once, and every `sat` report replays against a clone of that one
+/// shared [`mc_sim::Program`] (a reference-count bump, no AST copy). Files
+/// the simulator's handler subset cannot parse (or checkers with no
+/// dynamic manifestation) simply leave their reports at `sat` — promotion
+/// is strictly best-effort and never demotes.
 fn promote_confirmed(reports: &mut [Report], sources: &[(String, String)]) {
     if !reports.iter().any(|r| r.verdict == Verdict::Sat) {
         return;

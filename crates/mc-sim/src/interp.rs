@@ -573,7 +573,7 @@ impl Ctx<'_> {
 
             _ => {
                 // User function?
-                if let Some(func) = self.machine.program.function(&name).cloned() {
+                if let Some(func) = self.machine.program.shared_function(&name) {
                     let mut vals = Vec::new();
                     for a in &args {
                         vals.push(self.eval(a, locals)?);

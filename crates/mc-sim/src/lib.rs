@@ -13,6 +13,12 @@
 //! deadlocks — then run the fixed handler and watch it stay healthy. The
 //! same bug is found statically by the checkers in milliseconds.
 //!
+//! A [`Program`] is an immutable, shared handle on the parsed protocol:
+//! cloning it is O(1) and copies no AST, and the interpreter runs each
+//! function body in place. [`replay`], which confirms a checker report by
+//! running its witness model, can therefore replay every report of a check
+//! against clones of one parsed program.
+//!
 //! # Example
 //!
 //! ```

@@ -3,15 +3,24 @@
 
 use crate::interp::{run_handler, InterpError};
 use mc_ast::{parse_translation_unit, Function, ParseError, TranslationUnit};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::sync::Arc;
 
-/// A parsed protocol ready to simulate.
+/// A parsed protocol ready to simulate: an immutable, shared handle.
+///
+/// The function ASTs and constants sit behind reference counts, so
+/// [`Clone`] is O(1) and every clone reads the same ASTs. The simulator
+/// never copies a function body: a delivery or a call takes one more
+/// reference to the parsed [`Function`] and runs it in place.
 #[derive(Debug, Clone, Default)]
 pub struct Program {
-    functions: HashMap<String, Function>,
+    functions: Arc<HashMap<String, Arc<Function>>>,
     /// Enum constants and const-initialized globals from the sources,
     /// visible to every handler.
-    constants: HashMap<String, i64>,
+    constants: Arc<HashMap<String, i64>>,
+    /// Function names defined by more than one source. Lookups resolve
+    /// to the last definition, which need not be the one a report is on.
+    duplicates: Arc<HashSet<String>>,
 }
 
 impl Program {
@@ -24,30 +33,25 @@ impl Program {
         Program::from_sources(&[(src.to_string(), "sim.c".to_string())])
     }
 
-    /// Parses several `(source, name)` pairs into one program.
+    /// Parses several `(source, name)` pairs into one program. Each parsed
+    /// function moves into the program; none is copied.
     ///
     /// # Errors
     ///
     /// Returns the parse error of the first malformed source.
     pub fn from_sources(sources: &[(String, String)]) -> Result<Program, ParseError> {
-        let mut units = Vec::new();
-        for (src, name) in sources {
-            units.push(parse_translation_unit(src, name)?);
-        }
-        Ok(Program::from_units(&units))
-    }
-
-    /// Builds a program from already-parsed units.
-    pub fn from_units(units: &[TranslationUnit]) -> Program {
         let mut functions = HashMap::new();
         let mut constants = HashMap::new();
-        for tu in units {
-            collect(tu, &mut functions, &mut constants);
+        let mut duplicates = HashSet::new();
+        for (src, name) in sources {
+            let tu = parse_translation_unit(src, name)?;
+            collect(tu, &mut functions, &mut constants, &mut duplicates);
         }
-        Program {
-            functions,
-            constants,
-        }
+        Ok(Program {
+            functions: Arc::new(functions),
+            constants: Arc::new(constants),
+            duplicates: Arc::new(duplicates),
+        })
     }
 
     /// Looks up an enum or global constant declared in the sources.
@@ -57,7 +61,18 @@ impl Program {
 
     /// Looks up a function by name.
     pub fn function(&self, name: &str) -> Option<&Function> {
-        self.functions.get(name)
+        self.functions.get(name).map(|f| &**f)
+    }
+
+    /// A shared reference to a function, for running it while the machine
+    /// that owns this program is borrowed mutably.
+    pub(crate) fn shared_function(&self, name: &str) -> Option<Arc<Function>> {
+        self.functions.get(name).cloned()
+    }
+
+    /// Whether more than one source defines a function called `name`.
+    pub(crate) fn is_duplicate(&self, name: &str) -> bool {
+        self.duplicates.contains(name)
     }
 
     /// Number of functions available to the simulator.
@@ -72,15 +87,19 @@ impl Program {
 }
 
 fn collect(
-    tu: &TranslationUnit,
-    out: &mut HashMap<String, Function>,
+    tu: TranslationUnit,
+    out: &mut HashMap<String, Arc<Function>>,
     constants: &mut HashMap<String, i64>,
+    duplicates: &mut HashSet<String>,
 ) {
     use mc_ast::{ExprKind, ExternalDecl, Initializer, Item};
-    for item in &tu.items {
+    for item in tu.items {
         match item {
             Item::Function(f) => {
-                out.insert(f.name.clone(), f.clone());
+                let name = f.name.clone();
+                if out.insert(name.clone(), Arc::new(f)).is_some() {
+                    duplicates.insert(name);
+                }
             }
             Item::Decl(ExternalDecl::EnumDef { variants, .. }) => {
                 // C enum semantics: implicit values continue from the last
@@ -88,14 +107,14 @@ fn collect(
                 let mut next = 0i64;
                 for (name, value) in variants {
                     let v = value.unwrap_or(next);
-                    constants.insert(name.clone(), v);
+                    constants.insert(name, v);
                     next = v + 1;
                 }
             }
             Item::Decl(ExternalDecl::Var(d)) => {
                 if let Some(Initializer::Expr(e)) = &d.init {
                     if let ExprKind::IntLit(v, _) = e.kind {
-                        constants.insert(d.name.clone(), v);
+                        constants.insert(d.name, v);
                     }
                 }
             }
@@ -500,7 +519,7 @@ impl Machine {
         self.handler_runs += 1;
 
         let handler = msg.opcode.clone();
-        let Some(func) = self.program.function(&handler).cloned() else {
+        let Some(func) = self.program.shared_function(&handler) else {
             // Built-in sink: consume the message and free the buffer.
             if let Some(buf) = buf {
                 let _ = self.nodes[node_idx].buffers.decref(buf);
@@ -602,6 +621,16 @@ mod tests {
         assert_eq!(p.available(), 0); // still held
         assert!(p.decref(a));
         assert_eq!(p.available(), 1);
+    }
+
+    #[test]
+    fn clones_share_function_bodies() {
+        let a = Program::parse("void X(void) { DB_FREE(); }").unwrap();
+        let b = a.clone();
+        assert!(std::ptr::eq(
+            a.function("X").unwrap(),
+            b.function("X").unwrap()
+        ));
     }
 
     #[test]

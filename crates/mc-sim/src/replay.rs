@@ -46,14 +46,24 @@ pub fn replayable_checker(checker: &str) -> bool {
 /// Runs `handler` on a one-shot machine with the model's globals injected,
 /// and reports whether the dynamic event matching `checker` fired.
 ///
+/// `program` is a shared handle ([`Program`]'s clone is O(1)): replaying
+/// many reports against clones of one parsed program copies no AST, and
+/// the run only reads the program, so every replay of the same program
+/// sees the same code.
+///
 /// The run is deterministic: a fixed default machine, one injection, and
 /// an interpreter with no randomness — so promotion decisions are stable
 /// across runs, worker counts, and cache state. A `false` return is *not*
 /// evidence the report is wrong (the model may bind too few globals, or
 /// the violation may need cross-handler state); it only means the report
-/// stays at its symbolic verdict.
+/// stays at its symbolic verdict. A handler name defined by more than one
+/// source always returns `false`: the program runs one of the bodies, and
+/// it may not be the one the report is on.
 pub fn replay(program: Program, checker: &str, handler: &str, model: &[(String, i64)]) -> bool {
-    if program.function(handler).is_none() || !replayable_checker(checker) {
+    if program.function(handler).is_none()
+        || program.is_duplicate(handler)
+        || !replayable_checker(checker)
+    {
         return false;
     }
     let mut machine = Machine::new(program, SimConfig::default());
@@ -72,17 +82,16 @@ pub fn replay(program: Program, checker: &str, handler: &str, model: &[(String, 
 mod tests {
     use super::*;
 
+    const RACY: &str = "void Racy(void) {\n\
+                        HANDLER_DEFS();\n\
+                        HANDLER_PROLOGUE();\n\
+                        if (gLen > 4) { MISCBUS_READ_DB(addr, buf); }\n\
+                        DB_FREE();\n\
+                        }";
+
     #[test]
     fn confirms_a_real_unsynchronized_read() {
-        let program = Program::parse(
-            "void Racy(void) {\n\
-             HANDLER_DEFS();\n\
-             HANDLER_PROLOGUE();\n\
-             if (gLen > 4) { MISCBUS_READ_DB(addr, buf); }\n\
-             DB_FREE();\n\
-             }",
-        )
-        .unwrap();
+        let program = Program::parse(RACY).unwrap();
         // The guard needs the model: without gLen the branch stays cold
         // and nothing reproduces.
         assert!(replay(
@@ -108,6 +117,37 @@ mod tests {
         assert!(!replay(program.clone(), "send_wait", "Racy", &[]));
         assert!(!replay(program.clone(), "alloc_check", "Racy", &[]));
         assert!(!replay(program, "wait_for_db", "Missing", &[]));
+    }
+
+    #[test]
+    fn replaying_one_program_many_times_matches_a_fresh_parse() {
+        let shared = Program::parse(RACY).unwrap();
+        for (model, expect) in [(vec![("gLen".to_string(), 5)], true), (vec![], false)] {
+            let fresh = replay(Program::parse(RACY).unwrap(), "wait_for_db", "Racy", &model);
+            assert_eq!(fresh, expect);
+            for _ in 0..50 {
+                assert_eq!(replay(shared.clone(), "wait_for_db", "Racy", &model), fresh);
+            }
+        }
+    }
+
+    #[test]
+    fn a_handler_defined_twice_is_never_confirmed() {
+        let leaking = "void PIHandler(void) { HANDLER_DEFS(); HANDLER_PROLOGUE(); }";
+        let clean = "void PIHandler(void) { HANDLER_DEFS(); HANDLER_PROLOGUE(); DB_FREE(); }";
+        let alone = Program::parse(leaking).unwrap();
+        assert!(replay(alone, "buffer_mgmt", "PIHandler", &[]));
+        // Whichever body the program resolves the name to, it cannot tell
+        // which file's report is being replayed.
+        for order in [[clean, leaking], [leaking, clean]] {
+            let sources: Vec<(String, String)> = order
+                .iter()
+                .zip(["a.c", "b.c"])
+                .map(|(src, name)| (src.to_string(), name.to_string()))
+                .collect();
+            let program = Program::from_sources(&sources).unwrap();
+            assert!(!replay(program, "buffer_mgmt", "PIHandler", &[]));
+        }
     }
 
     #[test]

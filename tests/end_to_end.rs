@@ -4,7 +4,8 @@
 
 use flash_mc::checkers::{all_checkers, flash::FlashSpec};
 use flash_mc::corpus::eval::evaluate;
-use flash_mc::corpus::{generate, plan::plan_for, DEFAULT_SEED};
+use flash_mc::corpus::{generate, generate_all, plan::plan_for, Protocol, DEFAULT_SEED};
+use flash_mc::driver::Verdict;
 use flash_mc::prelude::*;
 use flash_mc::sim::{Machine, Program, SimConfig, SimEvent};
 
@@ -149,4 +150,145 @@ fn exhaustive_and_state_set_modes_agree_on_a_protocol() {
     let b = run(flash_mc::cfg::Mode::Exhaustive { max_paths: 200_000 });
     assert_eq!(a, b);
     assert_eq!(a.iter().filter(|r| r.checker == "msglen_check").count(), 8);
+}
+
+/// Every `confirmed` report of a product-default `mcheck --builtin --spec`
+/// run over one seed-corpus protocol, as sorted
+/// `(checker, function, model)` rows, plus the protocol's `sat` count.
+fn confirmed_verdicts(proto: &Protocol) -> (Vec<String>, usize) {
+    let dir = std::env::temp_dir().join(format!(
+        "mc-confirmed-pin-{}-{}",
+        proto.name,
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let spec = dir.join("spec.json");
+    std::fs::write(&spec, mc_json::to_string_pretty(&proto.spec)).unwrap();
+    let mut args = vec![
+        "--builtin".to_string(),
+        "--spec".to_string(),
+        spec.display().to_string(),
+    ];
+    for f in &proto.files {
+        let path = dir.join(&f.name);
+        std::fs::write(&path, &f.source).unwrap();
+        args.push(path.display().to_string());
+    }
+    let opts = mc_cli::parse_args(args).expect("args parse");
+    let reports = mc_cli::run(&opts).expect("check runs");
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut confirmed: Vec<String> = reports
+        .iter()
+        .filter(|r| r.verdict == Verdict::Confirmed)
+        .map(|r| format!("{} {} {:?}", r.checker, r.function, r.model))
+        .collect();
+    confirmed.sort();
+    let sat = reports.iter().filter(|r| r.verdict == Verdict::Sat).count();
+    (confirmed, sat)
+}
+
+/// Per seed protocol: its `sat` count and its sorted `confirmed` rows.
+const CONFIRMED_PIN: [(&str, usize, &[&str]); 6] = [
+    (
+        "bitvector",
+        7,
+        &[
+            "buffer_mgmt IOBvWriteBack11 []",
+            "buffer_mgmt PIBvUncachedWrite10 []",
+            "buffer_mgmt PIBvUpgrade8 []",
+            "directory PIBvLocalPut15 []",
+            "refcount_bump NIBvUncachedWrite22 []",
+            "wait_for_db NIBvLocalGet1 []",
+            "wait_for_db NIBvLocalPut3 []",
+        ],
+    ),
+    (
+        "dyn_ptr",
+        16,
+        &[
+            "buffer_mgmt IODpInval17 []",
+            "buffer_mgmt PIDpUncachedRead9 []",
+            "buffer_mgmt PIDpWriteBack11 []",
+        ],
+    ),
+    (
+        "sci",
+        4,
+        &[
+            "buffer_mgmt PISciLocalGet1 []",
+            "buffer_mgmt PISciRemotePut4 []",
+        ],
+    ),
+    ("coma", 5, &[]),
+    ("rac", 13, &["buffer_mgmt PIRacUncachedRead9 []"]),
+    (
+        "common",
+        0,
+        &[
+            "buffer_mgmt IOCmnUncachedRead9 []",
+            "buffer_mgmt PICmnRemoteGet2 []",
+            "wait_for_db NICmnLocalGet1 []",
+        ],
+    ),
+];
+
+#[test]
+fn confirmed_verdicts_are_pinned_on_the_seed_corpus() {
+    // No golden file holds a `confirmed` report, so this pins what
+    // concrete replay promotes on each seed protocol: a change to the
+    // simulator or to promotion that gains or loses a confirmation fails
+    // here, not silently in the output.
+    let protos = generate_all(DEFAULT_SEED);
+    assert_eq!(protos.len(), CONFIRMED_PIN.len());
+    let mut total = 0;
+    for (proto, (name, sat, confirmed)) in protos.iter().zip(CONFIRMED_PIN) {
+        assert_eq!(proto.name, name);
+        let (got_confirmed, got_sat) = confirmed_verdicts(proto);
+        assert_eq!(got_confirmed, confirmed, "{name}: confirmed reports");
+        assert_eq!(got_sat, sat, "{name}: sat reports");
+        total += confirmed.len();
+    }
+    assert_eq!(total, 16);
+}
+
+#[test]
+fn a_handler_defined_in_two_files_is_not_confirmed_against_the_other_body() {
+    // a.c's handler frees its buffer through a helper: the intraprocedural
+    // checker flags a leak that never happens. b.c's handler of the same
+    // name really leaks, and the simulator resolves the name to it (the
+    // last definition), so replaying a.c's report would reproduce b.c's
+    // leak. Neither report may be confirmed.
+    let dir = std::env::temp_dir().join(format!("mc-dup-handler-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let clean = dir.join("a.c");
+    let leaking = dir.join("b.c");
+    std::fs::write(
+        &clean,
+        "static void release_buf(void) { DB_FREE(); }\n\
+         void PIHandler(void) { HANDLER_DEFS(); HANDLER_PROLOGUE(); release_buf(); }\n",
+    )
+    .unwrap();
+    std::fs::write(
+        &leaking,
+        "void PIHandler(void) { HANDLER_DEFS(); HANDLER_PROLOGUE(); }\n",
+    )
+    .unwrap();
+    let args = [
+        "--builtin".to_string(),
+        clean.display().to_string(),
+        leaking.display().to_string(),
+    ];
+    let reports = mc_cli::run(&mc_cli::parse_args(args).unwrap()).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    let verdict_in = |file: &std::path::Path| {
+        let r = reports
+            .iter()
+            .find(|r| r.checker == "buffer_mgmt" && r.file == file.display().to_string())
+            .expect("a buffer_mgmt report per file");
+        r.verdict
+    };
+    assert_eq!(verdict_in(&clean), Verdict::Sat);
+    assert_eq!(verdict_in(&leaking), Verdict::Sat);
 }
