@@ -1,7 +1,7 @@
-//! The `mcheckd` check daemon: a persistent server that keeps one
-//! [`CheckEngine`] hot in memory so every editor save and CI query pays
-//! only the function-granular red/green re-check, never process startup
-//! or a cold cache.
+//! The `mcheckd` check daemon: a persistent server that keeps one check
+//! session (a driver and a hot `CheckEngine`) in memory so every editor
+//! save and CI query pays only the function-granular red/green re-check,
+//! never process startup or a cold cache.
 //!
 //! ## Protocol
 //!
@@ -21,13 +21,19 @@
 //!   count otherwise); the effective value is echoed back in the stats.
 //!   Worker count never affects report bytes, only latency. The result
 //!   carries the `mcheck-reports` envelope under `"reports"`, engine
-//!   counters under `"stats"`, and the batch exit code under `"exit"`.
+//!   counters under `"stats"`, the batch exit code under `"exit"`, and
+//!   the daemon's checker-suite key (16 hex digits) under `"suite_key"`.
+//! * `suite_key` — the daemon's checker-suite key alone, as
+//!   `{"suite_key": "<16 hex digits>"}`. Clients ask for it on connect,
+//!   before any check, and refuse a daemon whose key differs from theirs:
+//!   it would check with a different configuration.
 //! * `invalidate` — drop the engine's in-memory memo tables (the disk
 //!   cache, if any, is untouched); the next check revalidates everything.
 //! * `subscribe` — register this connection for push diagnostics: after
 //!   every completed check (from any client) the daemon writes one line
 //!   `{"method": "diagnostics", "params": <envelope>}` to it.
-//! * `shutdown` — unlink the socket and exit after responding.
+//! * `shutdown` — after responding, stop accepting, unlink the socket and
+//!   return from [`serve`].
 //!
 //! The reports in every envelope are byte-identical to a cold one-shot
 //! `mcheck` run over the same files — the daemon is a transport, never a
@@ -42,12 +48,15 @@
 //! the first `--watch` or `mcheckd check` of a session transparently
 //! becomes the daemon's parent.
 
-use crate::{build_driver, checked_reports, engine_for, json_envelope, CliError, Options};
-use mc_driver::{CheckEngine, Driver};
-use mc_json::Json;
+use crate::{
+    build_driver, engine_for, json_envelope, read_sources, Checked, CliError, Options, Session,
+};
+use mc_driver::{Report, RunStats};
+use mc_json::{FromJson, Json};
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Usage text for the `mcheckd` binary.
@@ -60,22 +69,22 @@ usage: mcheckd <serve|check|invalidate|shutdown> --socket <path> [OPTIONS] [file
               they fix the daemon's checker configuration.
   check       send a check request for the given files (spawns a daemon
               with the same options when none is listening). Prints the
-              mcheck-reports JSON envelope; exits 0/1 like mcheck.
+              mcheck-reports JSON envelope; exits 0/1 like mcheck. A
+              daemon checking with different options is refused (exit 2).
   invalidate  drop the daemon's in-memory memo tables
   shutdown    stop the daemon and remove the socket (exit 0 if none runs)
 
 exit codes: 0 ran clean, 1 reports were emitted, 2 usage or I/O error";
 
-/// Shared server state: one driver + engine pair (the analysis identity
-/// of this daemon, fixed at `serve` time) and the subscriber list. The
-/// driver sits behind a mutex only so per-request `jobs` hints can be
-/// applied; nothing about its checker suite ever changes.
+/// Shared server state: the check session (the analysis identity of this
+/// daemon, fixed at `serve` time; one request runs at a time), its suite
+/// key in hex, the subscriber list, and the flag a `shutdown` raises.
 struct State {
-    driver: Mutex<Driver>,
-    engine: Mutex<CheckEngine>,
-    opts: Options,
+    session: Mutex<Session>,
+    suite_key: String,
     socket: PathBuf,
     subscribers: Mutex<Vec<Arc<Mutex<UnixStream>>>>,
+    stopping: AtomicBool,
 }
 
 /// Binds `socket`, refusing when a live daemon already owns it and
@@ -99,9 +108,9 @@ fn bind_socket(socket: &Path) -> Result<UnixListener, CliError> {
     }
 }
 
-/// Runs the daemon on `socket` until a client sends `shutdown`. The
-/// options fix the checker suite and cache directory for every request
-/// this daemon will serve.
+/// Runs the daemon on `socket` until a client sends `shutdown`, then
+/// unlinks the socket and returns `Ok(())`. The options fix the checker
+/// suite and cache directory for every request this daemon will serve.
 ///
 /// # Errors
 ///
@@ -110,18 +119,23 @@ fn bind_socket(socket: &Path) -> Result<UnixListener, CliError> {
 /// driver.
 pub fn serve(opts: &Options, socket: &Path) -> Result<(), CliError> {
     let listener = bind_socket(socket)?;
+    let session = Session::new(opts)?;
     let state = Arc::new(State {
-        driver: Mutex::new(build_driver(opts)?),
-        engine: Mutex::new(engine_for(opts)?),
-        opts: opts.clone(),
+        suite_key: format!("{:016x}", session.driver.suite_key()),
+        session: Mutex::new(session),
         socket: socket.to_path_buf(),
         subscribers: Mutex::new(Vec::new()),
+        stopping: AtomicBool::new(false),
     });
     for conn in listener.incoming() {
+        if state.stopping.load(Ordering::SeqCst) {
+            break;
+        }
         let Ok(conn) = conn else { continue };
         let state = Arc::clone(&state);
         std::thread::spawn(move || serve_client(conn, &state));
     }
+    let _ = std::fs::remove_file(socket);
     Ok(())
 }
 
@@ -152,14 +166,16 @@ fn serve_client(conn: UnixStream, state: &Arc<State>) {
             let _ = w.flush();
         }
         if shutdown {
-            let _ = std::fs::remove_file(&state.socket);
-            std::process::exit(0);
+            // Wake the accept loop so it sees the flag.
+            state.stopping.store(true, Ordering::SeqCst);
+            let _ = UnixStream::connect(&state.socket);
+            break;
         }
     }
 }
 
 /// Parses and executes one request line. Returns the echoed id, the
-/// result-or-error, and whether the daemon should exit after replying.
+/// result-or-error, and whether the daemon should stop after replying.
 fn dispatch(
     line: &str,
     state: &Arc<State>,
@@ -174,16 +190,22 @@ fn dispatch(
     match method {
         "check" => (id, do_check(state, req.get("params")), false),
         "invalidate" => {
-            let fresh = match engine_for(&state.opts) {
-                Ok(e) => e,
-                Err(e) => return (id, Err(e.to_string()), false),
-            };
-            *state.engine.lock().unwrap() = fresh;
-            (id, Ok(ok_result()), false)
+            let mut session = state.session.lock().unwrap();
+            match engine_for(&session.opts) {
+                Ok(fresh) => {
+                    session.engine = fresh;
+                    (id, Ok(ok_result()), false)
+                }
+                Err(e) => (id, Err(e.to_string()), false),
+            }
         }
         "subscribe" => {
             state.subscribers.lock().unwrap().push(Arc::clone(writer));
             (id, Ok(ok_result()), false)
+        }
+        "suite_key" => {
+            let key = Json::Str(state.suite_key.clone());
+            (id, Ok(mc_json::object(vec![("suite_key", key)])), false)
         }
         "shutdown" => (id, Ok(ok_result()), true),
         other => (id, Err(format!("unknown method `{other}`")), false),
@@ -194,24 +216,23 @@ fn ok_result() -> Json {
     Json::Object(vec![("ok".into(), Json::Bool(true))])
 }
 
-/// Executes a `check` request: read the sources, run the hot engine, and
-/// package the envelope + stats. Pushes the envelope to every subscriber
-/// before replying.
+/// Executes a `check` request: run the session over the requested files
+/// and package the envelope, stats and suite key. Pushes the envelope to
+/// every subscriber before replying.
 fn do_check(state: &Arc<State>, params: Option<&Json>) -> Result<Json, String> {
-    let files: Vec<PathBuf> = match params.and_then(|p| p.get("files")).and_then(Json::as_array) {
-        Some(items) => items
-            .iter()
-            .map(|v| {
-                v.as_str()
-                    .map(PathBuf::from)
-                    .ok_or_else(|| "params.files must be an array of strings".to_string())
+    let files: Option<Vec<PathBuf>> = match params.and_then(|p| p.get("files")) {
+        None => None,
+        Some(v) => v
+            .as_array()
+            .and_then(|items| {
+                items
+                    .iter()
+                    .map(|f| f.as_str().map(PathBuf::from))
+                    .collect()
             })
-            .collect::<Result<_, _>>()?,
-        None => state.opts.files.clone(),
+            .map(Some)
+            .ok_or("params.files must be an array of strings")?,
     };
-    if files.is_empty() {
-        return Err("no files to check".into());
-    }
     // An optional per-request worker-count hint; the daemon's configured
     // count (its serve-time --jobs, or the parallelism default) applies
     // when absent. Invalid hints are request errors, not silently ignored.
@@ -222,49 +243,32 @@ fn do_check(state: &Arc<State>, params: Option<&Json>) -> Result<Json, String> {
             _ => return Err("params.jobs must be a positive integer".into()),
         },
     };
-    let mut opts = state.opts.clone();
-    opts.files = files;
-    let (checked, stats, effective_jobs) = {
-        // Lock order: driver, then engine. The driver is held for the whole
-        // request so a concurrent one cannot swap the jobs hint mid-run;
-        // the engine only for the check itself.
-        let mut driver = state.driver.lock().unwrap();
-        driver.set_jobs(jobs_hint.or(state.opts.jobs));
-        let sources = crate::read_sources(&opts.files).map_err(|e| e.to_string())?;
-        let (reports, stats) = state
-            .engine
-            .lock()
-            .unwrap()
-            .check_sources(&driver, &sources)
+    let (checked, stats, jobs) = {
+        let mut session = state.session.lock().unwrap();
+        let files = files.unwrap_or_else(|| session.opts.files.clone());
+        if files.is_empty() {
+            return Err("no files to check".into());
+        }
+        let (checked, stats) = session
+            .check(&files, jobs_hint)
             .map_err(|e| e.to_string())?;
-        let checked =
-            checked_reports(&driver, &opts, &sources, reports).map_err(|e| e.to_string())?;
-        (checked, stats, driver.effective_jobs())
+        (checked, stats, session.driver.effective_jobs())
     };
     let envelope = json_envelope(&checked.reports, checked.suppressed, checked.refuted);
     push_diagnostics(state, &envelope);
-    Ok(Json::Object(vec![
-        ("reports".into(), envelope),
-        (
-            "stats".into(),
-            mc_json::object(vec![
-                ("units", Json::Int(stats.units as i64)),
-                ("units_checked", Json::Int(stats.units_checked as i64)),
-                (
-                    "functions_rechecked",
-                    Json::Int(stats.functions_rechecked as i64),
-                ),
-                (
-                    "functions_replayed",
-                    Json::Int(stats.functions_replayed as i64),
-                ),
-                ("jobs", Json::Int(effective_jobs as i64)),
-            ]),
-        ),
-        (
-            "exit".into(),
-            Json::Int(i64::from(!checked.reports.is_empty())),
-        ),
+    let int = |n: usize| Json::Int(n as i64);
+    let stats = mc_json::object(vec![
+        ("units", int(stats.units)),
+        ("units_checked", int(stats.units_checked)),
+        ("functions_rechecked", int(stats.functions_rechecked)),
+        ("functions_replayed", int(stats.functions_replayed)),
+        ("jobs", int(jobs)),
+    ]);
+    Ok(mc_json::object(vec![
+        ("reports", envelope),
+        ("stats", stats),
+        ("exit", Json::Int(i64::from(!checked.reports.is_empty()))),
+        ("suite_key", Json::Str(state.suite_key.clone())),
     ]))
 }
 
@@ -468,84 +472,98 @@ fn config_args(opts: &Options) -> Vec<std::ffi::OsString> {
     args
 }
 
-/// Builds a `check` request's params: the absolutized files plus the
-/// client's `--jobs` as a per-request worker-count hint when set, so a
-/// client's parallelism preference survives the hop into a daemon that
-/// was started with different (or no) `--jobs`.
-fn check_params(opts: &Options, files: Vec<Json>) -> Json {
-    let mut fields = vec![("files".to_string(), Json::Array(files))];
+/// Builds a `check` request's params: the files plus the client's
+/// `--jobs` as a per-request worker-count hint when set, so a client's
+/// parallelism preference survives the hop into a daemon that was started
+/// with different (or no) `--jobs`.
+fn check_params(opts: &Options, files: &[String]) -> Json {
+    let files = files.iter().map(|f| Json::Str(f.clone())).collect();
+    let mut fields = vec![("files", Json::Array(files))];
     if let Some(jobs) = opts.jobs {
-        fields.push(("jobs".to_string(), Json::Int(jobs as i64)));
+        fields.push(("jobs", Json::Int(jobs as i64)));
     }
-    Json::Object(fields)
+    mc_json::object(fields)
 }
 
-/// Absolutizes the client's file paths so the daemon (whose working
-/// directory is its own) reads the same files.
-fn absolute_files(files: &[PathBuf]) -> Result<Vec<Json>, CliError> {
-    files
-        .iter()
-        .map(|f| {
+/// The client side of the daemon's check session. [`Remote::check`]
+/// returns what an in-process session's check returns, so `--watch` and
+/// `mcheckd check` render its reports like any other check's.
+pub(crate) struct Remote {
+    client: Client,
+}
+
+impl Remote {
+    /// Connects to the daemon on `socket`, spawning one configured from
+    /// `opts` when none is listening. A daemon whose suite key differs from
+    /// the one `opts` produce would check with other options, so it is
+    /// refused here, before it checks anything.
+    pub(crate) fn connect(opts: &Options, socket: &Path) -> Result<Remote, CliError> {
+        let ours = format!("{:016x}", build_driver(opts)?.suite_key());
+        let mut client = Client::connect_or_spawn(socket, opts)?;
+        let result = client.request("suite_key", Json::Null)?;
+        let theirs = result.get("suite_key").and_then(Json::as_str);
+        if theirs != Some(ours.as_str()) {
+            return Err(CliError(format!(
+                "the daemon checks with suite key {}, these options have suite key {ours}; \
+                 stop it with `mcheckd shutdown` or use another socket",
+                theirs.unwrap_or("(none)")
+            )));
+        }
+        Ok(Remote { client })
+    }
+
+    /// Asks the daemon to check `opts.files` and decodes its reply. The
+    /// files travel as absolute paths, since the daemon's working directory
+    /// is its own; report locations come back under the names `opts.files`
+    /// gives them. The sources for excerpts are read once, before the
+    /// request is sent, as an in-process check reads them before checking.
+    pub(crate) fn check(&mut self, opts: &Options) -> Result<(Checked, RunStats), CliError> {
+        let mut sent = Vec::new();
+        for f in &opts.files {
             let abs =
                 std::fs::canonicalize(f).map_err(|e| CliError(format!("{}: {e}", f.display())))?;
-            Ok(Json::Str(abs.display().to_string()))
-        })
-        .collect()
-}
-
-/// The `--watch --daemon-socket` loop: a thin client that connects to (or
-/// spawns) the daemon and sends one `check` request per settled edit
-/// burst, printing each response's envelope. The engine stays hot in the
-/// daemon across this process's whole lifetime — and across *other*
-/// clients' requests too.
-///
-/// # Errors
-///
-/// Returns [`CliError`] when the daemon cannot be reached or spawned;
-/// in-flight request failures are printed and watched through, matching
-/// the in-process watch loop's resilience.
-pub fn run_watch_client(
-    opts: &Options,
-    socket: &Path,
-    out: &mut dyn Write,
-) -> Result<(), CliError> {
-    let mut client = Client::connect_or_spawn(socket, opts)?;
-    let interval = std::time::Duration::from_millis(opts.watch_interval_ms.max(1));
-    let mut cycles = 0usize;
-    let mut snaps: Vec<crate::FileSnap> = opts.files.iter().map(|f| crate::snap_of(f)).collect();
-    loop {
-        match absolute_files(&opts.files)
-            .and_then(|files| client.request("check", check_params(opts, files)))
-        {
-            Ok(result) => {
-                let stats = result.get("stats");
-                let count = |k: &str| {
-                    stats
-                        .and_then(|s| s.get(k))
-                        .and_then(Json::as_i64)
-                        .unwrap_or(0)
-                };
-                let _ = writeln!(
-                    out,
-                    "[watch] daemon checked {} file(s) ({} functions re-checked, {} replayed)",
-                    count("units"),
-                    count("functions_rechecked"),
-                    count("functions_replayed"),
-                );
-                if let Some(envelope) = result.get("reports") {
-                    let _ = writeln!(out, "{}", envelope.to_pretty());
-                }
-            }
-            Err(e) => {
-                let _ = writeln!(out, "{e}");
-            }
+            sent.push(abs.display().to_string());
         }
-        let _ = out.flush();
-        cycles += 1;
-        if opts.watch_iterations.is_some_and(|n| cycles >= n) {
-            return Ok(());
+        let mut sources = read_sources(&opts.files)?;
+        sources.extend(read_sources(&opts.checkers)?);
+        let result = self.client.request("check", check_params(opts, &sent))?;
+        let bad = |what: String| CliError(format!("bad daemon response: {what}"));
+        let envelope = result.get("reports");
+        let mut reports = envelope
+            .and_then(|e| e.get("reports"))
+            .and_then(Json::as_array)
+            .ok_or_else(|| bad("no reports".into()))?
+            .iter()
+            .map(Report::from_json)
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(|e| bad(e.to_string()))?;
+        let rename = |file: &mut String| {
+            if let Some(i) = sent.iter().position(|s| s == file) {
+                *file = opts.files[i].display().to_string();
+            }
+        };
+        for r in &mut reports {
+            rename(&mut r.file);
+            r.steps.iter_mut().for_each(|step| rename(&mut step.file));
         }
-        crate::wait_for_settled_change(&opts.files, &mut snaps, interval);
+        let count = |v: Option<&Json>, key: &str| {
+            v.and_then(|v| v.get(key))
+                .and_then(Json::as_i64)
+                .unwrap_or(0) as usize
+        };
+        let stats = result.get("stats");
+        let checked = Checked {
+            reports,
+            suppressed: count(envelope, "suppressed"),
+            refuted: count(envelope, "refuted"),
+            sources,
+        };
+        let stats = RunStats {
+            units: count(stats, "units"),
+            units_checked: count(stats, "units_checked"),
+            ..RunStats::default()
+        };
+        Ok((checked, stats))
     }
 }
 
@@ -588,13 +606,10 @@ fn cli_run<I: IntoIterator<Item = String>>(args: I) -> Result<u8, CliError> {
         }
         "check" => {
             let opts = crate::parse_args(rest)?;
-            let mut client = Client::connect_or_spawn(&socket, &opts)?;
-            let files = absolute_files(&opts.files)?;
-            let result = client.request("check", check_params(&opts, files))?;
-            if let Some(envelope) = result.get("reports") {
-                println!("{}", envelope.to_pretty());
-            }
-            Ok(result.get("exit").and_then(Json::as_i64).unwrap_or(0) as u8)
+            let (c, _) = Remote::connect(&opts, &socket)?.check(&opts)?;
+            let envelope = json_envelope(&c.reports, c.suppressed, c.refuted);
+            println!("{}", envelope.to_pretty());
+            Ok(u8::from(!c.reports.is_empty()))
         }
         "invalidate" => {
             let mut client = Client::connect(&socket)

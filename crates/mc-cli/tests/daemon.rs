@@ -325,16 +325,77 @@ fn check_jobs_hint_is_applied_and_echoed() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `mcheck --watch --daemon-socket` is a thin client: it spawns the
-/// daemon (via `MCHECKD_BIN`), sends a check request, and prints the
-/// daemon's envelope.
+/// `mcheck --watch --daemon-socket` runs the one watch loop against the
+/// daemon (spawned via `MCHECKD_BIN`): the same `[watch]` header as the
+/// in-process loop, then the reports in the requested `--format`.
 #[test]
 fn watch_through_daemon_socket_prints_daemon_reports() {
     let (dir, socket) = scratch("watch");
     let src = write_buggy_source(&dir);
+    let watch = |format: &str, socket: Option<&std::path::Path>| {
+        let mut cmd = Command::new(MCHECK);
+        cmd.env("MCHECKD_BIN", MCHECKD)
+            .args(["--builtin", "--watch", "--watch-iterations", "1"])
+            .args(["--format", format]);
+        if let Some(socket) = socket {
+            cmd.arg("--daemon-socket").arg(socket);
+        }
+        let out = cmd.arg(&src).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        (String::from_utf8(out.stdout).unwrap(), stderr)
+    };
 
-    let out = Command::new(MCHECK)
-        .env("MCHECKD_BIN", MCHECKD)
+    let (json, stderr) = watch("json", Some(&socket));
+    assert!(
+        json.starts_with("[watch] checked 1 file(s) (1 re-checked, 0 replayed): 2 report(s)\n"),
+        "{json}\nstderr: {stderr}"
+    );
+    assert!(json.contains("mcheck-reports"), "{json}");
+    assert!(json.contains("wait_for_db"), "{json}");
+
+    // `--format` is honoured over the socket: text through the (now warm)
+    // daemon renders exactly what the in-process loop renders.
+    let (text, _) = watch("text", Some(&socket));
+    shutdown(&socket);
+    let (local, _) = watch("text", None);
+    let body = |s: &str| s.split_once('\n').map(|(_, rest)| rest.to_string());
+    assert!(
+        local.contains("wait_for_db") && local.contains(" | "),
+        "{local}"
+    );
+    assert_eq!(
+        body(&text),
+        body(&local),
+        "socket and in-process text differ"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A daemon serving other options is refused, naming both suite keys,
+/// instead of answering with its own configuration's reports.
+#[test]
+fn daemon_with_a_different_suite_key_is_refused() {
+    let (dir, socket) = scratch("suite_key");
+    let src = write_buggy_source(&dir);
+    let mut daemon = Command::new(MCHECKD)
+        .args(["serve", "--socket"])
+        .arg(&socket)
+        .args(["--builtin", "--no-refute"])
+        .arg(&src)
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .unwrap();
+    drop(connect_with_retry(&socket));
+
+    let check = Command::new(MCHECKD)
+        .args(["check", "--socket"])
+        .arg(&socket)
+        .args(["--builtin", "--refute"])
+        .arg(&src)
+        .output()
+        .unwrap();
+    let watch = Command::new(MCHECK)
         .args(["--builtin", "--watch", "--watch-iterations", "1"])
         .arg("--daemon-socket")
         .arg(&socket)
@@ -342,13 +403,54 @@ fn watch_through_daemon_socket_prints_daemon_reports() {
         .output()
         .unwrap();
     shutdown(&socket);
-    let text = String::from_utf8_lossy(&out.stdout);
+    let _ = daemon.wait();
+
+    let key = |opts: &[&str]| {
+        let mut args = vec!["--builtin"];
+        args.extend(opts);
+        args.push("h.c");
+        let opts = mc_cli::parse_args(args.iter().map(|s| s.to_string())).unwrap();
+        format!("{:016x}", mc_cli::build_driver(&opts).unwrap().suite_key())
+    };
+    let (daemon_key, client_key) = (key(&["--no-refute"]), key(&["--refute"]));
+    assert_ne!(daemon_key, client_key);
+    let stderr = String::from_utf8_lossy(&check.stderr);
+    assert_eq!(check.status.code(), Some(2), "{stderr}");
+    assert!(check.stdout.is_empty(), "no reports from the wrong daemon");
     assert!(
-        text.contains("[watch] daemon checked 1 file(s)"),
-        "{text}\nstderr: {}",
-        String::from_utf8_lossy(&out.stderr)
+        stderr.contains(&daemon_key) && stderr.contains(&client_key),
+        "{stderr}"
     );
-    assert!(text.contains("mcheck-reports"), "{text}");
-    assert!(text.contains("wait_for_db"), "{text}");
+    // The watch refuses at setup, before its loop: exit 2, nothing on
+    // stdout, both keys on stderr.
+    let stderr = String::from_utf8_lossy(&watch.stderr);
+    assert_eq!(watch.status.code(), Some(2), "{stderr}");
+    assert!(
+        watch.stdout.is_empty(),
+        "no watch cycle against the wrong daemon"
+    );
+    assert!(
+        stderr.contains(&daemon_key) && stderr.contains(&client_key),
+        "{stderr}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `shutdown` stops an in-process `serve`: the thread returns `Ok`, and
+/// the socket file is gone.
+#[test]
+fn shutdown_returns_from_an_in_process_serve() {
+    let (dir, socket) = scratch("shutdown");
+    let src = write_buggy_source(&dir);
+    let opts = mc_cli::parse_args(["--builtin".to_string(), src.display().to_string()]).unwrap();
+    let server = {
+        let socket = socket.clone();
+        std::thread::spawn(move || mc_cli::daemon::serve(&opts, &socket))
+    };
+    drop(connect_with_retry(&socket));
+    let mut client = mc_cli::daemon::Client::connect(&socket).unwrap();
+    client.request("shutdown", Json::Null).unwrap();
+    assert!(server.join().unwrap().is_ok());
+    assert!(!socket.exists(), "shutdown removes the socket file");
     let _ = std::fs::remove_dir_all(&dir);
 }
