@@ -6,13 +6,17 @@
 //!    state-set worklist stays linear (same reports for finite-state
 //!    checkers).
 //! 2. **Pattern indexing.** Pre-filtering patterns by required identifiers
-//!    vs. structurally comparing every pattern at every node.
+//!    vs. structurally comparing every pattern at every node, and both
+//!    interpreter modes vs. the compiled decision program the driver
+//!    runs. Every bar must give the interpreter's reports (asserted here).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mc_ast::parse_translation_unit;
 use mc_cfg::{run_machine, Cfg, Mode};
 use mc_corpus::{generate, plan::plan_for, DEFAULT_SEED};
-use mc_metal::{MetalMachine, MetalProgram};
+use mc_metal::{
+    CandidatePlan, CompiledMachine, CompiledProgram, MetalMachine, MetalProgram, MetalReport,
+};
 use std::hint::black_box;
 
 /// A handler with `k` sequential condition-dependent frees — `2^k` paths.
@@ -78,23 +82,40 @@ fn bench_pattern_index(c: &mut Criterion) {
         .map(|f| parse_translation_unit(&f.source, &f.name).unwrap())
         .collect();
     let prog = MetalProgram::parse(mc_checkers::MSGLEN_METAL).unwrap();
+    let compiled = CompiledProgram::compile(&prog).unwrap();
+    // `compiled` is the driver's path: a candidate plan per CFG, then plan
+    // replay.
+    let run = |label: &str| {
+        let mut reports: Vec<MetalReport> = Vec::new();
+        for u in &units {
+            for f in u.functions() {
+                let cfg = Cfg::build(f);
+                if label == "compiled" {
+                    let plan = CandidatePlan::build(&compiled, &cfg);
+                    let mut m = CompiledMachine::with_plan(&compiled, &plan);
+                    let init = m.start_state();
+                    run_machine(&cfg, &mut m, init, Mode::StateSet);
+                    reports.append(&mut m.reports);
+                } else {
+                    let mut m = MetalMachine::new(&prog);
+                    m.use_index = label == "indexed";
+                    let init = m.start_state();
+                    run_machine(&cfg, &mut m, init, Mode::StateSet);
+                    reports.append(&mut m.reports);
+                }
+            }
+        }
+        reports
+    };
+    let baseline = run("indexed");
     let mut g = c.benchmark_group("pattern_index");
     g.sample_size(20);
-    for (label, use_index) in [("indexed", true), ("linear", false)] {
+    for label in ["indexed", "linear", "compiled"] {
         g.bench_function(label, |b| {
             b.iter(|| {
-                let mut total = 0usize;
-                for u in &units {
-                    for f in u.functions() {
-                        let cfg = Cfg::build(f);
-                        let mut m = MetalMachine::new(&prog);
-                        m.use_index = use_index;
-                        let init = m.start_state();
-                        run_machine(&cfg, &mut m, init, Mode::StateSet);
-                        total += m.reports.len();
-                    }
-                }
-                total
+                let reports = run(label);
+                assert_eq!(reports, baseline, "{label} disagrees with the interpreter");
+                reports.len()
             })
         });
     }

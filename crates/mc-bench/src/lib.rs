@@ -352,6 +352,19 @@ mod tests {
         // helper-hidden sites resolves; is_exact above proves the reports
         // are actually gone (a survivor would be unexpected).
         assert_eq!(resolvable, 16);
+        // Summaries only remove reports: no protocol gains one.
+        for (run, local) in runs
+            .iter()
+            .zip(run_all_protocols_with(default_jobs(), true))
+        {
+            assert!(
+                run.reports.len() <= local.reports.len(),
+                "{}: summaries added reports ({} -> {})",
+                run.plan.name,
+                local.reports.len(),
+                run.reports.len()
+            );
+        }
     }
 
     #[test]
@@ -384,6 +397,18 @@ mod tests {
         // 14 directory-abstraction + 3 directory-speculative + 8 send-wait
         // sites carry the linearly infeasible guard correlation.
         assert_eq!(refutable, 25);
+        // The pass only demotes: the report set itself keeps its size.
+        for (run, plain) in runs
+            .iter()
+            .zip(run_all_protocols_full(default_jobs(), true, true))
+        {
+            assert_eq!(
+                run.reports.len(),
+                plain.reports.len(),
+                "{}: refutation changed the report count",
+                run.plan.name
+            );
+        }
     }
 
     #[test]

@@ -51,7 +51,7 @@
 use crate::{
     build_driver, engine_for, json_envelope, read_sources, Checked, CliError, Options, Session,
 };
-use mc_driver::{Report, RunStats};
+use mc_driver::{Report, RunStats, CHECK_STACK_BYTES};
 use mc_json::{FromJson, Json};
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -133,7 +133,11 @@ pub fn serve(opts: &Options, socket: &Path) -> Result<(), CliError> {
         }
         let Ok(conn) = conn else { continue };
         let state = Arc::clone(&state);
-        std::thread::spawn(move || serve_client(conn, &state));
+        // A check runs on this thread when the pool has one worker, so it
+        // gets the pool workers' stack rather than the 2 MiB default.
+        let _ = std::thread::Builder::new()
+            .stack_size(CHECK_STACK_BYTES)
+            .spawn(move || serve_client(conn, &state));
     }
     let _ = std::fs::remove_file(socket);
     Ok(())

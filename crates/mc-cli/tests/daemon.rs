@@ -436,6 +436,60 @@ fn daemon_with_a_different_suite_key_is_refused() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A request whose function nests 600 `if` blocks runs on the connection
+/// thread (one file, one function: the pool has one worker), so that
+/// thread needs the main thread's stack. The request gets an answer and
+/// the daemon then serves the next one.
+#[test]
+fn deeply_nested_request_is_answered_and_the_daemon_survives() {
+    let (dir, socket) = scratch("deep");
+    let src = write_buggy_source(&dir);
+    let deep = dir.join("deep.c");
+    std::fs::write(
+        &deep,
+        format!(
+            "void NIDeep(void) {{\n{}MISCBUS_READ_DB(a, b);\n{}}}\n",
+            "if (c) {\n".repeat(600),
+            "}\n".repeat(600)
+        ),
+    )
+    .unwrap();
+
+    let mut daemon = Command::new(MCHECKD)
+        .args(["serve", "--socket"])
+        .arg(&socket)
+        .arg("--builtin")
+        .arg(&src)
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .unwrap();
+    let conn = connect_with_retry(&socket);
+    let mut reader = BufReader::new(conn.try_clone().unwrap());
+    let mut conn = conn;
+    let mut ask = |id: i64, file: &std::path::Path| -> Json {
+        writeln!(
+            conn,
+            r#"{{"id": {id}, "method": "check", "params": {{"files": ["{}"]}}}}"#,
+            file.display()
+        )
+        .unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        assert!(!line.is_empty(), "daemon closed the connection on #{id}");
+        Json::parse(line.trim()).unwrap()
+    };
+
+    let answer = ask(1, &deep);
+    assert!(answer.get("result").is_some(), "{answer:?}");
+    let next = ask(2, &src);
+    assert!(next.get("result").is_some(), "{next:?}");
+
+    shutdown(&socket);
+    let _ = daemon.wait();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `shutdown` stops an in-process `serve`: the thread returns `Ok`, and
 /// the socket file is gone.
 #[test]

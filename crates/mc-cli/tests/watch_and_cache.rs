@@ -1,6 +1,7 @@
 //! End-to-end CLI behaviour that unit tests cannot cover: a real
 //! `mcheck --watch` session driven through file edits, the documented
-//! process exit codes of the installed binary, byte-identical reports from
+//! process exit codes of the installed binary (on deeply nested input at
+//! one and two workers too), byte-identical reports from
 //! a size-capped cache, and `--interproc` resolving a helper that a
 //! per-function run flags.
 
@@ -127,6 +128,54 @@ fn binary_exit_codes_are_0_1_2() {
         Some(2),
         "I/O error"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Whether a deeply nested file fits on the stack does not depend on the
+/// worker count: `--jobs 1` checks on the main thread and `--jobs 2` on
+/// pool workers, and both print the same reports. Two shapes: 600 nested
+/// `if` blocks, and a 20,000-term `x + x + …` sum.
+#[test]
+fn deep_nesting_reports_identically_at_one_and_two_workers() {
+    let dir = temp_dir("deep");
+    let nested = format!(
+        "{}MISCBUS_READ_DB(a, b);\n{}",
+        "if (c) {\n".repeat(600),
+        "}\n".repeat(600)
+    );
+    let sum = format!(
+        "t = {}; MISCBUS_READ_DB(a, b);",
+        vec!["x"; 20_000].join(" + ")
+    );
+    for (shape, body) in [("nested", &nested), ("sum", &sum)] {
+        let files: Vec<PathBuf> = (1..=2)
+            .map(|i| {
+                let path = dir.join(format!("{shape}{i}.c"));
+                std::fs::write(&path, format!("void NIDeep{i}(void) {{\n{body}\n}}\n")).unwrap();
+                path
+            })
+            .collect();
+        let at = |jobs: &str| {
+            Command::new(env!("CARGO_BIN_EXE_mcheck"))
+                .args(["--builtin", "--jobs", jobs])
+                .args(&files)
+                .output()
+                .expect("run mcheck")
+        };
+        let (one, two) = (at("1"), at("2"));
+        for (jobs, out) in [(1, &one), (2, &two)] {
+            assert_eq!(
+                out.status.code(),
+                Some(1),
+                "{shape} at --jobs {jobs}: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+        }
+        assert_eq!(
+            one.stdout, two.stdout,
+            "{shape}: --jobs 2 printed different reports"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

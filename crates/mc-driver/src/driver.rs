@@ -20,7 +20,6 @@
 
 use crate::query::CheckEngine;
 use crate::report::Report;
-use crate::sched::SchedStats;
 use crate::summaries::Summaries;
 use mc_ast::{Fnv1a, Function, ParseError, TranslationUnit};
 use mc_cfg::{
@@ -31,7 +30,8 @@ use mc_metal::{
 };
 use std::any::Any;
 use std::fmt;
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// An error from driving a check run.
 #[derive(Debug)]
@@ -443,6 +443,13 @@ pub(crate) struct UnitLocal {
 /// changed every key's value, so older records simply miss.
 pub const CACHE_FORMAT_VERSION: u32 = 8;
 
+/// Stack size of every thread that runs checks: [`Driver::pool_map`]'s
+/// workers and `mcheckd`'s connection threads. It matches the usual 8 MiB
+/// main-thread stack, so whether a deeply nested input fits does not
+/// depend on the worker count or the transport. Only the pages a thread
+/// touches count toward its resident memory.
+pub const CHECK_STACK_BYTES: usize = 8 << 20;
+
 /// The analysis driver: a set of checkers plus traversal settings.
 pub struct Driver {
     /// Decision-program lowering of each registered metal program.
@@ -457,10 +464,6 @@ pub struct Driver {
     interproc: bool,
     refute: bool,
     jobs: Option<usize>,
-    /// Scheduler counters accumulated across fan-outs; drained with
-    /// [`Driver::take_sched_stats`]. Interior mutability because checking
-    /// runs through `&self`.
-    sched_stats: Mutex<SchedStats>,
     /// Running hash of the registered checker suite, folded at registration
     /// time; part of [`Driver::suite_key`].
     suite: Fnv1a,
@@ -506,7 +509,6 @@ impl Driver {
             interproc: false,
             refute: false,
             jobs: None,
-            sched_stats: Mutex::new(SchedStats::default()),
             suite: Fnv1a::new(),
             config_epoch: 0,
         }
@@ -607,12 +609,6 @@ impl Driver {
                 .map(|n| n.get())
                 .unwrap_or(1)
         })
-    }
-
-    /// Drains the scheduler counters accumulated since construction (or
-    /// since the previous call), resetting them to zero.
-    pub fn take_sched_stats(&self) -> SchedStats {
-        std::mem::take(&mut self.sched_stats.lock().expect("sched stats lock"))
     }
 
     /// Registers a metal checker, lowering it to a decision program.
@@ -820,7 +816,8 @@ impl Driver {
     /// per-function checking, summary waves and program passes all fan out
     /// through it, so "parallel output == sequential output" has a single
     /// point of truth. With one effective worker no threads are spawned at
-    /// all.
+    /// all; otherwise each worker takes the next index from one shared
+    /// counter until the indices run out.
     pub(crate) fn pool_map<T, F>(&self, n: usize, f: F) -> Vec<T>
     where
         T: Send + Sync,
@@ -828,26 +825,26 @@ impl Driver {
     {
         let workers = self.effective_jobs().min(n);
         if workers <= 1 {
-            if n > 0 {
-                let log = crate::sched::WorkerLog {
-                    executed: n as u64,
-                    ..Default::default()
-                };
-                self.sched_stats
-                    .lock()
-                    .expect("sched stats lock")
-                    .absorb(&[log]);
-            }
             return (0..n).map(f).collect();
         }
         let slots: Vec<OnceLock<T>> = (0..n).map(|_| OnceLock::new()).collect();
-        let logs = crate::sched::run_stealing(n, workers, |i| {
-            let _ = slots[i].set(f(i));
+        // Relaxed: the counter only hands out indices. Results reach the
+        // caller through the slots, after the scope joins every worker.
+        let next = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                std::thread::Builder::new()
+                    .stack_size(CHECK_STACK_BYTES)
+                    .spawn_scoped(scope, || loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        let _ = slots[i].set(f(i));
+                    })
+                    .expect("spawn a pool worker");
+            }
         });
-        self.sched_stats
-            .lock()
-            .expect("sched stats lock")
-            .absorb(&logs);
         slots
             .into_iter()
             .map(|s| s.into_inner().expect("every work item completed"))
@@ -1155,6 +1152,7 @@ mod tests {
     use super::*;
     use crate::report::Severity;
     use mc_ast::{parse_translation_unit, Span};
+    use std::collections::HashSet;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     const SM: &str = r#"
@@ -1314,6 +1312,48 @@ mod tests {
         assert_eq!(d.effective_jobs(), 1);
         d.jobs(4);
         assert_eq!(d.effective_jobs(), 4);
+    }
+
+    #[test]
+    fn every_index_runs_exactly_once() {
+        for &(n, workers) in &[(0usize, 4usize), (1, 4), (7, 2), (64, 4), (1000, 8)] {
+            let mut d = Driver::new();
+            d.jobs(workers);
+            let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+            let out = d.pool_map(n, |i| {
+                hits[i].fetch_add(1, Ordering::SeqCst);
+                i
+            });
+            assert!(
+                hits.iter().all(|h| h.load(Ordering::SeqCst) == 1),
+                "n={n} workers={workers}: some index ran 0 or 2+ times"
+            );
+            assert_eq!(out, (0..n).collect::<Vec<_>>(), "n={n} workers={workers}");
+        }
+    }
+
+    #[test]
+    fn slow_first_block_does_not_serialize_the_fan_out() {
+        // Each of the first 16 tasks is slow: it waits until a second
+        // thread has started a task, or a second passes. A pool that ran
+        // the indices on one thread would sit out every wait.
+        let mut d = Driver::new();
+        d.jobs(4);
+        let started = std::sync::Mutex::new(HashSet::new());
+        let joined = std::sync::Condvar::new();
+        let ran_on = d.pool_map(64, |i| {
+            let me = std::thread::current().id();
+            let mut seen = started.lock().expect("no task panics holding the lock");
+            seen.insert(me);
+            joined.notify_all();
+            if i < 16 {
+                let wait = std::time::Duration::from_secs(1);
+                let _ = joined.wait_timeout_while(seen, wait, |s| s.len() < 2);
+            }
+            me
+        });
+        let threads: HashSet<_> = ran_on.iter().collect();
+        assert!(threads.len() > 1, "one thread ran every task: {ran_on:?}");
     }
 
     #[test]

@@ -54,14 +54,12 @@ mod driver;
 mod query;
 mod refute;
 mod report;
-mod sched;
 pub mod summaries;
 
 pub use driver::{
     call_components, CallInfo, CheckSink, CheckedUnit, Checker, Driver, DriverError, Fact,
-    FunctionContext, ProgramContext, CACHE_FORMAT_VERSION,
+    FunctionContext, ProgramContext, CACHE_FORMAT_VERSION, CHECK_STACK_BYTES,
 };
 pub use query::{CheckEngine, RunStats};
 pub use report::{Report, Severity, Verdict};
-pub use sched::SchedStats;
 pub use summaries::{Summaries, SummaryStats};

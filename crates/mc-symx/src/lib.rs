@@ -55,7 +55,7 @@ pub enum Verdict {
     Unknown,
 }
 
-/// Size accounting for one analysis, surfaced in `perf` output.
+/// Size accounting for one analysis.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AnalysisStats {
     /// Operations in the reconstructed path (0 when reconstruction failed).
