@@ -50,5 +50,5 @@ pub use fingerprint::{fnv1a, Fingerprint, FnFingerprint, Fnv1a};
 pub use lexer::{LexError, Lexer};
 pub use parser::{parse_expr, parse_stmt, parse_translation_unit, ParseError, Parser};
 pub use printer::{print_expr, print_stmt, print_translation_unit};
-pub use token::{Span, Token, TokenKind};
+pub use token::{unescape, Punct, Span, Token, TokenKind};
 pub use visit::{walk_expr, walk_function, walk_stmt, Visitor};

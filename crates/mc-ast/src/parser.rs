@@ -15,7 +15,7 @@
 
 use crate::ast::*;
 use crate::lexer::Lexer;
-use crate::token::{is_type_keyword, Span, Token, TokenKind};
+use crate::token::{is_keyword, is_type_keyword, unescape, Punct, Span, Token, TokenKind};
 use std::collections::HashSet;
 use std::fmt;
 
@@ -97,10 +97,13 @@ pub fn parse_stmt(src: &str) -> Result<Stmt, ParseError> {
     Ok(s)
 }
 
-/// The parser state.
+/// The parser state. Tokens borrow their text from the source; the parser
+/// copies it into the AST only where a node keeps it.
 #[derive(Debug)]
-pub struct Parser {
-    tokens: Vec<Token>,
+pub struct Parser<'src> {
+    /// Never empty: the last token is always [`TokenKind::Eof`], and `pos`
+    /// never moves past it.
+    tokens: Vec<Token<'src>>,
     pos: usize,
     file: String,
     typedefs: HashSet<String>,
@@ -110,9 +113,14 @@ pub struct Parser {
     pub preprocessor_lines: Vec<String>,
 }
 
-impl Parser {
-    /// Creates a parser over a token stream.
-    pub fn new(tokens: Vec<Token>, file: &str) -> Self {
+impl<'src> Parser<'src> {
+    /// Creates a parser over a token stream (an [`TokenKind::Eof`] token is
+    /// appended if the stream does not end with one).
+    pub fn new(mut tokens: Vec<Token<'src>>, file: &str) -> Self {
+        if !matches!(tokens.last(), Some(t) if t.kind == TokenKind::Eof) {
+            let span = tokens.last().map_or_else(Span::default, |t| t.span);
+            tokens.push(Token::new(TokenKind::Eof, span));
+        }
         Parser {
             tokens,
             pos: 0,
@@ -125,7 +133,7 @@ impl Parser {
 
     /// Creates a parser whose identifiers in `wildcards` parse as
     /// [`ExprKind::Wildcard`] — the mechanism behind metal `decl` variables.
-    pub fn with_wildcards(tokens: Vec<Token>, wildcards: HashSet<String>) -> Self {
+    pub fn with_wildcards(tokens: Vec<Token<'src>>, wildcards: HashSet<String>) -> Self {
         Parser {
             wildcards,
             ..Parser::new(tokens, "")
@@ -145,29 +153,37 @@ impl Parser {
         })
     }
 
-    fn peek(&self) -> &TokenKind {
-        &self.tokens[self.pos.min(self.tokens.len() - 1)].kind
+    fn peek(&self) -> TokenKind<'src> {
+        self.tokens[self.pos].kind
     }
 
-    fn peek_at(&self, n: usize) -> &TokenKind {
-        &self.tokens[(self.pos + n).min(self.tokens.len() - 1)].kind
+    fn peek_at(&self, n: usize) -> TokenKind<'src> {
+        self.tokens[(self.pos + n).min(self.tokens.len() - 1)].kind
     }
 
     fn peek_span(&self) -> Span {
-        self.tokens[self.pos.min(self.tokens.len() - 1)].span
+        self.tokens[self.pos].span
     }
 
-    fn bump(&mut self) -> TokenKind {
-        let t = self.tokens[self.pos.min(self.tokens.len() - 1)]
-            .kind
-            .clone();
-        if self.pos < self.tokens.len() {
+    /// Consumes the current token (staying on the final `Eof`) and
+    /// returns it.
+    fn bump(&mut self) -> TokenKind<'src> {
+        let t = self.peek();
+        if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
         t
     }
 
-    fn eat_punct(&mut self, p: &str) -> bool {
+    fn is_typedef(&self, name: &str) -> bool {
+        !self.typedefs.is_empty() && self.typedefs.contains(name)
+    }
+
+    fn is_wildcard(&self, name: &str) -> bool {
+        !self.wildcards.is_empty() && self.wildcards.contains(name)
+    }
+
+    fn eat_punct(&mut self, p: Punct) -> bool {
         if self.peek().is_punct(p) {
             self.bump();
             true
@@ -176,7 +192,7 @@ impl Parser {
         }
     }
 
-    fn expect_punct(&mut self, p: &str) -> Result<(), ParseError> {
+    fn expect_punct(&mut self, p: Punct) -> Result<(), ParseError> {
         if self.eat_punct(p) {
             Ok(())
         } else {
@@ -195,10 +211,9 @@ impl Parser {
 
     fn expect_ident(&mut self) -> Result<String, ParseError> {
         match self.peek() {
-            TokenKind::Ident(s) if !crate::token::is_keyword(s) => {
-                let s = s.clone();
+            TokenKind::Ident(s) if !is_keyword(s) => {
                 self.bump();
-                Ok(s)
+                Ok(s.to_string())
             }
             other => self.err(format!("expected identifier, found `{other}`")),
         }
@@ -206,8 +221,8 @@ impl Parser {
 
     fn expect_eof(&mut self) -> Result<(), ParseError> {
         // Allow one trailing semicolon in fragments.
-        self.eat_punct(";");
-        if *self.peek() == TokenKind::Eof {
+        self.eat_punct(Punct::Semi);
+        if self.peek() == TokenKind::Eof {
             Ok(())
         } else {
             self.err(format!("expected end of input, found `{}`", self.peek()))
@@ -220,9 +235,9 @@ impl Parser {
         match self.peek() {
             TokenKind::Ident(s) => {
                 is_type_keyword(s)
-                    || self.typedefs.contains(s)
+                    || self.is_typedef(s)
                     || matches!(
-                        s.as_str(),
+                        s,
                         "static" | "extern" | "const" | "volatile" | "inline" | "register"
                     )
             }
@@ -233,7 +248,7 @@ impl Parser {
     fn storage_class(&mut self) -> StorageClass {
         let mut sc = StorageClass::default();
         while let TokenKind::Ident(word) = self.peek() {
-            match word.as_str() {
+            match word {
                 "static" => sc.is_static = true,
                 "extern" => sc.is_extern = true,
                 "const" => sc.is_const = true,
@@ -285,7 +300,7 @@ impl Parser {
         let mut width: Option<&'static str> = None;
         let mut saw_int_kw = false;
         while let TokenKind::Ident(word) = self.peek() {
-            match word.as_str() {
+            match word {
                 "unsigned" => {
                     unsigned = true;
                     saw_int_kw = true;
@@ -321,17 +336,16 @@ impl Parser {
         }
         // Typedef name.
         if let TokenKind::Ident(s) = self.peek() {
-            if self.typedefs.contains(s) {
-                let name = s.clone();
+            if self.is_typedef(s) {
                 self.bump();
-                return Ok(self.pointered(Type::Named(name)));
+                return Ok(self.pointered(Type::Named(s.to_string())));
             }
         }
         self.err(format!("expected type, found `{}`", self.peek()))
     }
 
     fn pointered(&mut self, mut ty: Type) -> Type {
-        while self.peek().is_punct("*") {
+        while self.peek().is_punct(Punct::Star) {
             self.bump();
             // `const` after `*` is allowed and ignored.
             while self.eat_kw("const") || self.eat_kw("volatile") {}
@@ -343,13 +357,13 @@ impl Parser {
     /// Parses array suffixes on a declarator: `x[10][2]`.
     fn array_suffixes(&mut self, mut ty: Type) -> Result<Type, ParseError> {
         let mut dims = Vec::new();
-        while self.eat_punct("[") {
-            if self.eat_punct("]") {
+        while self.eat_punct(Punct::LBracket) {
+            if self.eat_punct(Punct::RBracket) {
                 dims.push(None);
             } else {
                 let e = self.expr()?;
                 let n = const_eval(&e);
-                self.expect_punct("]")?;
+                self.expect_punct(Punct::RBracket)?;
                 dims.push(n);
             }
         }
@@ -368,7 +382,7 @@ impl Parser {
     /// Returns [`ParseError`] on the first syntax error.
     pub fn translation_unit(&mut self) -> Result<TranslationUnit, ParseError> {
         let mut items = Vec::new();
-        while *self.peek() != TokenKind::Eof {
+        while self.peek() != TokenKind::Eof {
             items.push(self.external_item()?);
         }
         Ok(TranslationUnit {
@@ -386,33 +400,33 @@ impl Parser {
             let ty = self.type_specifier()?;
             let name = self.expect_ident()?;
             let ty = self.array_suffixes(ty)?;
-            self.expect_punct(";")?;
+            self.expect_punct(Punct::Semi)?;
             self.typedefs.insert(name.clone());
             return Ok(Item::Decl(ExternalDecl::Typedef { ty, name, span }));
         }
         // struct/union definition `struct S { ... };`
         if (self.peek().is_kw("struct") || self.peek().is_kw("union"))
-            && self.peek_at(2).is_punct("{")
+            && self.peek_at(2).is_punct(Punct::LBrace)
         {
             let is_union = self.peek().is_kw("union");
             self.bump();
             let name = self.expect_ident()?;
-            self.expect_punct("{")?;
+            self.expect_punct(Punct::LBrace)?;
             let mut fields = Vec::new();
-            while !self.eat_punct("}") {
+            while !self.eat_punct(Punct::RBrace) {
                 let _sc = self.storage_class();
                 let base = self.type_specifier()?;
                 loop {
                     let fname = self.expect_ident()?;
                     let fty = self.array_suffixes(base.clone())?;
                     fields.push((fty, fname));
-                    if !self.eat_punct(",") {
+                    if !self.eat_punct(Punct::Comma) {
                         break;
                     }
                 }
-                self.expect_punct(";")?;
+                self.expect_punct(Punct::Semi)?;
             }
-            self.expect_punct(";")?;
+            self.expect_punct(Punct::Semi)?;
             return Ok(Item::Decl(ExternalDecl::Struct(StructDef {
                 name,
                 is_union,
@@ -421,14 +435,14 @@ impl Parser {
             })));
         }
         // enum definition `enum E { ... };`
-        if self.peek().is_kw("enum") && self.peek_at(2).is_punct("{") {
+        if self.peek().is_kw("enum") && self.peek_at(2).is_punct(Punct::LBrace) {
             self.bump();
             let name = self.expect_ident()?;
-            self.expect_punct("{")?;
+            self.expect_punct(Punct::LBrace)?;
             let mut variants = Vec::new();
-            while !self.eat_punct("}") {
+            while !self.eat_punct(Punct::RBrace) {
                 let vname = self.expect_ident()?;
-                let value = if self.eat_punct("=") {
+                let value = if self.eat_punct(Punct::Assign) {
                     // Not `expr()`: a comma here separates enumerators.
                     let e = self.assignment_expr()?;
                     const_eval(&e)
@@ -436,13 +450,13 @@ impl Parser {
                     None
                 };
                 variants.push((vname, value));
-                if !self.eat_punct(",") {
+                if !self.eat_punct(Punct::Comma) {
                     // allow trailing `}` after last variant
-                    self.expect_punct("}")?;
+                    self.expect_punct(Punct::RBrace)?;
                     break;
                 }
             }
-            self.expect_punct(";")?;
+            self.expect_punct(Punct::Semi)?;
             return Ok(Item::Decl(ExternalDecl::EnumDef {
                 name,
                 variants,
@@ -454,11 +468,11 @@ impl Parser {
         let base = self.type_specifier()?;
         let name = self.expect_ident()?;
 
-        if self.peek().is_punct("(") {
+        if self.peek().is_punct(Punct::LParen) {
             // Function definition or prototype.
             self.bump();
             let params = self.param_list()?;
-            self.expect_punct(")")?;
+            self.expect_punct(Punct::RParen)?;
             let func = Function {
                 storage,
                 return_type: base,
@@ -467,10 +481,10 @@ impl Parser {
                 body: Vec::new(),
                 span,
             };
-            if self.eat_punct(";") {
+            if self.eat_punct(Punct::Semi) {
                 return Ok(Item::Decl(ExternalDecl::Proto(func)));
             }
-            self.expect_punct("{")?;
+            self.expect_punct(Punct::LBrace)?;
             let body = self.block_body()?;
             return Ok(Item::Function(Function { body, ..func }));
         }
@@ -480,12 +494,12 @@ impl Parser {
         // scope — FLASH globals are one per line; keep the first and require
         // `;` or `= init ;`).
         let ty = self.array_suffixes(base)?;
-        let init = if self.eat_punct("=") {
+        let init = if self.eat_punct(Punct::Assign) {
             Some(self.initializer()?)
         } else {
             None
         };
-        self.expect_punct(";")?;
+        self.expect_punct(Punct::Semi)?;
         Ok(Item::Decl(ExternalDecl::Var(Declaration {
             storage,
             ty,
@@ -497,10 +511,10 @@ impl Parser {
 
     fn param_list(&mut self) -> Result<Vec<Param>, ParseError> {
         let mut params = Vec::new();
-        if self.peek().is_punct(")") {
+        if self.peek().is_punct(Punct::RParen) {
             return Ok(params);
         }
-        if self.peek().is_kw("void") && self.peek_at(1).is_punct(")") {
+        if self.peek().is_kw("void") && self.peek_at(1).is_punct(Punct::RParen) {
             self.bump();
             return Ok(params);
         }
@@ -508,16 +522,15 @@ impl Parser {
             let _sc = self.storage_class();
             let base = self.type_specifier()?;
             let name = match self.peek() {
-                TokenKind::Ident(s) if !crate::token::is_keyword(s) => {
-                    let n = s.clone();
+                TokenKind::Ident(s) if !is_keyword(s) => {
                     self.bump();
-                    n
+                    s.to_string()
                 }
                 _ => String::new(),
             };
             let ty = self.array_suffixes(base)?;
             params.push(Param { ty, name });
-            if !self.eat_punct(",") {
+            if !self.eat_punct(Punct::Comma) {
                 break;
             }
         }
@@ -525,12 +538,12 @@ impl Parser {
     }
 
     fn initializer(&mut self) -> Result<Initializer, ParseError> {
-        if self.eat_punct("{") {
+        if self.eat_punct(Punct::LBrace) {
             let mut list = Vec::new();
-            while !self.eat_punct("}") {
+            while !self.eat_punct(Punct::RBrace) {
                 list.push(self.initializer()?);
-                if !self.eat_punct(",") {
-                    self.expect_punct("}")?;
+                if !self.eat_punct(Punct::Comma) {
+                    self.expect_punct(Punct::RBrace)?;
                     break;
                 }
             }
@@ -544,8 +557,8 @@ impl Parser {
 
     fn block_body(&mut self) -> Result<Vec<Stmt>, ParseError> {
         let mut stmts = Vec::new();
-        while !self.eat_punct("}") {
-            if *self.peek() == TokenKind::Eof {
+        while !self.eat_punct(Punct::RBrace) {
+            if self.peek() == TokenKind::Eof {
                 return self.err("unexpected end of file inside block");
             }
             stmts.push(self.stmt()?);
@@ -562,25 +575,25 @@ impl Parser {
         let span = self.peek_span();
         // Label: `ident :` not followed by another colon-ish construct.
         if let TokenKind::Ident(s) = self.peek() {
-            if !crate::token::is_keyword(s) && self.peek_at(1).is_punct(":") {
-                let label = s.clone();
+            if !is_keyword(s) && self.peek_at(1).is_punct(Punct::Colon) {
+                let label = s.to_string();
                 self.bump();
                 self.bump();
                 let inner = self.stmt()?;
                 return Ok(Stmt::new(StmtKind::Label(label, Box::new(inner)), span));
             }
         }
-        if self.eat_punct(";") {
+        if self.eat_punct(Punct::Semi) {
             return Ok(Stmt::new(StmtKind::Empty, span));
         }
-        if self.eat_punct("{") {
+        if self.eat_punct(Punct::LBrace) {
             let body = self.block_body()?;
             return Ok(Stmt::new(StmtKind::Block(body), span));
         }
         if self.eat_kw("if") {
-            self.expect_punct("(")?;
+            self.expect_punct(Punct::LParen)?;
             let cond = self.expr()?;
-            self.expect_punct(")")?;
+            self.expect_punct(Punct::RParen)?;
             let then = Box::new(self.stmt()?);
             let els = if self.eat_kw("else") {
                 Some(Box::new(self.stmt()?))
@@ -590,9 +603,9 @@ impl Parser {
             return Ok(Stmt::new(StmtKind::If { cond, then, els }, span));
         }
         if self.eat_kw("while") {
-            self.expect_punct("(")?;
+            self.expect_punct(Punct::LParen)?;
             let cond = self.expr()?;
-            self.expect_punct(")")?;
+            self.expect_punct(Punct::RParen)?;
             let body = Box::new(self.stmt()?);
             return Ok(Stmt::new(StmtKind::While { cond, body }, span));
         }
@@ -601,35 +614,35 @@ impl Parser {
             if !self.eat_kw("while") {
                 return self.err("expected `while` after `do` body");
             }
-            self.expect_punct("(")?;
+            self.expect_punct(Punct::LParen)?;
             let cond = self.expr()?;
-            self.expect_punct(")")?;
-            self.expect_punct(";")?;
+            self.expect_punct(Punct::RParen)?;
+            self.expect_punct(Punct::Semi)?;
             return Ok(Stmt::new(StmtKind::DoWhile { body, cond }, span));
         }
         if self.eat_kw("for") {
-            self.expect_punct("(")?;
-            let init = if self.eat_punct(";") {
+            self.expect_punct(Punct::LParen)?;
+            let init = if self.eat_punct(Punct::Semi) {
                 None
             } else if self.at_type() {
                 Some(Box::new(self.decl_stmt()?))
             } else {
                 let e = self.expr()?;
-                self.expect_punct(";")?;
+                self.expect_punct(Punct::Semi)?;
                 Some(Box::new(Stmt::new(StmtKind::Expr(e), span)))
             };
-            let cond = if self.peek().is_punct(";") {
+            let cond = if self.peek().is_punct(Punct::Semi) {
                 None
             } else {
                 Some(self.expr()?)
             };
-            self.expect_punct(";")?;
-            let step = if self.peek().is_punct(")") {
+            self.expect_punct(Punct::Semi)?;
+            let step = if self.peek().is_punct(Punct::RParen) {
                 None
             } else {
                 Some(self.expr()?)
             };
-            self.expect_punct(")")?;
+            self.expect_punct(Punct::RParen)?;
             let body = Box::new(self.stmt()?);
             return Ok(Stmt::new(
                 StmtKind::For {
@@ -642,19 +655,19 @@ impl Parser {
             ));
         }
         if self.eat_kw("switch") {
-            self.expect_punct("(")?;
+            self.expect_punct(Punct::LParen)?;
             let scrutinee = self.expr()?;
-            self.expect_punct(")")?;
-            self.expect_punct("{")?;
+            self.expect_punct(Punct::RParen)?;
+            self.expect_punct(Punct::LBrace)?;
             let mut cases = Vec::new();
-            while !self.eat_punct("}") {
+            while !self.eat_punct(Punct::RBrace) {
                 let case_span = self.peek_span();
                 let value = if self.eat_kw("case") {
                     let e = self.expr()?;
-                    self.expect_punct(":")?;
+                    self.expect_punct(Punct::Colon)?;
                     Some(e)
                 } else if self.eat_kw("default") {
-                    self.expect_punct(":")?;
+                    self.expect_punct(Punct::Colon)?;
                     None
                 } else {
                     return self.err("expected `case` or `default` in switch body");
@@ -662,9 +675,9 @@ impl Parser {
                 let mut body = Vec::new();
                 while !self.peek().is_kw("case")
                     && !self.peek().is_kw("default")
-                    && !self.peek().is_punct("}")
+                    && !self.peek().is_punct(Punct::RBrace)
                 {
-                    if *self.peek() == TokenKind::Eof {
+                    if self.peek() == TokenKind::Eof {
                         return self.err("unexpected end of file inside switch");
                     }
                     body.push(self.stmt()?);
@@ -678,31 +691,31 @@ impl Parser {
             return Ok(Stmt::new(StmtKind::Switch { scrutinee, cases }, span));
         }
         if self.eat_kw("break") {
-            self.expect_punct(";")?;
+            self.expect_punct(Punct::Semi)?;
             return Ok(Stmt::new(StmtKind::Break, span));
         }
         if self.eat_kw("continue") {
-            self.expect_punct(";")?;
+            self.expect_punct(Punct::Semi)?;
             return Ok(Stmt::new(StmtKind::Continue, span));
         }
         if self.eat_kw("return") {
-            if self.eat_punct(";") {
+            if self.eat_punct(Punct::Semi) {
                 return Ok(Stmt::new(StmtKind::Return(None), span));
             }
             let e = self.expr()?;
-            self.expect_punct(";")?;
+            self.expect_punct(Punct::Semi)?;
             return Ok(Stmt::new(StmtKind::Return(Some(e)), span));
         }
         if self.eat_kw("goto") {
             let label = self.expect_ident()?;
-            self.expect_punct(";")?;
+            self.expect_punct(Punct::Semi)?;
             return Ok(Stmt::new(StmtKind::Goto(label), span));
         }
         if self.at_type() {
             return self.decl_stmt();
         }
         let e = self.expr()?;
-        self.expect_punct(";")?;
+        self.expect_punct(Punct::Semi)?;
         Ok(Stmt::new(StmtKind::Expr(e), span))
     }
 
@@ -716,12 +729,12 @@ impl Parser {
         loop {
             // Each declarator may add its own pointer stars.
             let mut ty = base.clone();
-            while self.eat_punct("*") {
+            while self.eat_punct(Punct::Star) {
                 ty = Type::Ptr(Box::new(ty));
             }
             let name = self.expect_ident()?;
             let ty = self.array_suffixes(ty)?;
-            let init = if self.eat_punct("=") {
+            let init = if self.eat_punct(Punct::Assign) {
                 Some(self.initializer()?)
             } else {
                 None
@@ -736,11 +749,11 @@ impl Parser {
                 }),
                 span,
             ));
-            if !self.eat_punct(",") {
+            if !self.eat_punct(Punct::Comma) {
                 break;
             }
         }
-        self.expect_punct(";")?;
+        self.expect_punct(Punct::Semi)?;
         if decls.len() == 1 {
             Ok(decls.pop().expect("one declaration"))
         } else {
@@ -757,7 +770,7 @@ impl Parser {
     /// Returns [`ParseError`] on malformed input.
     pub fn expr(&mut self) -> Result<Expr, ParseError> {
         let mut e = self.assignment_expr()?;
-        while self.peek().is_punct(",") {
+        while self.peek().is_punct(Punct::Comma) {
             // Comma only binds inside parens/statements; call-argument
             // parsing never enters here.
             let span = self.peek_span();
@@ -771,17 +784,17 @@ impl Parser {
     fn assignment_expr(&mut self) -> Result<Expr, ParseError> {
         let lhs = self.ternary_expr()?;
         let op = match self.peek() {
-            TokenKind::Punct("=") => None,
-            TokenKind::Punct("+=") => Some(BinaryOp::Add),
-            TokenKind::Punct("-=") => Some(BinaryOp::Sub),
-            TokenKind::Punct("*=") => Some(BinaryOp::Mul),
-            TokenKind::Punct("/=") => Some(BinaryOp::Div),
-            TokenKind::Punct("%=") => Some(BinaryOp::Rem),
-            TokenKind::Punct("&=") => Some(BinaryOp::BitAnd),
-            TokenKind::Punct("|=") => Some(BinaryOp::BitOr),
-            TokenKind::Punct("^=") => Some(BinaryOp::BitXor),
-            TokenKind::Punct("<<=") => Some(BinaryOp::Shl),
-            TokenKind::Punct(">>=") => Some(BinaryOp::Shr),
+            TokenKind::Punct(Punct::Assign) => None,
+            TokenKind::Punct(Punct::PlusEq) => Some(BinaryOp::Add),
+            TokenKind::Punct(Punct::MinusEq) => Some(BinaryOp::Sub),
+            TokenKind::Punct(Punct::StarEq) => Some(BinaryOp::Mul),
+            TokenKind::Punct(Punct::SlashEq) => Some(BinaryOp::Div),
+            TokenKind::Punct(Punct::PercentEq) => Some(BinaryOp::Rem),
+            TokenKind::Punct(Punct::AmpEq) => Some(BinaryOp::BitAnd),
+            TokenKind::Punct(Punct::PipeEq) => Some(BinaryOp::BitOr),
+            TokenKind::Punct(Punct::CaretEq) => Some(BinaryOp::BitXor),
+            TokenKind::Punct(Punct::ShlEq) => Some(BinaryOp::Shl),
+            TokenKind::Punct(Punct::ShrEq) => Some(BinaryOp::Shr),
             _ => return Ok(lhs),
         };
         let span = self.peek_span();
@@ -799,10 +812,10 @@ impl Parser {
 
     fn ternary_expr(&mut self) -> Result<Expr, ParseError> {
         let cond = self.binary_expr(0)?;
-        if self.eat_punct("?") {
+        if self.eat_punct(Punct::Question) {
             let span = cond.span;
             let then = self.expr()?;
-            self.expect_punct(":")?;
+            self.expect_punct(Punct::Colon)?;
             let els = self.assignment_expr()?;
             return Ok(Expr::new(
                 ExprKind::Ternary {
@@ -820,24 +833,24 @@ impl Parser {
         let mut lhs = self.unary_expr()?;
         loop {
             let (op, prec) = match self.peek() {
-                TokenKind::Punct("||") => (BinaryOp::LogOr, 1),
-                TokenKind::Punct("&&") => (BinaryOp::LogAnd, 2),
-                TokenKind::Punct("|") => (BinaryOp::BitOr, 3),
-                TokenKind::Punct("^") => (BinaryOp::BitXor, 4),
-                TokenKind::Punct("&") => (BinaryOp::BitAnd, 5),
-                TokenKind::Punct("==") => (BinaryOp::Eq, 6),
-                TokenKind::Punct("!=") => (BinaryOp::Ne, 6),
-                TokenKind::Punct("<") => (BinaryOp::Lt, 7),
-                TokenKind::Punct(">") => (BinaryOp::Gt, 7),
-                TokenKind::Punct("<=") => (BinaryOp::Le, 7),
-                TokenKind::Punct(">=") => (BinaryOp::Ge, 7),
-                TokenKind::Punct("<<") => (BinaryOp::Shl, 8),
-                TokenKind::Punct(">>") => (BinaryOp::Shr, 8),
-                TokenKind::Punct("+") => (BinaryOp::Add, 9),
-                TokenKind::Punct("-") => (BinaryOp::Sub, 9),
-                TokenKind::Punct("*") => (BinaryOp::Mul, 10),
-                TokenKind::Punct("/") => (BinaryOp::Div, 10),
-                TokenKind::Punct("%") => (BinaryOp::Rem, 10),
+                TokenKind::Punct(Punct::OrOr) => (BinaryOp::LogOr, 1),
+                TokenKind::Punct(Punct::AndAnd) => (BinaryOp::LogAnd, 2),
+                TokenKind::Punct(Punct::Pipe) => (BinaryOp::BitOr, 3),
+                TokenKind::Punct(Punct::Caret) => (BinaryOp::BitXor, 4),
+                TokenKind::Punct(Punct::Amp) => (BinaryOp::BitAnd, 5),
+                TokenKind::Punct(Punct::EqEq) => (BinaryOp::Eq, 6),
+                TokenKind::Punct(Punct::NotEq) => (BinaryOp::Ne, 6),
+                TokenKind::Punct(Punct::Lt) => (BinaryOp::Lt, 7),
+                TokenKind::Punct(Punct::Gt) => (BinaryOp::Gt, 7),
+                TokenKind::Punct(Punct::Le) => (BinaryOp::Le, 7),
+                TokenKind::Punct(Punct::Ge) => (BinaryOp::Ge, 7),
+                TokenKind::Punct(Punct::Shl) => (BinaryOp::Shl, 8),
+                TokenKind::Punct(Punct::Shr) => (BinaryOp::Shr, 8),
+                TokenKind::Punct(Punct::Plus) => (BinaryOp::Add, 9),
+                TokenKind::Punct(Punct::Minus) => (BinaryOp::Sub, 9),
+                TokenKind::Punct(Punct::Star) => (BinaryOp::Mul, 10),
+                TokenKind::Punct(Punct::Slash) => (BinaryOp::Div, 10),
+                TokenKind::Punct(Punct::Percent) => (BinaryOp::Rem, 10),
                 _ => break,
             };
             if prec < min_prec {
@@ -861,13 +874,13 @@ impl Parser {
     fn unary_expr(&mut self) -> Result<Expr, ParseError> {
         let span = self.peek_span();
         let op = match self.peek() {
-            TokenKind::Punct("-") => Some(UnaryOp::Neg),
-            TokenKind::Punct("!") => Some(UnaryOp::Not),
-            TokenKind::Punct("~") => Some(UnaryOp::BitNot),
-            TokenKind::Punct("*") => Some(UnaryOp::Deref),
-            TokenKind::Punct("&") => Some(UnaryOp::AddrOf),
-            TokenKind::Punct("++") => Some(UnaryOp::PreInc),
-            TokenKind::Punct("--") => Some(UnaryOp::PreDec),
+            TokenKind::Punct(Punct::Minus) => Some(UnaryOp::Neg),
+            TokenKind::Punct(Punct::Not) => Some(UnaryOp::Not),
+            TokenKind::Punct(Punct::Tilde) => Some(UnaryOp::BitNot),
+            TokenKind::Punct(Punct::Star) => Some(UnaryOp::Deref),
+            TokenKind::Punct(Punct::Amp) => Some(UnaryOp::AddrOf),
+            TokenKind::Punct(Punct::PlusPlus) => Some(UnaryOp::PreInc),
+            TokenKind::Punct(Punct::MinusMinus) => Some(UnaryOp::PreDec),
             _ => None,
         };
         if let Some(op) = op {
@@ -881,52 +894,63 @@ impl Parser {
                 span,
             ));
         }
-        if self.peek().is_kw("sizeof") {
-            self.bump();
-            self.expect_punct("(")?;
-            let ty = self.type_specifier()?;
-            self.expect_punct(")")?;
-            return Ok(Expr::new(ExprKind::SizeofType(ty), span));
-        }
-        // Cast: `(` type `)` unary — only when what follows `(` is a type.
-        if self.peek().is_punct("(") && self.lookahead_is_type() {
-            self.bump();
-            let ty = self.type_specifier()?;
-            self.expect_punct(")")?;
-            let inner = self.unary_expr()?;
-            return Ok(Expr::new(
-                ExprKind::Cast {
-                    ty,
-                    expr: Box::new(inner),
-                },
-                span,
-            ));
+        if self.peek().is_kw("sizeof")
+            || self.peek().is_punct(Punct::LParen) && self.lookahead_is_type()
+        {
+            return self.sizeof_or_cast(span);
         }
         self.postfix_expr()
     }
 
+    /// `sizeof(type)` or a cast. This and [`Parser::postfix_expr`] stay out
+    /// of `unary_expr`'s frame, which repeats once per prefix operator, so
+    /// long `- - - x` chains fit the stack.
+    #[inline(never)]
+    fn sizeof_or_cast(&mut self, span: Span) -> Result<Expr, ParseError> {
+        if self.peek().is_kw("sizeof") {
+            self.bump();
+            self.expect_punct(Punct::LParen)?;
+            let ty = self.type_specifier()?;
+            self.expect_punct(Punct::RParen)?;
+            return Ok(Expr::new(ExprKind::SizeofType(ty), span));
+        }
+        // Cast: `(` type `)` unary.
+        self.bump();
+        let ty = self.type_specifier()?;
+        self.expect_punct(Punct::RParen)?;
+        let inner = self.unary_expr()?;
+        Ok(Expr::new(
+            ExprKind::Cast {
+                ty,
+                expr: Box::new(inner),
+            },
+            span,
+        ))
+    }
+
     fn lookahead_is_type(&self) -> bool {
         match self.peek_at(1) {
-            TokenKind::Ident(s) => is_type_keyword(s) || self.typedefs.contains(s),
+            TokenKind::Ident(s) => is_type_keyword(s) || self.is_typedef(s),
             _ => false,
         }
     }
 
+    #[inline(never)]
     fn postfix_expr(&mut self) -> Result<Expr, ParseError> {
         let mut e = self.primary_expr()?;
         loop {
             let span = self.peek_span();
-            if self.eat_punct("(") {
+            if self.eat_punct(Punct::LParen) {
                 let mut args = Vec::new();
-                if !self.peek().is_punct(")") {
+                if !self.peek().is_punct(Punct::RParen) {
                     loop {
                         args.push(self.assignment_expr()?);
-                        if !self.eat_punct(",") {
+                        if !self.eat_punct(Punct::Comma) {
                             break;
                         }
                     }
                 }
-                self.expect_punct(")")?;
+                self.expect_punct(Punct::RParen)?;
                 e = Expr::new(
                     ExprKind::Call {
                         callee: Box::new(e),
@@ -934,9 +958,9 @@ impl Parser {
                     },
                     span,
                 );
-            } else if self.eat_punct("[") {
+            } else if self.eat_punct(Punct::LBracket) {
                 let index = self.expr()?;
-                self.expect_punct("]")?;
+                self.expect_punct(Punct::RBracket)?;
                 e = Expr::new(
                     ExprKind::Index {
                         base: Box::new(e),
@@ -944,7 +968,7 @@ impl Parser {
                     },
                     span,
                 );
-            } else if self.eat_punct(".") {
+            } else if self.eat_punct(Punct::Dot) {
                 let field = self.expect_ident()?;
                 e = Expr::new(
                     ExprKind::Member {
@@ -954,7 +978,7 @@ impl Parser {
                     },
                     span,
                 );
-            } else if self.eat_punct("->") {
+            } else if self.eat_punct(Punct::Arrow) {
                 let field = self.expect_ident()?;
                 e = Expr::new(
                     ExprKind::Member {
@@ -964,7 +988,7 @@ impl Parser {
                     },
                     span,
                 );
-            } else if self.eat_punct("++") {
+            } else if self.eat_punct(Punct::PlusPlus) {
                 e = Expr::new(
                     ExprKind::Postfix {
                         operand: Box::new(e),
@@ -972,7 +996,7 @@ impl Parser {
                     },
                     span,
                 );
-            } else if self.eat_punct("--") {
+            } else if self.eat_punct(Punct::MinusMinus) {
                 e = Expr::new(
                     ExprKind::Postfix {
                         operand: Box::new(e),
@@ -990,23 +1014,29 @@ impl Parser {
     fn primary_expr(&mut self) -> Result<Expr, ParseError> {
         let span = self.peek_span();
         match self.bump() {
-            TokenKind::Int(v, text) => Ok(Expr::new(ExprKind::IntLit(v, text), span)),
-            TokenKind::Float(v, text) => Ok(Expr::new(ExprKind::FloatLit(v, text), span)),
+            TokenKind::Int(v, text) => Ok(Expr::new(ExprKind::IntLit(v, text.to_string()), span)),
+            TokenKind::Float(v, text) => {
+                Ok(Expr::new(ExprKind::FloatLit(v, text.to_string()), span))
+            }
             TokenKind::Char(c) => Ok(Expr::new(ExprKind::CharLit(c), span)),
-            TokenKind::Str(s) => Ok(Expr::new(ExprKind::StrLit(s), span)),
+            TokenKind::Str(raw) => Ok(Expr::new(
+                ExprKind::StrLit(unescape(raw).into_owned()),
+                span,
+            )),
             TokenKind::Ident(name) => {
-                if crate::token::is_keyword(&name) {
+                if is_keyword(name) {
                     return self.err(format!("unexpected keyword `{name}` in expression"));
                 }
-                if self.wildcards.contains(&name) {
-                    Ok(Expr::new(ExprKind::Wildcard(name), span))
+                let name_kind = if self.is_wildcard(name) {
+                    ExprKind::Wildcard
                 } else {
-                    Ok(Expr::new(ExprKind::Ident(name), span))
-                }
+                    ExprKind::Ident
+                };
+                Ok(Expr::new(name_kind(name.to_string()), span))
             }
-            TokenKind::Punct("(") => {
+            TokenKind::Punct(Punct::LParen) => {
                 let e = self.expr()?;
-                self.expect_punct(")")?;
+                self.expect_punct(Punct::RParen)?;
                 Ok(e)
             }
             other => self.err(format!("expected expression, found `{other}`")),
@@ -1316,5 +1346,21 @@ mod tests {
             }
             other => panic!("wrong shape: {other:?}"),
         }
+    }
+
+    #[test]
+    fn non_ascii_string_literal_round_trips() {
+        let e = parse_expr("p(\"café\")").unwrap();
+        let (_, args) = e.as_call().unwrap();
+        assert!(matches!(&args[0].kind, ExprKind::StrLit(s) if s == "café"));
+        assert_eq!(crate::print_expr(&e), "p(\"café\")");
+    }
+
+    #[test]
+    fn non_ascii_identifier_byte_names_the_character() {
+        let err = parse_translation_unit("void f(void) { int é; }", "u.c").unwrap_err();
+        assert_eq!(err.message, "unexpected character `é`");
+        assert_eq!((err.span.line, err.span.col), (1, 20));
+        assert_eq!(err.file, "u.c");
     }
 }

@@ -12,7 +12,7 @@ use mc_checkers::{
     alloc_check::AllocCheck, buffer_mgmt::BufferMgmt, directory::Directory,
     exec_restrict::ExecRestrict, lanes::Lanes, send_wait::SendWait,
 };
-use mc_corpus::{generate, plan::plan_for, DEFAULT_SEED};
+use mc_corpus::{generate, generate_fleet, plan::plan_for, DEFAULT_SEED};
 use mc_driver::{CheckSink, CheckedUnit, Checker, Driver, FunctionContext};
 use mc_sim::{Machine, Program, SimConfig};
 use std::hint::black_box;
@@ -34,6 +34,24 @@ fn bench_parse(c: &mut Criterion) {
     g.throughput(criterion::Throughput::Bytes(bytes as u64));
     g.bench_function("parse_protocol_file", |b| {
         b.iter(|| parse_translation_unit(black_box(&biggest.source), &biggest.name).unwrap())
+    });
+    // Every file of the scale-3 fleet at seed 61861: the input the
+    // mc-benchmark `ci_cold` and `cache_ci` workloads check.
+    let fleet: Vec<(String, String)> = generate_fleet(61861, 3)
+        .iter()
+        .flat_map(|p| p.sources())
+        .collect();
+    let fleet_bytes: usize = fleet.iter().map(|(src, _)| src.len()).sum();
+    g.throughput(criterion::Throughput::Bytes(fleet_bytes as u64));
+    g.sample_size(10);
+    g.bench_function("parse_fleet", |b| {
+        b.iter(|| {
+            fleet
+                .iter()
+                .map(|(src, name)| parse_translation_unit(black_box(src), name).unwrap())
+                .map(|unit| unit.items.len())
+                .sum::<usize>()
+        })
     });
     g.finish();
 }

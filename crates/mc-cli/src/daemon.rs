@@ -32,7 +32,7 @@
 //! * `subscribe` — register this connection for push diagnostics: after
 //!   every completed check (from any client) the daemon writes one line
 //!   `{"method": "diagnostics", "params": <envelope>}` to it.
-//! * `shutdown` — after responding, stop accepting, unlink the socket and
+//! * `shutdown` — stop accepting and unlink the socket, then respond and
 //!   return from [`serve`].
 //!
 //! The reports in every envelope are byte-identical to a cold one-shot
@@ -57,7 +57,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Usage text for the `mcheckd` binary.
 pub const DAEMON_USAGE: &str = "\
@@ -85,6 +85,36 @@ struct State {
     socket: PathBuf,
     subscribers: Mutex<Vec<Arc<Mutex<UnixStream>>>>,
     stopping: AtomicBool,
+}
+
+impl State {
+    /// The state of a daemon checking with `opts` on `socket`.
+    fn new(opts: &Options, socket: &Path) -> Result<State, CliError> {
+        let session = Session::new(opts)?;
+        Ok(State {
+            suite_key: format!("{:016x}", session.driver.suite_key()),
+            session: Mutex::new(session),
+            socket: socket.to_path_buf(),
+            subscribers: Mutex::new(Vec::new()),
+            stopping: AtomicBool::new(false),
+        })
+    }
+
+    /// Locks the session. A panic during an earlier request poisons the
+    /// lock and may have left the session half-updated, so a poisoned
+    /// session is replaced by a fresh one built from the same options
+    /// (the next check is then a cold one) and the poison is cleared.
+    fn session(&self) -> Result<MutexGuard<'_, Session>, String> {
+        match self.session.lock() {
+            Ok(session) => Ok(session),
+            Err(poisoned) => {
+                let mut session = poisoned.into_inner();
+                *session = Session::new(&session.opts).map_err(|e| e.to_string())?;
+                self.session.clear_poison();
+                Ok(session)
+            }
+        }
+    }
 }
 
 /// Binds `socket`, refusing when a live daemon already owns it and
@@ -119,14 +149,7 @@ fn bind_socket(socket: &Path) -> Result<UnixListener, CliError> {
 /// driver.
 pub fn serve(opts: &Options, socket: &Path) -> Result<(), CliError> {
     let listener = bind_socket(socket)?;
-    let session = Session::new(opts)?;
-    let state = Arc::new(State {
-        suite_key: format!("{:016x}", session.driver.suite_key()),
-        session: Mutex::new(session),
-        socket: socket.to_path_buf(),
-        subscribers: Mutex::new(Vec::new()),
-        stopping: AtomicBool::new(false),
-    });
+    let state = Arc::new(State::new(opts, socket)?);
     for conn in listener.incoming() {
         if state.stopping.load(Ordering::SeqCst) {
             break;
@@ -158,6 +181,15 @@ fn serve_client(conn: UnixStream, state: &Arc<State>) {
             continue;
         }
         let (id, outcome, shutdown) = dispatch(&line, state, &writer);
+        if shutdown {
+            // Stop before replying: raise the flag, queue a connection that
+            // wakes the accept loop, and unlink the socket, so that once
+            // the client has the reply no later client can reach this
+            // daemon (a second `mcheckd shutdown` finds none running).
+            state.stopping.store(true, Ordering::SeqCst);
+            let _ = UnixStream::connect(&state.socket);
+            let _ = std::fs::remove_file(&state.socket);
+        }
         let response = match outcome {
             Ok(result) => Json::Object(vec![("id".into(), id), ("result".into(), result)]),
             Err(msg) => Json::Object(vec![("id".into(), id), ("error".into(), Json::Str(msg))]),
@@ -170,9 +202,6 @@ fn serve_client(conn: UnixStream, state: &Arc<State>) {
             let _ = w.flush();
         }
         if shutdown {
-            // Wake the accept loop so it sees the flag.
-            state.stopping.store(true, Ordering::SeqCst);
-            let _ = UnixStream::connect(&state.socket);
             break;
         }
     }
@@ -194,7 +223,10 @@ fn dispatch(
     match method {
         "check" => (id, do_check(state, req.get("params")), false),
         "invalidate" => {
-            let mut session = state.session.lock().unwrap();
+            let mut session = match state.session() {
+                Ok(session) => session,
+                Err(e) => return (id, Err(e), false),
+            };
             match engine_for(&session.opts) {
                 Ok(fresh) => {
                     session.engine = fresh;
@@ -248,7 +280,7 @@ fn do_check(state: &Arc<State>, params: Option<&Json>) -> Result<Json, String> {
         },
     };
     let (checked, stats, jobs) = {
-        let mut session = state.session.lock().unwrap();
+        let mut session = state.session()?;
         let files = files.unwrap_or_else(|| session.opts.files.clone());
         if files.is_empty() {
             return Err("no files to check".into());
@@ -637,5 +669,52 @@ fn cli_run<I: IntoIterator<Item = String>>(args: I) -> Result<u8, CliError> {
             }
         },
         _ => unreachable!("command is validated above"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A panic while a request holds the session lock poisons it; the next
+    /// `check` must rebuild the session and answer exactly as a fresh
+    /// daemon would, and `invalidate` must keep working.
+    #[test]
+    fn a_panic_holding_the_session_leaves_the_daemon_serving() {
+        let dir = std::env::temp_dir().join(format!("mcheckd_poison_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let src = dir.join("h.c");
+        std::fs::write(
+            &src,
+            "void h(void) { MISCBUS_READ_DB(a, b); DB_FREE(); DB_FREE(); }\n",
+        )
+        .unwrap();
+        let opts = crate::parse_args(["--builtin".to_string(), src.display().to_string()]).unwrap();
+        let socket = dir.join("unbound.sock");
+        let fresh = State::new(&opts, &socket).unwrap();
+        let expected = do_check(&Arc::new(fresh), None).unwrap().to_compact();
+
+        let state = Arc::new(State::new(&opts, &socket).unwrap());
+        do_check(&state, None).unwrap();
+        let holder = Arc::clone(&state);
+        let crashed = std::thread::spawn(move || {
+            let _session = holder.session.lock().unwrap();
+            panic!("a check panicked mid-request");
+        })
+        .join();
+        assert!(crashed.is_err());
+        assert!(state.session.is_poisoned());
+
+        let after = do_check(&state, None).unwrap().to_compact();
+        assert_eq!(after, expected);
+        assert!(!state.session.is_poisoned());
+        let (_, invalidated, _) = dispatch(
+            r#"{"id": 1, "method": "invalidate"}"#,
+            &state,
+            &Arc::new(Mutex::new(UnixStream::pair().unwrap().0)),
+        );
+        assert!(invalidated.is_ok(), "{invalidated:?}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

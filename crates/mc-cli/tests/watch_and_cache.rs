@@ -133,8 +133,11 @@ fn binary_exit_codes_are_0_1_2() {
 
 /// Whether a deeply nested file fits on the stack does not depend on the
 /// worker count: `--jobs 1` checks on the main thread and `--jobs 2` on
-/// pool workers, and both print the same reports. Two shapes: 600 nested
-/// `if` blocks, and a 20,000-term `x + x + …` sum.
+/// pool workers, and both print the same reports. Four shapes: 600 nested
+/// `if` blocks, a 20,000-term `x + x + …` sum, 2,000 nested parentheses
+/// and 5,000 chained unary minus signs. The last two recurse through the
+/// parser's whole expression chain per level, so they guard its stack
+/// frames.
 #[test]
 fn deep_nesting_reports_identically_at_one_and_two_workers() {
     let dir = temp_dir("deep");
@@ -147,7 +150,18 @@ fn deep_nesting_reports_identically_at_one_and_two_workers() {
         "t = {}; MISCBUS_READ_DB(a, b);",
         vec!["x"; 20_000].join(" + ")
     );
-    for (shape, body) in [("nested", &nested), ("sum", &sum)] {
+    let parens = format!(
+        "t = {}x{}; MISCBUS_READ_DB(a, b);",
+        "(".repeat(2_000),
+        ")".repeat(2_000)
+    );
+    let negations = format!("t = {}x; MISCBUS_READ_DB(a, b);", "- ".repeat(5_000));
+    for (shape, body) in [
+        ("nested", &nested),
+        ("sum", &sum),
+        ("parens", &parens),
+        ("negations", &negations),
+    ] {
         let files: Vec<PathBuf> = (1..=2)
             .map(|i| {
                 let path = dir.join(format!("{shape}{i}.c"));

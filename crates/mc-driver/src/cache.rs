@@ -474,13 +474,35 @@ impl FromJson for ProgramRecord {
 /// than this belongs to a dead writer and may be taken over or evicted.
 const CLAIM_TTL: std::time::Duration = std::time::Duration::from_secs(600);
 
+/// The current time on `dir`'s filesystem clock: the mtime of a scratch
+/// file created there and removed again.
+///
+/// Record mtimes come from the kernel's file-timestamp clock, which can lag
+/// `SystemTime::now()` by up to a scheduler tick. A `run_start` taken from
+/// `now()` could therefore be *later* than the mtime of a record another
+/// writer stores just after this handle opens, and eviction would treat
+/// that fresh record as old. Stamping from the same clock as the records
+/// rules this out. Falls back to `now()` if the scratch file cannot be
+/// made (stores will then fail too and every load is a miss).
+fn fs_now(dir: &Path) -> std::time::SystemTime {
+    static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let seq = SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let path = dir.join(format!("open-{}-{seq}.stamp", std::process::id()));
+    let stamp = std::fs::File::create(&path)
+        .and_then(|f| f.metadata())
+        .and_then(|m| m.modified());
+    let _ = std::fs::remove_file(&path);
+    stamp.unwrap_or_else(|_| std::time::SystemTime::now())
+}
+
 /// A directory of cache record files.
 #[derive(Debug, Clone)]
 pub struct DiskCache {
     dir: PathBuf,
     cap_bytes: Option<u64>,
-    /// When this handle was opened. Eviction never removes files modified
-    /// at or after this stamp **unless this handle wrote them**, so
+    /// When this handle was opened, read from the filesystem's clock (see
+    /// [`fs_now`]). Eviction never removes files modified at or after this
+    /// stamp **unless this handle wrote them**, so
     /// concurrent writers sharing the directory (the shard farm) cannot
     /// evict each other's fresh records out from under a merge, while a
     /// single capped run still trims its own output to the bound.
@@ -503,9 +525,9 @@ impl DiskCache {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
         Ok(DiskCache {
+            run_start: fs_now(&dir),
             dir,
             cap_bytes: None,
-            run_start: std::time::SystemTime::now(),
             own: std::sync::Arc::new(std::sync::Mutex::new(std::collections::HashSet::new())),
         })
     }
@@ -611,8 +633,8 @@ impl DiskCache {
     ///
     /// The claim is a `clm-<key>.json` file created with `create_new`, so
     /// exactly one concurrent writer wins a fresh key. A claim whose
-    /// mtime is older than [`CLAIM_TTL`] belongs to a dead writer and is
-    /// taken over. Claims are purely an optimization plus an eviction
+    /// mtime is older than `CLAIM_TTL` (ten minutes) belongs to a dead
+    /// writer and is taken over. Claims are purely an optimization plus an eviction
     /// guard — never a correctness dependency: records are
     /// content-addressed and stored via tmp+rename, so two writers
     /// computing the same key merely duplicate work, and the last rename

@@ -441,9 +441,13 @@ pub(crate) struct UnitLocal {
 ///
 /// The metal engine name later left the suite key without a bump: that
 /// changed every key's value, so older records simply miss.
-pub const CACHE_FORMAT_VERSION: u32 = 8;
+///
+/// v9: the lexer decodes string and char literals as UTF-8 instead of
+/// byte by byte, so a function with a non-ASCII literal has a different
+/// AST and fingerprint, and its v8 records carry the mis-decoded text.
+pub const CACHE_FORMAT_VERSION: u32 = 9;
 
-/// Stack size of every thread that runs checks: [`Driver::pool_map`]'s
+/// Stack size of every thread that runs checks: `Driver::pool_map`'s
 /// workers and `mcheckd`'s connection threads. It matches the usual 8 MiB
 /// main-thread stack, so whether a deeply nested input fits does not
 /// depend on the worker count or the transport. Only the pages a thread

@@ -21,6 +21,8 @@
 //! [`Driver::interproc`] — local traversals resolve call sites through it
 //! via [`mc_cfg::SummaryLookup`], applying callee state transfers instead
 //! of stepping over calls blindly.
+//!
+//! [`Checker::summarize_function`]: crate::Checker::summarize_function
 
 use crate::driver::{CheckedUnit, Driver, FunctionContext};
 use mc_ast::Function;

@@ -20,7 +20,7 @@
 //! the base language".
 
 use crate::lang::*;
-use mc_ast::{Lexer, Parser as CParser, Span, Token, TokenKind};
+use mc_ast::{unescape, Lexer, Parser as CParser, Punct, Span, Token, TokenKind};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
@@ -68,8 +68,9 @@ impl MetalProgram {
     }
 }
 
-struct MetalParser {
-    tokens: Vec<Token>,
+struct MetalParser<'src> {
+    /// Ends with [`TokenKind::Eof`]; `pos` never moves past it.
+    tokens: Vec<Token<'src>>,
     pos: usize,
     wildcards: BTreeMap<String, TypeClass>,
     named: HashMap<String, Vec<Pattern>>,
@@ -86,20 +87,20 @@ enum RawTarget {
     Name(String, Span),
 }
 
-impl MetalParser {
-    fn peek(&self) -> &TokenKind {
-        &self.tokens[self.pos.min(self.tokens.len() - 1)].kind
+impl<'src> MetalParser<'src> {
+    fn peek(&self) -> TokenKind<'src> {
+        self.tokens[self.pos].kind
     }
 
     fn peek_span(&self) -> Span {
-        self.tokens[self.pos.min(self.tokens.len() - 1)].span
+        self.tokens[self.pos].span
     }
 
-    fn bump(&mut self) -> TokenKind {
-        let t = self.tokens[self.pos.min(self.tokens.len() - 1)]
-            .kind
-            .clone();
-        if self.pos < self.tokens.len() {
+    /// Consumes the current token (staying on the final `Eof`) and
+    /// returns it.
+    fn bump(&mut self) -> TokenKind<'src> {
+        let t = self.peek();
+        if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
         t
@@ -112,7 +113,7 @@ impl MetalParser {
         })
     }
 
-    fn eat_punct(&mut self, p: &str) -> bool {
+    fn eat_punct(&mut self, p: Punct) -> bool {
         if self.peek().is_punct(p) {
             self.bump();
             true
@@ -121,7 +122,7 @@ impl MetalParser {
         }
     }
 
-    fn expect_punct(&mut self, p: &str) -> Result<(), MetalParseError> {
+    fn expect_punct(&mut self, p: Punct) -> Result<(), MetalParseError> {
         if self.eat_punct(p) {
             Ok(())
         } else {
@@ -130,46 +131,46 @@ impl MetalParser {
     }
 
     fn expect_ident(&mut self) -> Result<String, MetalParseError> {
-        match self.peek().clone() {
+        match self.peek() {
             TokenKind::Ident(s) => {
                 self.bump();
-                Ok(s)
+                Ok(s.to_string())
             }
             other => self.err(format!("expected identifier, found `{other}`")),
         }
     }
 
     fn program(&mut self) -> Result<MetalProgram, MetalParseError> {
-        if !matches!(self.peek(), TokenKind::Ident(s) if s == "sm") {
+        if !self.peek().is_kw("sm") {
             return self.err("expected `sm`");
         }
         self.bump();
         let name = self.expect_ident()?;
-        self.expect_punct("{")?;
+        self.expect_punct(Punct::LBrace)?;
 
         // First pass collects raw items so states can forward-reference.
         let mut raw_states: Vec<(String, Span, RawRules)> = Vec::new();
-        while !self.eat_punct("}") {
+        while !self.eat_punct(Punct::RBrace) {
             match self.peek() {
                 TokenKind::Eof => return self.err("unexpected end of metal program"),
-                TokenKind::Ident(kw) if kw == "decl" => {
+                TokenKind::Ident("decl") => {
                     self.bump();
                     self.parse_decl()?;
                 }
-                TokenKind::Ident(kw) if kw == "pat" => {
+                TokenKind::Ident("pat") => {
                     self.bump();
                     let pname = self.expect_ident()?;
-                    self.expect_punct("=")?;
+                    self.expect_punct(Punct::Assign)?;
                     let pats = self.parse_alts()?;
-                    self.expect_punct(";")?;
+                    self.expect_punct(Punct::Semi)?;
                     self.named.insert(pname, pats);
                 }
                 TokenKind::Ident(_) => {
                     let sspan = self.peek_span();
                     let sname = self.expect_ident()?;
-                    self.expect_punct(":")?;
+                    self.expect_punct(Punct::Colon)?;
                     let rules = self.parse_rules()?;
-                    self.expect_punct(";")?;
+                    self.expect_punct(Punct::Semi)?;
                     raw_states.push((sname, sspan, rules));
                 }
                 other => return self.err(format!("unexpected token `{other}` in sm body")),
@@ -227,13 +228,13 @@ impl MetalParser {
 
     /// `decl { class } a, b, c ;` — registers wildcards.
     fn parse_decl(&mut self) -> Result<(), MetalParseError> {
-        self.expect_punct("{")?;
+        self.expect_punct(Punct::LBrace)?;
         let class_name = self.expect_ident()?;
         // Multi-word classes like `unsigned long` — consume extra idents.
         while matches!(self.peek(), TokenKind::Ident(_)) {
             self.bump();
         }
-        self.expect_punct("}")?;
+        self.expect_punct(Punct::RBrace)?;
         let class = match class_name.as_str() {
             "scalar" => TypeClass::Scalar,
             "unsigned" | "int" | "long" | "short" | "char" => TypeClass::Unsigned,
@@ -245,11 +246,11 @@ impl MetalParser {
         loop {
             let name = self.expect_ident()?;
             self.wildcards.insert(name, class);
-            if !self.eat_punct(",") {
+            if !self.eat_punct(Punct::Comma) {
                 break;
             }
         }
-        self.expect_punct(";")?;
+        self.expect_punct(Punct::Semi)?;
         Ok(())
     }
 
@@ -257,11 +258,11 @@ impl MetalParser {
     fn parse_alts(&mut self) -> Result<Vec<Pattern>, MetalParseError> {
         let mut pats = Vec::new();
         loop {
-            if self.peek().is_punct("{") {
+            if self.peek().is_punct(Punct::LBrace) {
                 pats.push(self.parse_fragment()?);
-            } else if let TokenKind::Ident(name) = self.peek().clone() {
+            } else if let TokenKind::Ident(name) = self.peek() {
                 // Named pattern reference.
-                match self.named.get(&name) {
+                match self.named.get(name) {
                     Some(expansion) => {
                         pats.extend(expansion.iter().cloned());
                         self.bump();
@@ -274,7 +275,7 @@ impl MetalParser {
                     self.peek()
                 ));
             }
-            if !self.eat_punct("|") {
+            if !self.eat_punct(Punct::Pipe) {
                 break;
             }
         }
@@ -284,7 +285,7 @@ impl MetalParser {
     /// Parses one `{ c-fragment }` into a [`Pattern`].
     fn parse_fragment(&mut self) -> Result<Pattern, MetalParseError> {
         let open_span = self.peek_span();
-        self.expect_punct("{")?;
+        self.expect_punct(Punct::LBrace)?;
         // Collect tokens until the matching close brace.
         let mut depth = 1usize;
         let mut inner: Vec<Token> = Vec::new();
@@ -296,28 +297,31 @@ impl MetalParser {
                         span: open_span,
                     })
                 }
-                TokenKind::Punct("{") => {
+                TokenKind::Punct(Punct::LBrace) => {
                     depth += 1;
-                    inner.push(self.tokens[self.pos].clone());
+                    inner.push(self.tokens[self.pos]);
                     self.bump();
                 }
-                TokenKind::Punct("}") => {
+                TokenKind::Punct(Punct::RBrace) => {
                     depth -= 1;
                     if depth == 0 {
                         self.bump();
                         break;
                     }
-                    inner.push(self.tokens[self.pos].clone());
+                    inner.push(self.tokens[self.pos]);
                     self.bump();
                 }
                 _ => {
-                    inner.push(self.tokens[self.pos].clone());
+                    inner.push(self.tokens[self.pos]);
                     self.bump();
                 }
             }
         }
         // Decide statement vs expression by trailing semicolon.
-        let is_stmt = matches!(inner.last().map(|t| &t.kind), Some(TokenKind::Punct(";")));
+        let is_stmt = matches!(
+            inner.last().map(|t| &t.kind),
+            Some(TokenKind::Punct(Punct::Semi))
+        );
         let mut toks = inner;
         toks.push(Token::new(TokenKind::Eof, open_span));
         let wildcard_names = self.wildcards.keys().cloned().collect();
@@ -345,14 +349,14 @@ impl MetalParser {
         loop {
             let rspan = self.peek_span();
             let patterns = self.parse_rule_atom()?;
-            let (target, actions) = if self.peek().is_punct("==>") {
+            let (target, actions) = if self.peek().is_punct(Punct::FatArrow) {
                 self.bump();
                 self.parse_target()?
             } else {
                 (RawTarget::Stay, Vec::new())
             };
             rules.push((rspan, patterns, target, actions));
-            if !self.eat_punct("|") {
+            if !self.eat_punct(Punct::Pipe) {
                 break;
             }
         }
@@ -362,10 +366,10 @@ impl MetalParser {
     /// One pattern atom in rule position: a `{ fragment }` or a named
     /// pattern reference (which may expand to several alternatives).
     fn parse_rule_atom(&mut self) -> Result<Vec<Pattern>, MetalParseError> {
-        if self.peek().is_punct("{") {
+        if self.peek().is_punct(Punct::LBrace) {
             Ok(vec![self.parse_fragment()?])
-        } else if let TokenKind::Ident(name) = self.peek().clone() {
-            match self.named.get(&name) {
+        } else if let TokenKind::Ident(name) = self.peek() {
+            match self.named.get(name) {
                 Some(expansion) => {
                     let pats = expansion.clone();
                     self.bump();
@@ -385,16 +389,16 @@ impl MetalParser {
     /// state name followed by an action block.
     fn parse_target(&mut self) -> Result<(RawTarget, Vec<Action>), MetalParseError> {
         let mut target = RawTarget::Stay;
-        if let TokenKind::Ident(name) = self.peek().clone() {
+        if let TokenKind::Ident(name) = self.peek() {
             let span = self.peek_span();
             self.bump();
             target = if name == "stop" {
                 RawTarget::Stop
             } else {
-                RawTarget::Name(name, span)
+                RawTarget::Name(name.to_string(), span)
             };
         }
-        let actions = if self.peek().is_punct("{") {
+        let actions = if self.peek().is_punct(Punct::LBrace) {
             self.parse_actions()?
         } else {
             Vec::new()
@@ -407,33 +411,33 @@ impl MetalParser {
 
     /// `{ err("msg"); warn("msg"); }`
     fn parse_actions(&mut self) -> Result<Vec<Action>, MetalParseError> {
-        self.expect_punct("{")?;
+        self.expect_punct(Punct::LBrace)?;
         let mut actions = Vec::new();
-        while !self.eat_punct("}") {
+        while !self.eat_punct(Punct::RBrace) {
             let func = self.expect_ident()?;
-            self.expect_punct("(")?;
+            self.expect_punct(Punct::LParen)?;
             let msg = match self.bump() {
-                TokenKind::Str(s) => s,
+                TokenKind::Str(raw) => unescape(raw).into_owned(),
                 other => return self.err(format!("expected string literal, found `{other}`")),
             };
             // Optional extra arguments are allowed and ignored (the paper's
             // err() takes printf-style arguments; our messages interpolate
             // wildcard bindings with %name instead).
-            while self.eat_punct(",") {
+            while self.eat_punct(Punct::Comma) {
                 // skip one balanced argument expression (tokens until , or ))
                 let mut depth = 0usize;
                 loop {
                     match self.peek() {
-                        TokenKind::Punct("(") => {
+                        TokenKind::Punct(Punct::LParen) => {
                             depth += 1;
                             self.bump();
                         }
-                        TokenKind::Punct(")") if depth == 0 => break,
-                        TokenKind::Punct(")") => {
+                        TokenKind::Punct(Punct::RParen) if depth == 0 => break,
+                        TokenKind::Punct(Punct::RParen) => {
                             depth -= 1;
                             self.bump();
                         }
-                        TokenKind::Punct(",") if depth == 0 => break,
+                        TokenKind::Punct(Punct::Comma) if depth == 0 => break,
                         TokenKind::Eof => return self.err("unterminated action argument"),
                         _ => {
                             self.bump();
@@ -441,8 +445,8 @@ impl MetalParser {
                     }
                 }
             }
-            self.expect_punct(")")?;
-            self.expect_punct(";")?;
+            self.expect_punct(Punct::RParen)?;
+            self.expect_punct(Punct::Semi)?;
             match func.as_str() {
                 "err" => actions.push(Action::Err(msg)),
                 "warn" => actions.push(Action::Warn(msg)),

@@ -28,7 +28,7 @@
 //! value lies in the `i64` range. Comparisons, however, observe the
 //! actual (possibly wrapped) `i64` value, so every constraint whose
 //! operand can leave the range (under any `i64` valuation of the
-//! symbols) carries that operand as a *range guard*, and [`Exec::decide`]
+//! symbols) carries that operand as a *range guard*, and `Exec::decide`
 //! refutes only when the path is infeasible with all guards in range
 //! *and* no guard can leave the range in the first place. A path
 //! feasible solely through wraparound (`gNak = gCredit + 1;` then a

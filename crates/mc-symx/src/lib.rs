@@ -9,7 +9,7 @@
 //!    statements and branch decisions through the function's CFG
 //!    ([`path`]);
 //! 2. **slice** the path backward to the statements its conditions depend
-//!    on ([`slice`]);
+//!    on ([`slice`](mod@slice));
 //! 3. **execute** the slice symbolically, collecting the path condition as
 //!    a conjunction of linear integer constraints ([`exec`]);
 //! 4. **solve** with a bounded Fourier–Motzkin core ([`solver`]).
