@@ -199,15 +199,6 @@ impl Type {
             Type::Array(inner, len) => inner.size_bits() * len.unwrap_or(2).max(0) as u64,
         }
     }
-
-    /// Returns `true` for scalar (integer/enum/pointer) types — the class
-    /// matched by a metal `decl { scalar }` wildcard.
-    pub fn is_scalar(&self) -> bool {
-        matches!(
-            self,
-            Type::Int { .. } | Type::Enum(_) | Type::Ptr(_) | Type::Named(_)
-        )
-    }
 }
 
 /// Storage-class / qualifier flags on a declaration.
@@ -624,18 +615,6 @@ mod tests {
         assert_eq!(Type::int().size_bits(), 32);
         assert_eq!(Type::Array(Box::new(Type::int()), Some(4)).size_bits(), 128);
         assert_eq!(Type::Ptr(Box::new(Type::Void)).size_bits(), 64);
-    }
-
-    #[test]
-    fn scalar_classification() {
-        assert!(Type::unsigned().is_scalar());
-        assert!(Type::Ptr(Box::new(Type::int())).is_scalar());
-        assert!(!Type::Void.is_scalar());
-        assert!(!Type::Struct {
-            name: "S".into(),
-            is_union: false
-        }
-        .is_scalar());
     }
 
     #[test]

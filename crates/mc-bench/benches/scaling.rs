@@ -5,10 +5,10 @@
 //!    function has `2^k` paths, so exhaustive walking explodes while the
 //!    state-set worklist stays linear (same reports for finite-state
 //!    checkers).
-//! 2. **Pattern indexing.** Pre-filtering patterns by required identifiers
-//!    vs. structurally comparing every pattern at every node, and both
-//!    interpreter modes vs. the compiled decision program the driver
-//!    runs. Every bar must give the interpreter's reports (asserted here).
+//! 2. **Pattern indexing.** The interpreter, which pre-filters patterns by
+//!    required identifiers, vs. the compiled decision program the driver
+//!    runs. The compiled bar must give the interpreter's reports (asserted
+//!    here).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mc_ast::parse_translation_unit;
@@ -98,7 +98,6 @@ fn bench_pattern_index(c: &mut Criterion) {
                     reports.append(&mut m.reports);
                 } else {
                     let mut m = MetalMachine::new(&prog);
-                    m.use_index = label == "indexed";
                     let init = m.start_state();
                     run_machine(&cfg, &mut m, init, Mode::StateSet);
                     reports.append(&mut m.reports);
@@ -110,7 +109,7 @@ fn bench_pattern_index(c: &mut Criterion) {
     let baseline = run("indexed");
     let mut g = c.benchmark_group("pattern_index");
     g.sample_size(20);
-    for label in ["indexed", "linear", "compiled"] {
+    for label in ["indexed", "compiled"] {
         g.bench_function(label, |b| {
             b.iter(|| {
                 let reports = run(label);

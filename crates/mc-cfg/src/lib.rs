@@ -49,8 +49,8 @@ mod witness;
 pub use build::{Block, BlockId, Cfg, Node, Terminator};
 pub use feasibility::FactSet;
 pub use machine::{
-    feasibility_stats, run_machine, run_traversal, run_traversal_seeded, run_traversal_with,
-    seed_facts, EndCollector, Mode, PathEvent, PathMachine, Traversal, TraversalStats,
+    feasibility_stats, run_machine, run_traversal, run_traversal_with, EndCollector, Mode,
+    PathEvent, PathMachine, Traversal, TraversalStats,
 };
 pub use stats::PathStats;
 pub use summary::{

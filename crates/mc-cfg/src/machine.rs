@@ -261,21 +261,6 @@ pub fn run_traversal_with<M: PathMachine>(
     oracle: Option<&dyn SummaryLookup>,
 ) -> TraversalStats {
     let init_facts = initial_facts(cfg, traversal.prune);
-    run_traversal_seeded(cfg, machine, init, traversal, oracle, init_facts)
-}
-
-/// Like [`run_traversal_with`], but starts from a precomputed [`seed_facts`]
-/// result instead of re-walking the function. Callers running several
-/// machines over the same CFG compute the seed once and pass clones — with
-/// no facts established yet a clone only bumps the escape set's refcount.
-pub fn run_traversal_seeded<M: PathMachine>(
-    cfg: &Cfg,
-    machine: &mut M,
-    init: M::State,
-    traversal: Traversal,
-    oracle: Option<&dyn SummaryLookup>,
-    init_facts: FactSet,
-) -> TraversalStats {
     let mut refuted: FastSet<(BlockId, usize)> = FastSet::default();
     // A single-state machine visits each event about once, so the node
     // count is the right order of magnitude for the arena; wide state sets
@@ -470,11 +455,6 @@ fn flow_block<M: PathMachine>(
 /// an untracked lvalue (`*p = …`) must clobber a variable's facts even when
 /// its address was taken before the fact was established or in a sibling
 /// branch, so the seed covers the whole function, not just the current path.
-/// See [`run_traversal_seeded`] for why a caller would precompute it.
-pub fn seed_facts(cfg: &Cfg, prune: bool) -> FactSet {
-    initial_facts(cfg, prune)
-}
-
 fn initial_facts(cfg: &Cfg, prune: bool) -> FactSet {
     if !prune {
         return FactSet::new();

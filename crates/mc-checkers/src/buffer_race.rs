@@ -4,27 +4,12 @@
 //! still filling the data buffer. Reading the buffer (`MISCBUS_READ_DB`)
 //! without first synchronizing (`WAIT_FOR_DB_FULL`) races the hardware.
 //! The checker itself is the metal program in
-//! [`crate::WAIT_FOR_DB_METAL`]; this module provides a convenience runner
-//! and statistics helper used by the Table 2 reproduction.
+//! [`crate::WAIT_FOR_DB_METAL`], which the driver compiles like any
+//! other; this module provides the statistics helper used by the Table 2
+//! reproduction.
 
 use crate::flash;
 use mc_ast::{walk_function, Expr, Function, Visitor};
-use mc_cfg::{run_machine, Cfg, Mode};
-use mc_metal::{MetalMachine, MetalProgram, MetalReport};
-
-/// Runs the Figure 2 checker over one function, returning its reports.
-///
-/// # Panics
-///
-/// Panics if the embedded metal source is invalid (checked by tests).
-pub fn check_function(func: &Function) -> Vec<MetalReport> {
-    let prog = MetalProgram::parse(crate::WAIT_FOR_DB_METAL).expect("Figure 2 parses");
-    let cfg = Cfg::build(func);
-    let mut machine = MetalMachine::new(&prog);
-    let init = machine.start_state();
-    run_machine(&cfg, &mut machine, init, Mode::StateSet);
-    machine.reports
-}
 
 /// Counts the `MISCBUS_READ_DB` uses in a function — the "Applied" column
 /// of Table 2 ("the number of reads performed").
@@ -48,6 +33,17 @@ pub fn count_reads(func: &Function) -> usize {
 mod tests {
     use super::*;
     use mc_ast::parse_translation_unit;
+    use mc_driver::{Driver, Report};
+
+    /// Runs the Figure 2 checker through the driver's compiled engine over
+    /// `src`, walking every syntactic path like the paper's xg++.
+    fn check_function(src: &str) -> Vec<Report> {
+        let mut d = Driver::new();
+        d.prune(false)
+            .add_metal_source(crate::WAIT_FOR_DB_METAL)
+            .expect("Figure 2 compiles");
+        d.check_source(src, "t.c").unwrap()
+    }
 
     fn func(src: &str) -> mc_ast::Function {
         let tu = parse_translation_unit(src, "t.c").unwrap();
@@ -57,34 +53,32 @@ mod tests {
 
     #[test]
     fn race_detected() {
-        let f = func("void h(void) { MISCBUS_READ_DB(a, b); }");
-        let r = check_function(&f);
+        let f = "void h(void) { MISCBUS_READ_DB(a, b); }";
+        let r = check_function(f);
         assert_eq!(r.len(), 1);
         assert!(r[0].message.contains("not synchronized"));
     }
 
     #[test]
     fn synchronized_read_clean() {
-        let f = func("void h(void) { WAIT_FOR_DB_FULL(a); MISCBUS_READ_DB(a, b); }");
-        assert!(check_function(&f).is_empty());
+        let f = "void h(void) { WAIT_FOR_DB_FULL(a); MISCBUS_READ_DB(a, b); }";
+        assert!(check_function(f).is_empty());
     }
 
     #[test]
     fn late_wait_on_needed_path_only_is_fine() {
         // The paper: WAIT_FOR_DB_FULL is called as late as possible, only
         // on paths that read the buffer.
-        let f = func(
-            "void h(void) { if (needs_data) { WAIT_FOR_DB_FULL(a); MISCBUS_READ_DB(a, b); } DB_FREE(); }",
-        );
-        assert!(check_function(&f).is_empty());
+        let f = "void h(void) { if (needs_data) { WAIT_FOR_DB_FULL(a); MISCBUS_READ_DB(a, b); } DB_FREE(); }";
+        assert!(check_function(f).is_empty());
     }
 
     #[test]
     fn first_byte_shortcut_is_still_a_race() {
         // One of the real bitvector bugs: only the first byte was read
         // without synchronization.
-        let f = func("void h(void) { x = MISCBUS_READ_DB(a, 0) & 255; WAIT_FOR_DB_FULL(a); }");
-        assert_eq!(check_function(&f).len(), 1);
+        let f = "void h(void) { x = MISCBUS_READ_DB(a, 0) & 255; WAIT_FOR_DB_FULL(a); }";
+        assert_eq!(check_function(f).len(), 1);
     }
 
     #[test]

@@ -9,22 +9,6 @@
 
 use crate::flash;
 use mc_ast::{walk_function, Expr, Function, Visitor};
-use mc_cfg::{run_machine, Cfg, Mode};
-use mc_metal::{MetalMachine, MetalProgram, MetalReport};
-
-/// Runs the Figure 3 checker over one function.
-///
-/// # Panics
-///
-/// Panics if the embedded metal source is invalid (checked by tests).
-pub fn check_function(func: &Function) -> Vec<MetalReport> {
-    let prog = MetalProgram::parse(crate::MSGLEN_METAL).expect("Figure 3 parses");
-    let cfg = Cfg::build(func);
-    let mut machine = MetalMachine::new(&prog);
-    let init = machine.start_state();
-    run_machine(&cfg, &mut machine, init, Mode::StateSet);
-    machine.reports
-}
 
 /// Counts the sends in a function — the "Applied" column of Table 3 (each
 /// send reached by the checker is one application of the consistency
@@ -49,6 +33,17 @@ pub fn count_sends(func: &Function) -> usize {
 mod tests {
     use super::*;
     use mc_ast::parse_translation_unit;
+    use mc_driver::{Driver, Report};
+
+    /// Runs the Figure 3 checker through the driver's compiled engine over
+    /// `src`, walking every syntactic path like the paper's xg++.
+    fn check_function(src: &str) -> Vec<Report> {
+        let mut d = Driver::new();
+        d.prune(false)
+            .add_metal_source(crate::MSGLEN_METAL)
+            .expect("Figure 3 compiles");
+        d.check_source(src, "t.c").unwrap()
+    }
 
     fn func(src: &str) -> mc_ast::Function {
         let tu = parse_translation_unit(src, "t.c").unwrap();
@@ -60,17 +55,15 @@ mod tests {
     fn stale_len_from_earlier_branch() {
         // The classic shape: length assigned hundreds of lines before the
         // send that uses it, through intervening control flow.
-        let f = func(
-            r#"void NIUncachedRead(void) {
+        let f = r#"void NIUncachedRead(void) {
                 HANDLER_GLOBALS(header.nh.len) = LEN_NODATA;
                 if (dirty_remote) {
                     if (queue_full) {
                         NI_SEND(t, F_DATA, k, w, d, n);
                     }
                 }
-            }"#,
-        );
-        let r = check_function(&f);
+            }"#;
+        let r = check_function(f);
         assert_eq!(r.len(), 1);
         assert_eq!(r[0].message, "data send, zero len");
     }
@@ -80,34 +73,30 @@ mod tests {
         // Programmers assume the incoming message's length can be reused;
         // with no assignment at all the checker stays in `all` and keeps
         // quiet (it does not do the global analysis for initial values).
-        let f = func("void h(void) { NI_SEND(t, F_DATA, k, w, d, n); }");
-        assert!(check_function(&f).is_empty());
+        let f = "void h(void) { NI_SEND(t, F_DATA, k, w, d, n); }";
+        assert!(check_function(f).is_empty());
     }
 
     #[test]
     fn nodata_send_with_cacheline_len() {
-        let f = func(
-            r#"void h(void) {
+        let f = r#"void h(void) {
                 HANDLER_GLOBALS(header.nh.len) = LEN_CACHELINE;
                 PI_SEND(F_NODATA, k, s, w, d, n);
-            }"#,
-        );
-        let r = check_function(&f);
+            }"#;
+        let r = check_function(f);
         assert_eq!(r.len(), 1);
         assert_eq!(r[0].message, "nodata send, nonzero len");
     }
 
     #[test]
     fn consistent_pairs_are_clean() {
-        let f = func(
-            r#"void h(void) {
+        let f = r#"void h(void) {
                 HANDLER_GLOBALS(header.nh.len) = LEN_WORD;
                 IO_SEND(F_DATA, k, s, w, d, n);
                 HANDLER_GLOBALS(header.nh.len) = LEN_NODATA;
                 IO_SEND(F_NODATA, k, s, w, d, n);
-            }"#,
-        );
-        assert!(check_function(&f).is_empty());
+            }"#;
+        assert!(check_function(f).is_empty());
     }
 
     #[test]
@@ -115,8 +104,7 @@ mod tests {
         // The coma false-positive shape: a variable selects the send
         // parameter at run time; the checker cannot prune the impossible
         // combination. It (correctly, per the paper) still reports.
-        let f = func(
-            r#"void h(void) {
+        let f = r#"void h(void) {
                 if (has) {
                     HANDLER_GLOBALS(header.nh.len) = LEN_WORD;
                 } else {
@@ -127,10 +115,9 @@ mod tests {
                 } else {
                     PI_SEND(F_NODATA, k, s, w, d, n);
                 }
-            }"#,
-        );
+            }"#;
         // Four static paths, two impossible ones both flagged.
-        assert_eq!(check_function(&f).len(), 2);
+        assert_eq!(check_function(f).len(), 2);
     }
 
     #[test]

@@ -12,8 +12,6 @@ pub struct Options {
     pub builtin: bool,
     /// Optional FlashSpec JSON path.
     pub spec: Option<PathBuf>,
-    /// Use exhaustive traversal instead of the state-set worklist.
-    pub exhaustive: bool,
     /// Worker threads for parsing and checking (`None`: available
     /// parallelism). Reports are identical at any worker count.
     pub jobs: Option<usize>,
@@ -94,7 +92,6 @@ impl Default for Options {
             checkers: Vec::new(),
             builtin: false,
             spec: None,
-            exhaustive: false,
             jobs: None,
             prune: true,
             interproc: false,
@@ -126,7 +123,6 @@ usage: mcheck [OPTIONS] <file.c>...
   --builtin                add the built-in FLASH checker suite
   --spec <spec.json>       FlashSpec tables (handler classes, lane quotas,
                            routine tables) for the native checkers
-  --mode <state-set|exhaustive>   path traversal mode (default state-set)
   --jobs <n>               worker threads for parsing and checking
                            (default: available parallelism; output is
                            identical at any worker count)
@@ -214,17 +210,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Options, Cl
             "--checker" => opts.checkers.push(value("a file")?.into()),
             "--builtin" => opts.builtin = true,
             "--spec" => opts.spec = Some(value("a file")?.into()),
-            "--mode" => {
-                opts.exhaustive = match value("a value")?.as_str() {
-                    "state-set" => false,
-                    "exhaustive" => true,
-                    other => {
-                        return Err(CliError(format!(
-                            "unknown mode `{other}` (state-set | exhaustive)"
-                        )))
-                    }
-                }
-            }
             "--jobs" => opts.jobs = Some(positive(flag, &value("a number")?, "integer")?),
             "--prune" => opts.prune = true,
             "--no-prune" => opts.prune = false,
@@ -371,9 +356,8 @@ mod tests {
 
     #[test]
     fn parses_typical_invocation() {
-        let o = args(&["--builtin", "--mode", "exhaustive", "a.c", "b.c"]).unwrap();
+        let o = args(&["--builtin", "a.c", "b.c"]).unwrap();
         assert!(o.builtin);
-        assert!(o.exhaustive);
         assert_eq!(o.files.len(), 2);
     }
 
@@ -597,11 +581,15 @@ mod tests {
     }
 
     /// The removed oracle flags stay unknown: the metal interpreter is
-    /// reached only through a test-side checker adapter, and invalidation
-    /// has one mode.
+    /// reached only through a test-side checker adapter, invalidation has
+    /// one mode, and exhaustive traversal only through `Driver::mode`.
     #[test]
     fn oracle_modes_are_unknown_options() {
-        for flag in [["--metal-engine", "interp"], ["--invalidate", "component"]] {
+        for flag in [
+            ["--metal-engine", "interp"],
+            ["--invalidate", "component"],
+            ["--mode", "exhaustive"],
+        ] {
             let err = args(&["--builtin", flag[0], flag[1], "a.c"]).unwrap_err();
             assert!(err.0.starts_with("unknown option"), "{err}");
             assert!(!USAGE.contains(flag[0]));

@@ -466,10 +466,6 @@ fn config_args(opts: &Options) -> Vec<std::ffi::OsString> {
         args.push("--spec".into());
         args.push(spec.into());
     }
-    if opts.exhaustive {
-        args.push("--mode".into());
-        args.push("exhaustive".into());
-    }
     if let Some(jobs) = opts.jobs {
         args.push("--jobs".into());
         args.push(jobs.to_string().into());

@@ -71,11 +71,6 @@ pub fn build_driver(opts: &Options) -> Result<Driver, CliError> {
     };
 
     let mut driver = Driver::new();
-    if opts.exhaustive {
-        driver.mode = mc_cfg::Mode::Exhaustive {
-            max_paths: 1_000_000,
-        };
-    }
     driver.prune(opts.prune);
     driver.interproc(opts.interproc);
     driver.refute(opts.refute);

@@ -1,11 +1,12 @@
-//! Compilation of metal programs to indexed decision programs.
+//! Compilation of metal programs to indexed decision programs — the
+//! engine the driver runs.
 //!
-//! The interpreted engine ([`crate::MetalMachine`]) walks the pattern AST
+//! The interpreter ([`crate::MetalMachine`]) walks the pattern AST
 //! recursively for every `(candidate, pattern)` pair and re-derives a
-//! per-candidate identifier set for the `required_idents` pre-filter. That
-//! is the hot loop of the whole checker: the paper's throughput numbers are
-//! dominated by it. This module lowers a parsed [`MetalProgram`] once, at
-//! load time, into a [`CompiledProgram`]:
+//! per-candidate identifier set for the `required_idents` pre-filter; it is
+//! kept as the reference semantics the tests hold this module to. This
+//! module lowers a parsed [`MetalProgram`] once, at load time, into a
+//! [`CompiledProgram`]:
 //!
 //! * a **dispatch index** per state, keyed on the candidate's root
 //!   expression kind and head identifier, so a candidate only ever meets
@@ -18,13 +19,16 @@
 //!   diagnosed once, when the checker is loaded, instead of silently doing
 //!   nothing at check time.
 //!
-//! [`CompiledMachine`] produces byte-identical reports to the interpreter:
-//! the index only skips patterns that cannot match, rule order is preserved
-//! by merging index buckets on rule/pattern ordinals, and the bytecode
-//! replays exactly the comparison and binding order of
+//! Pattern matching does not depend on the machine's state, so a
+//! [`CandidatePlan`] runs the index and bytecode once per function, for
+//! every event node and every state. [`CompiledMachine::with_plan`] then
+//! only replays the plan down each path. The reports are byte-identical to
+//! the interpreter's: the index only skips patterns that cannot match, rule
+//! order is preserved by merging index buckets on rule/pattern ordinals,
+//! and the bytecode replays exactly the comparison and binding order of
 //! [`crate::matcher`].
 
-use crate::engine::{interpolate, postorder, stmt_candidates, Candidate, MetalReport};
+use crate::engine::{interpolate, Candidate, MetalReport};
 use crate::lang::{
     Action, MetalProgram, Pattern, PatternKind, Rule, RuleTarget, StateId, TypeClass,
 };
@@ -310,8 +314,6 @@ struct StateIndex {
     ret_some: Vec<Entry>,
     decl: Vec<Entry>,
     empty: Vec<Entry>,
-    brk: Vec<Entry>,
-    cont: Vec<Entry>,
 }
 
 fn key_of(tag: usize, sym: Sym) -> u64 {
@@ -446,7 +448,6 @@ impl UnionPrefilter {
 pub struct CompiledProgram {
     name: String,
     state_names: Vec<String>,
-    all_state: Option<StateId>,
     rules: Vec<CompiledRule>,
     patterns: Vec<CompiledPattern>,
     states: Vec<StateIndex>,
@@ -526,7 +527,6 @@ impl CompiledProgram {
         let mut cp = CompiledProgram {
             name: prog.name.clone(),
             state_names: prog.states.iter().map(|s| s.name.clone()).collect(),
-            all_state: prog.all_state,
             rules,
             patterns,
             states,
@@ -562,6 +562,120 @@ impl CompiledProgram {
     /// Load-time validation warnings, in deterministic source order.
     pub fn diagnostics(&self) -> &[CompileDiag] {
         &self.diagnostics
+    }
+
+    /// Dispatches one expression candidate through the state's index: the
+    /// keyed, per-kind, and generic buckets are merged on ordinals so the
+    /// first match found is the first match the interpreter would find.
+    ///
+    /// Returns the matched `(rule, pattern)` ids; on success the caller's
+    /// `slots` hold the bindings (pattern [`NO_PAT`] means a bindingless
+    /// match whose slots are meaningless). Every pattern execution counts
+    /// one in `attempts`.
+    fn find_expr<'a>(
+        &self,
+        state: StateId,
+        e: &'a Expr,
+        stack: &mut Vec<&'a Expr>,
+        slots: &mut [Option<&'a Expr>],
+        attempts: &mut u64,
+    ) -> Option<(u32, u32)> {
+        let idx = &self.states[state.0];
+        let tag = expr_tag(&e.kind);
+        let keyed: &[Entry] = if idx.has_key[tag] {
+            match head_ident(e).and_then(|n| self.interner.lookup(n)) {
+                Some(sym) => idx
+                    .by_key
+                    .get(&key_of(tag, sym))
+                    .map(|v| v.as_slice())
+                    .unwrap_or(&[]),
+                None => &[],
+            }
+        } else {
+            &[]
+        };
+        let kinded: &[Entry] = &idx.by_kind[tag];
+        let generic: &[Entry] = &idx.generic;
+
+        let (mut i, mut j, mut k) = (0usize, 0usize, 0usize);
+        loop {
+            let a = keyed.get(i).map_or(u32::MAX, |en| en.ord);
+            let b = kinded.get(j).map_or(u32::MAX, |en| en.ord);
+            let c = generic.get(k).map_or(u32::MAX, |en| en.ord);
+            if a == u32::MAX && b == u32::MAX && c == u32::MAX {
+                return None;
+            }
+            let entry = if a <= b && a <= c {
+                i += 1;
+                keyed[i - 1]
+            } else if b <= c {
+                j += 1;
+                kinded[j - 1]
+            } else {
+                k += 1;
+                generic[k - 1]
+            };
+            *attempts += 1;
+            let pat = &self.patterns[entry.pat as usize];
+            if exec(&pat.ops, e, &self.interner, stack, slots) {
+                return Some((entry.rule, entry.pat));
+            }
+        }
+    }
+
+    /// Dispatches one statement candidate through the per-kind statement
+    /// buckets (each already in ordinal order). Only the statement kinds a
+    /// CFG keeps as event nodes (expression, declaration, empty) can match;
+    /// `return` is resolved by the plan itself. Return convention as in
+    /// [`CompiledProgram::find_expr`].
+    fn find_stmt<'a>(
+        &self,
+        state: StateId,
+        s: &'a Stmt,
+        stack: &mut Vec<&'a Expr>,
+        slots: &mut [Option<&'a Expr>],
+        attempts: &mut u64,
+    ) -> Option<(u32, u32)> {
+        let idx = &self.states[state.0];
+        match &s.kind {
+            StmtKind::Expr(e) => {
+                for entry in &idx.expr_stmt {
+                    *attempts += 1;
+                    let pat = &self.patterns[entry.pat as usize];
+                    if exec(&pat.ops, e, &self.interner, stack, slots) {
+                        return Some((entry.rule, entry.pat));
+                    }
+                }
+                None
+            }
+            StmtKind::Decl(d) => {
+                for entry in &idx.decl {
+                    *attempts += 1;
+                    let pat = &self.patterns[entry.pat as usize];
+                    let PatShape::Decl { ty, name, has_init } = &pat.shape else {
+                        continue;
+                    };
+                    if *ty != d.ty || *name != d.name {
+                        continue;
+                    }
+                    match (*has_init, &d.init) {
+                        (false, None) => return Some((entry.rule, NO_PAT)),
+                        (true, Some(Initializer::Expr(e)))
+                            if exec(&pat.ops, e, &self.interner, stack, slots) =>
+                        {
+                            return Some((entry.rule, entry.pat));
+                        }
+                        _ => {}
+                    }
+                }
+                None
+            }
+            StmtKind::Empty => idx.empty.first().map(|e| {
+                *attempts += 1;
+                (e.rule, NO_PAT)
+            }),
+            _ => None,
+        }
     }
 }
 
@@ -748,9 +862,8 @@ fn register(idx: &mut StateIndex, entry: Entry, pat: &CompiledPattern) {
         PatShape::ReturnSome => idx.ret_some.push(entry),
         PatShape::Decl { .. } => idx.decl.push(entry),
         PatShape::Empty => idx.empty.push(entry),
-        PatShape::Break => idx.brk.push(entry),
-        PatShape::Continue => idx.cont.push(entry),
-        PatShape::Never => {}
+        // Break and continue are CFG edges, never event nodes.
+        PatShape::Break | PatShape::Continue | PatShape::Never => {}
     }
 }
 
@@ -1092,71 +1205,47 @@ fn exec<'a>(
     true
 }
 
-/// A compiled program bound to a report sink, ready to run over CFGs.
+/// A compiled program bound to a report sink and to the [`CandidatePlan`]
+/// of the CFG it runs over: the engine the driver runs.
 ///
-/// Drop-in replacement for [`crate::MetalMachine`]: same candidate
-/// enumeration, same first-match-wins rule selection (via ordinal-merged
-/// index buckets), same report dedup — the two engines produce identical
-/// [`MetalReport`] lists and application counts on any input.
+/// It gives the same reports, application counts and candidate counts as
+/// the reference interpreter ([`crate::MetalMachine`]): the plan holds, per
+/// event node and state, the first match the interpreter's rule-order
+/// search would find, so a step only replays it.
 #[derive(Debug)]
 pub struct CompiledMachine<'p> {
     prog: &'p CompiledProgram,
     /// Precomputed per-function match results (see [`CandidatePlan`]).
-    plan: Option<&'p CandidatePlan<'p>>,
+    plan: &'p CandidatePlan<'p>,
     /// Reports produced so far (deduplicated by message and location).
     pub reports: Vec<MetalReport>,
     seen: HashSet<(String, Span)>,
     /// Number of rule firings (pattern matches), including ones with no
     /// action.
     pub applications: usize,
-    /// Number of candidate nodes scanned (comparable with
-    /// [`crate::MetalMachine::candidates`]).
+    /// Number of candidate nodes visited (comparable with
+    /// [`crate::MetalMachine::candidates`]). The match work is spent once,
+    /// when the plan is built: see [`CandidatePlan::attempts`].
     pub candidates: u64,
-    /// Number of bytecode match attempts — pattern executions that
-    /// survived index dispatch. The dispatch benchmark compares this with
-    /// the interpreter's structural-comparison count. A machine running
-    /// from a [`CandidatePlan`] attempts nothing per event; the build-time
-    /// attempts are on [`CandidatePlan::attempts`].
-    pub attempts: u64,
 }
 
 impl<'p> CompiledMachine<'p> {
-    /// Creates a machine for `prog` with an empty report sink.
-    pub fn new(prog: &'p CompiledProgram) -> Self {
+    /// Creates a machine that replays `plan`, which must have been built
+    /// from `prog` over the CFG about to be traversed.
+    pub fn with_plan(prog: &'p CompiledProgram, plan: &'p CandidatePlan<'p>) -> Self {
         CompiledMachine {
             prog,
-            plan: None,
+            plan,
             reports: Vec::new(),
             seen: HashSet::new(),
             applications: 0,
             candidates: 0,
-            attempts: 0,
         }
-    }
-
-    /// Creates a machine that replays `plan` (built from the same program
-    /// over the CFG about to be traversed) instead of matching per event.
-    /// Report lists, application and candidate counts are identical to
-    /// [`CompiledMachine::new`]; only the per-event cost changes.
-    pub fn with_plan(prog: &'p CompiledProgram, plan: &'p CandidatePlan<'p>) -> Self {
-        let mut m = CompiledMachine::new(prog);
-        m.plan = Some(plan);
-        m
     }
 
     /// The program's start state, to pass to [`mc_cfg::run_machine`].
     pub fn start_state(&self) -> StateId {
         self.prog.start_state()
-    }
-
-    /// The underlying compiled program.
-    pub fn program(&self) -> &CompiledProgram {
-        self.prog
-    }
-
-    /// Errors only (excludes warnings).
-    pub fn errors(&self) -> impl Iterator<Item = &MetalReport> {
-        self.reports.iter().filter(|r| r.is_error)
     }
 
     fn fire(
@@ -1186,176 +1275,6 @@ impl<'p> CompiledMachine<'p> {
                 });
             }
         }
-    }
-
-    /// Dispatches one expression candidate through the state's index: the
-    /// keyed, per-kind, and generic buckets are merged on ordinals so the
-    /// first match found is the first match the interpreter would find.
-    ///
-    /// Returns the matched `(rule, pattern)` ids; on success the caller's
-    /// `slots` hold the bindings (pattern [`NO_PAT`] means a bindingless
-    /// match whose slots are meaningless).
-    fn find_expr<'a>(
-        &mut self,
-        state: StateId,
-        e: &'a Expr,
-        stack: &mut Vec<&'a Expr>,
-        slots: &mut [Option<&'a Expr>],
-    ) -> Option<(u32, u32)> {
-        let prog = self.prog;
-        let idx = &prog.states[state.0];
-        let tag = expr_tag(&e.kind);
-        let keyed: &[Entry] = if idx.has_key[tag] {
-            match head_ident(e).and_then(|n| prog.interner.lookup(n)) {
-                Some(sym) => idx
-                    .by_key
-                    .get(&key_of(tag, sym))
-                    .map(|v| v.as_slice())
-                    .unwrap_or(&[]),
-                None => &[],
-            }
-        } else {
-            &[]
-        };
-        let kinded: &[Entry] = &idx.by_kind[tag];
-        let generic: &[Entry] = &idx.generic;
-
-        let (mut i, mut j, mut k) = (0usize, 0usize, 0usize);
-        loop {
-            let a = keyed.get(i).map_or(u32::MAX, |en| en.ord);
-            let b = kinded.get(j).map_or(u32::MAX, |en| en.ord);
-            let c = generic.get(k).map_or(u32::MAX, |en| en.ord);
-            if a == u32::MAX && b == u32::MAX && c == u32::MAX {
-                return None;
-            }
-            let entry = if a <= b && a <= c {
-                i += 1;
-                keyed[i - 1]
-            } else if b <= c {
-                j += 1;
-                kinded[j - 1]
-            } else {
-                k += 1;
-                generic[k - 1]
-            };
-            self.attempts += 1;
-            let pat = &prog.patterns[entry.pat as usize];
-            if exec(&pat.ops, e, &prog.interner, stack, slots) {
-                return Some((entry.rule, entry.pat));
-            }
-        }
-    }
-
-    /// Dispatches one statement candidate through the per-kind statement
-    /// buckets (each already in ordinal order). Return convention as in
-    /// [`CompiledMachine::find_expr`].
-    fn find_stmt<'a>(
-        &mut self,
-        state: StateId,
-        s: &'a Stmt,
-        stack: &mut Vec<&'a Expr>,
-        slots: &mut [Option<&'a Expr>],
-    ) -> Option<(u32, u32)> {
-        let prog = self.prog;
-        let idx = &prog.states[state.0];
-        match &s.kind {
-            StmtKind::Expr(e) => {
-                for entry in &idx.expr_stmt {
-                    self.attempts += 1;
-                    let pat = &prog.patterns[entry.pat as usize];
-                    if exec(&pat.ops, e, &prog.interner, stack, slots) {
-                        return Some((entry.rule, entry.pat));
-                    }
-                }
-                None
-            }
-            StmtKind::Return(None) => idx.ret_none.first().map(|en| {
-                self.attempts += 1;
-                (en.rule, NO_PAT)
-            }),
-            StmtKind::Return(Some(v)) => {
-                for entry in &idx.ret_some {
-                    self.attempts += 1;
-                    let pat = &prog.patterns[entry.pat as usize];
-                    if exec(&pat.ops, v, &prog.interner, stack, slots) {
-                        return Some((entry.rule, entry.pat));
-                    }
-                }
-                None
-            }
-            StmtKind::Decl(d) => {
-                for entry in &idx.decl {
-                    self.attempts += 1;
-                    let pat = &prog.patterns[entry.pat as usize];
-                    let PatShape::Decl { ty, name, has_init } = &pat.shape else {
-                        continue;
-                    };
-                    if *ty != d.ty || *name != d.name {
-                        continue;
-                    }
-                    match (*has_init, &d.init) {
-                        (false, None) => return Some((entry.rule, NO_PAT)),
-                        (true, Some(Initializer::Expr(e)))
-                            if exec(&pat.ops, e, &prog.interner, stack, slots) =>
-                        {
-                            return Some((entry.rule, entry.pat));
-                        }
-                        _ => {}
-                    }
-                }
-                None
-            }
-            StmtKind::Empty => idx.empty.first().map(|e| {
-                self.attempts += 1;
-                (e.rule, NO_PAT)
-            }),
-            StmtKind::Break => idx.brk.first().map(|e| {
-                self.attempts += 1;
-                (e.rule, NO_PAT)
-            }),
-            StmtKind::Continue => idx.cont.first().map(|e| {
-                self.attempts += 1;
-                (e.rule, NO_PAT)
-            }),
-            _ => None,
-        }
-    }
-
-    /// Scans the candidates of one event, firing rules and following
-    /// transitions, and pushes the successor states (none = path pruned).
-    fn scan<'a>(
-        &mut self,
-        state: StateId,
-        cands: &'a [Candidate<'a>],
-        witness: &Witness<'_>,
-        out: &mut Vec<StateId>,
-    ) {
-        let mut stack: Vec<&'a Expr> = Vec::new();
-        let mut slots: Vec<Option<&'a Expr>> = vec![None; self.prog.max_slots];
-        let mut cur = state;
-        for cand in cands {
-            self.candidates += 1;
-            let found = match cand {
-                Candidate::Expr(e) => self.find_expr(cur, e, &mut stack, &mut slots),
-                Candidate::Stmt(s) => self.find_stmt(cur, s, &mut stack, &mut slots),
-                Candidate::Owned(s) => self.find_stmt(cur, s, &mut stack, &mut slots),
-            };
-            if let Some((rule, pat)) = found {
-                let bindings = if pat == NO_PAT {
-                    Bindings::new()
-                } else {
-                    materialize(&self.prog.patterns[pat as usize], &slots)
-                };
-                let span = cand.span();
-                self.fire(rule, cur, &bindings, span, witness);
-                match self.prog.rules[rule as usize].target {
-                    RuleTarget::Stay => {}
-                    RuleTarget::Goto(s) => cur = s,
-                    RuleTarget::Stop => return,
-                }
-            }
-        }
-        out.push(cur);
     }
 
     /// Replays a precomputed [`PlanEntry`]: only candidates with at least
@@ -1478,7 +1397,7 @@ struct PlanEntry<'c> {
 /// `(state, facts)` pair that reaches it, so the plan amortizes matching
 /// across all of those visits; [`CompiledMachine::with_plan`] then reduces
 /// a step to a hash probe plus a per-state table load. Reports, candidate
-/// counts, and application counts are identical to the plan-less machine.
+/// counts, and application counts are identical to the interpreter's.
 #[derive(Debug)]
 pub struct CandidatePlan<'c> {
     /// Event-node key → slot in `entries`. Shared by every plan built in
@@ -1487,7 +1406,7 @@ pub struct CandidatePlan<'c> {
     index: std::sync::Arc<NodeMap<u32>>,
     entries: Vec<PlanEntry<'c>>,
     /// Per-state result of the synthetic `return;` candidate (the only
-    /// candidate the extracting path synthesizes rather than borrows).
+    /// candidate the interpreter synthesizes rather than borrows).
     ret_none: Box<[Option<u32>]>,
     /// Pattern executions spent building the plan — the compiled engine's
     /// total match work for the whole function, comparable with the
@@ -1499,12 +1418,6 @@ impl<'c> CandidatePlan<'c> {
     #[inline]
     fn entry(&self, key: usize) -> Option<&PlanEntry<'c>> {
         self.index.get(&key).map(|&i| &self.entries[i as usize])
-    }
-
-    /// Total candidates the plan accounts for across all event nodes (what
-    /// the extracting engines would scan once per visit).
-    pub fn total_cands(&self) -> u64 {
-        self.entries.iter().map(|e| e.n_cands).sum()
     }
 }
 
@@ -1530,11 +1443,11 @@ impl<'c> CandidatePlan<'c> {
         let mut builders: Vec<PlanBuilder<'_, 'c>> =
             progs.iter().map(|p| PlanBuilder::new(p, keys)).collect();
         let mut cands: Vec<Candidate<'c>> = Vec::new();
-        // The sieved walks below enumerate exactly what the extracting scan
+        // The sieved walks below enumerate exactly what the interpreter
         // would, but one union probe retires a candidate for every program
         // at once and only survivors are materialized; the count of what
         // was dropped still reaches each entry so visit statistics stay
-        // identical to the extracting engines.
+        // identical to the interpreter's.
         for block in &cfg.blocks {
             for node in &block.nodes {
                 cands.clear();
@@ -1583,7 +1496,7 @@ impl<'c> CandidatePlan<'c> {
     }
 }
 
-/// Fused form of the extracting engines' `stmt_candidates` + the union
+/// Fused form of the interpreter's `stmt_candidates` + the union
 /// prefilter: counts every candidate the scan would enumerate, but
 /// materializes only those some program could match. Statement candidates
 /// always survive (the prefilter covers expressions only).
@@ -1654,55 +1567,45 @@ fn sieved_postorder<'a>(e: &'a Expr, union: &UnionPrefilter, out: &mut Vec<Candi
 
 /// Per-program state of [`CandidatePlan::build_many`].
 struct PlanBuilder<'p, 'c> {
-    scratch: CompiledMachine<'p>,
+    prog: &'p CompiledProgram,
     stack: Vec<&'c Expr>,
     slots: Vec<Option<&'c Expr>>,
     entries: Vec<PlanEntry<'c>>,
+    attempts: u64,
 }
 
 impl<'p, 'c> PlanBuilder<'p, 'c> {
     fn new(prog: &'p CompiledProgram, keys: usize) -> Self {
         PlanBuilder {
-            scratch: CompiledMachine::new(prog),
+            prog,
             stack: Vec::new(),
             slots: vec![None; prog.max_slots],
             entries: Vec::with_capacity(keys),
+            attempts: 0,
         }
     }
 
     fn add_entry(&mut self, cands: &[Candidate<'c>], n_cands: u64) {
-        let entry = build_entry(
-            &mut self.scratch,
-            cands,
-            n_cands,
-            &mut self.stack,
-            &mut self.slots,
-        );
+        let entry = self.build_entry(cands, n_cands);
         self.entries.push(entry);
     }
 
     /// Entry for a `return v;` terminator: the value's subexpression
     /// candidates plus the synthetic return-statement candidate the
-    /// extracting path appends after them. Its patterns (the `ret_some`
+    /// interpreter appends after them. Its patterns (the `ret_some`
     /// bucket) execute against `v` itself, so the resolved slots borrow
     /// from the CFG like every other hit.
     fn add_return_entry(&mut self, cands: &[Candidate<'c>], n_cands: u64, v: &'c Expr, span: Span) {
-        let prog = self.scratch.prog;
+        let prog = self.prog;
         let n_states = prog.state_names.len();
-        let mut entry = build_entry(
-            &mut self.scratch,
-            cands,
-            n_cands,
-            &mut self.stack,
-            &mut self.slots,
-        );
+        let mut entry = self.build_entry(cands, n_cands);
         entry.n_cands += 1;
         let mut per_state: Vec<Option<PlanMatch<'c>>> = Vec::with_capacity(n_states);
         let mut any = false;
         for si in 0..n_states {
             let mut found = None;
             for en in &prog.states[si].ret_some {
-                self.scratch.attempts += 1;
+                self.attempts += 1;
                 let pat = &prog.patterns[en.pat as usize];
                 if exec(
                     &pat.ops,
@@ -1727,8 +1630,46 @@ impl<'p, 'c> PlanBuilder<'p, 'c> {
         self.entries.push(entry);
     }
 
+    /// Matches every candidate of one event against every state's index.
+    fn build_entry(&mut self, cands: &[Candidate<'c>], n_cands: u64) -> PlanEntry<'c> {
+        let prog = self.prog;
+        let (stack, slots, attempts) = (&mut self.stack, &mut self.slots, &mut self.attempts);
+        let n_states = prog.state_names.len();
+        let mut hits = Vec::new();
+        for cand in cands {
+            // O(1) rejection of expression candidates no state could match —
+            // for FLASH-style checkers that is the overwhelming majority, so
+            // plan building costs little more than the extraction walk.
+            if let Candidate::Expr(e) = cand {
+                if !prog.pre.admits(&prog.interner, e) {
+                    continue;
+                }
+            }
+            let mut per_state: Vec<Option<PlanMatch<'c>>> = Vec::with_capacity(n_states);
+            let mut any = false;
+            for si in 0..n_states {
+                let found = match cand {
+                    Candidate::Expr(e) => prog.find_expr(StateId(si), e, stack, slots, attempts),
+                    Candidate::Stmt(s) => prog.find_stmt(StateId(si), s, stack, slots, attempts),
+                    // The sieved walks never synthesize owned candidates.
+                    Candidate::Owned(_) => None,
+                };
+                let m = found.map(|(rule, pat)| plan_match(prog, rule, pat, slots));
+                any |= m.is_some();
+                per_state.push(m);
+            }
+            if any {
+                hits.push(PlanHit {
+                    span: cand.span(),
+                    per_state: per_state.into_boxed_slice(),
+                });
+            }
+        }
+        PlanEntry { n_cands, hits }
+    }
+
     fn finish(self, index: std::sync::Arc<NodeMap<u32>>) -> CandidatePlan<'c> {
-        let prog = self.scratch.prog;
+        let prog = self.prog;
         let ret_none: Vec<Option<u32>> = (0..prog.state_names.len())
             .map(|si| prog.states[si].ret_none.first().map(|en| en.rule))
             .collect();
@@ -1736,7 +1677,7 @@ impl<'p, 'c> PlanBuilder<'p, 'c> {
             index,
             entries: self.entries,
             ret_none: ret_none.into_boxed_slice(),
-            attempts: self.scratch.attempts,
+            attempts: self.attempts,
         }
     }
 }
@@ -1761,50 +1702,6 @@ fn plan_match<'c>(
     }
 }
 
-/// Matches every candidate of one event against every state's index.
-fn build_entry<'c>(
-    scratch: &mut CompiledMachine<'_>,
-    cands: &[Candidate<'c>],
-    n_cands: u64,
-    stack: &mut Vec<&'c Expr>,
-    slots: &mut Vec<Option<&'c Expr>>,
-) -> PlanEntry<'c> {
-    let prog = scratch.prog;
-    let n_states = prog.state_names.len();
-    let mut hits = Vec::new();
-    for cand in cands {
-        // O(1) rejection of expression candidates no state could match —
-        // for FLASH-style checkers that is the overwhelming majority, so
-        // plan building costs little more than the extraction walk.
-        if let Candidate::Expr(e) = cand {
-            if !prog.pre.admits(&prog.interner, e) {
-                continue;
-            }
-        }
-        let mut per_state: Vec<Option<PlanMatch<'c>>> = Vec::with_capacity(n_states);
-        let mut any = false;
-        for si in 0..n_states {
-            let found = match cand {
-                Candidate::Expr(e) => scratch.find_expr(StateId(si), e, stack, slots),
-                Candidate::Stmt(s) => scratch.find_stmt(StateId(si), s, stack, slots),
-                // Extraction only synthesizes owned candidates for return
-                // events, which `build` handles itself.
-                Candidate::Owned(_) => None,
-            };
-            let m = found.map(|(rule, pat)| plan_match(prog, rule, pat, slots));
-            any |= m.is_some();
-            per_state.push(m);
-        }
-        if any {
-            hits.push(PlanHit {
-                span: cand.span(),
-                per_state: per_state.into_boxed_slice(),
-            });
-        }
-    }
-    PlanEntry { n_cands, hits }
-}
-
 impl PathMachine for CompiledMachine<'_> {
     type State = StateId;
 
@@ -1826,68 +1723,40 @@ impl PathMachine for CompiledMachine<'_> {
         witness: &Witness<'_>,
         out: &mut Vec<StateId>,
     ) {
-        // Fast path: the per-function plan already holds this event's match
-        // results; replaying them skips candidate extraction and pattern
-        // execution entirely.
-        if let Some(plan) = self.plan {
-            let entry = match event {
-                PathEvent::Stmt(s) => plan.entry(node_key_stmt(s)),
-                PathEvent::Branch { cond, .. } => plan.entry(node_key_expr(cond)),
-                PathEvent::Case { value: Some(v), .. } => plan.entry(node_key_expr(v)),
-                PathEvent::Case { value: None, .. } => {
-                    // No candidates: the state rides through unchanged.
-                    out.push(*state);
-                    return;
-                }
-                PathEvent::Return {
-                    value: Some(v),
-                    span: _,
-                } => plan.entry(node_key_expr(v)),
-                PathEvent::Return { value: None, span } => {
-                    // One synthetic `return;` candidate, resolved per state
-                    // at plan-build time.
-                    self.candidates += 1;
-                    if let Some(rule) = plan.ret_none[state.0] {
+        // The per-function plan already holds this event's match results;
+        // replaying them skips candidate extraction and pattern execution.
+        let key = match event {
+            PathEvent::Stmt(s) => node_key_stmt(s),
+            PathEvent::Branch { cond, .. } => node_key_expr(cond),
+            PathEvent::Case { value: Some(v), .. } | PathEvent::Return { value: Some(v), .. } => {
+                node_key_expr(v)
+            }
+            PathEvent::Case { value: None, .. } => {
+                // No candidates: the state rides through unchanged.
+                out.push(*state);
+                return;
+            }
+            PathEvent::Return { value: None, span } => {
+                // One synthetic `return;` candidate, resolved per state at
+                // plan-build time.
+                self.candidates += 1;
+                match self.plan.ret_none[state.0] {
+                    Some(rule) => {
                         self.fire(rule, *state, &Bindings::new(), *span, witness);
                         match self.prog.rules[rule as usize].target {
                             RuleTarget::Stay => out.push(*state),
                             RuleTarget::Goto(s) => out.push(s),
                             RuleTarget::Stop => {}
                         }
-                    } else {
-                        out.push(*state);
                     }
-                    return;
+                    None => out.push(*state),
                 }
-                PathEvent::Call { .. } => None,
-            };
-            // A miss (an event node the plan was not built from) falls
-            // through to the extracting slow path below.
-            if let Some(entry) = entry {
-                self.scan_planned(*state, entry, witness, out);
                 return;
             }
-        }
-        let mut cands = Vec::new();
-        match event {
-            PathEvent::Stmt(s) => stmt_candidates(s, &mut cands),
-            PathEvent::Branch { cond, .. } => postorder(cond, &mut cands),
-            PathEvent::Case { value, .. } => {
-                if let Some(v) = value {
-                    postorder(v, &mut cands);
-                }
-            }
-            PathEvent::Return { value, span } => {
-                if let Some(v) = value {
-                    postorder(v, &mut cands);
-                }
-                cands.push(Candidate::Owned(Stmt::new(
-                    StmtKind::Return(value.cloned()),
-                    *span,
-                )));
-            }
             PathEvent::Call { summary, .. } => {
-                // Same summarized-transfer application as the interpreter.
+                // Apply the callee's summarized state transfer, exactly as
+                // the interpreter does: no entry for this machine or state
+                // leaves the state alone.
                 if let Some(per_state) = summary.transfers.get(&self.prog.name) {
                     let cur = &self.prog.state_names[state.0];
                     if let Some(ends) = per_state.get(cur) {
@@ -1898,15 +1767,18 @@ impl PathMachine for CompiledMachine<'_> {
                 out.push(*state);
                 return;
             }
-        }
-        self.scan(*state, &cands, witness, out);
+        };
+        let entry = self
+            .plan
+            .entry(key)
+            .expect("plan built from the traversed CFG");
+        self.scan_planned(*state, entry, witness, out);
     }
 }
 
 /// Computes the state transfer of one function for a compiled program —
 /// the compiled-engine counterpart of [`crate::compute_transfers`], with
-/// identical output (the summary layer dispatches on the configured
-/// engine). `plan` is `prog`'s candidate plan for `cfg`
+/// identical output. `plan` is `prog`'s candidate plan for `cfg`
 /// ([`CandidatePlan::build_many`] builds those of several programs in one
 /// walk); it serves every per-state traversal.
 pub fn compute_transfers_compiled(
@@ -1934,15 +1806,6 @@ pub fn compute_transfers_compiled(
         transfers.insert(prog.state_names[si].clone(), ends);
     }
     transfers
-}
-
-// `all_state` is carried for completeness of the lowered form (dispatch
-// already folds the all-state rules into every state's effective list).
-impl CompiledProgram {
-    /// Index of the special `all` state, if the program declares one.
-    pub fn all_state(&self) -> Option<StateId> {
-        self.all_state
-    }
 }
 
 #[cfg(test)]
@@ -1988,8 +1851,9 @@ mod tests {
         }
     "#;
 
-    /// Runs a source through both engines and asserts identical reports
-    /// and application counts; returns the compiled-engine reports.
+    /// Runs a source through the interpreter and the planned compiled
+    /// machine and asserts identical reports, application and candidate
+    /// counts; returns the compiled-engine reports.
     fn both(sm_src: &str, c_src: &str) -> Vec<MetalReport> {
         let prog = MetalProgram::parse(sm_src).unwrap();
         let cp = CompiledProgram::compile(&prog).unwrap();
@@ -2000,12 +1864,17 @@ mod tests {
             let mut interp = MetalMachine::new(&prog);
             let init = interp.start_state();
             run_machine(&cfg, &mut interp, init, Mode::StateSet);
-            let mut comp = CompiledMachine::new(&cp);
+            let plan = CandidatePlan::build(&cp, &cfg);
+            let mut comp = CompiledMachine::with_plan(&cp, &plan);
             run_machine(&cfg, &mut comp, init, Mode::StateSet);
             assert_eq!(interp.reports, comp.reports, "engine reports diverge");
             assert_eq!(
                 interp.applications, comp.applications,
                 "application counts diverge"
+            );
+            assert_eq!(
+                interp.candidates, comp.candidates,
+                "candidate counts diverge"
             );
             out.extend(comp.reports);
         }
@@ -2254,14 +2123,15 @@ mod tests {
         let mut interp = MetalMachine::new(&prog);
         let init = interp.start_state();
         run_machine(&cfg, &mut interp, init, Mode::StateSet);
-        let mut comp = CompiledMachine::new(&cp);
+        let plan = CandidatePlan::build(&cp, &cfg);
+        let mut comp = CompiledMachine::with_plan(&cp, &plan);
         run_machine(&cfg, &mut comp, init, Mode::StateSet);
         assert_eq!(interp.reports, comp.reports);
         assert_eq!(interp.candidates, comp.candidates);
         assert!(
-            comp.attempts <= interp.attempts,
+            plan.attempts <= interp.attempts,
             "compiled dispatch attempted more matches ({}) than interp ({})",
-            comp.attempts,
+            plan.attempts,
             interp.attempts
         );
     }

@@ -1,8 +1,10 @@
-//! Execution of a metal program along CFG paths.
+//! The metal interpreter: the reference semantics of a metal program.
 //!
 //! [`MetalMachine`] adapts a parsed [`MetalProgram`] to the
 //! [`mc_cfg::PathMachine`] interface so [`mc_cfg::run_machine`] can drive it
 //! down every path of a function, exactly as xg++ applied metal extensions.
+//! The driver runs the compiled engine ([`crate::CompiledMachine`]); the
+//! tests hold it to this one.
 
 use crate::lang::*;
 use crate::matcher::{match_expr, match_stmt, Bindings};
@@ -43,15 +45,12 @@ pub struct MetalMachine<'p> {
     /// Number of rule firings (pattern matches), including ones with no
     /// action.
     pub applications: usize,
-    /// When `false`, the required-identifier pre-filter is skipped and every
-    /// pattern is structurally compared at every node (the "no pattern
-    /// indexing" ablation arm).
-    pub use_index: bool,
-    /// Number of candidate nodes scanned (instrumentation for the dispatch
-    /// benchmark; comparable with [`crate::CompiledMachine::candidates`]).
+    /// Number of candidate nodes scanned (comparable with
+    /// [`crate::CompiledMachine::candidates`]).
     pub candidates: u64,
     /// Number of full structural match attempts (pattern comparisons that
-    /// survived the required-identifier pre-filter).
+    /// survived the required-identifier pre-filter; comparable with
+    /// [`crate::CandidatePlan::attempts`]).
     pub attempts: u64,
 }
 
@@ -63,7 +62,6 @@ impl<'p> MetalMachine<'p> {
             reports: Vec::new(),
             seen: HashSet::new(),
             applications: 0,
-            use_index: true,
             candidates: 0,
             attempts: 0,
         }
@@ -72,16 +70,6 @@ impl<'p> MetalMachine<'p> {
     /// The program's start state, to pass to [`mc_cfg::run_machine`].
     pub fn start_state(&self) -> StateId {
         self.prog.start_state()
-    }
-
-    /// The underlying program.
-    pub fn program(&self) -> &MetalProgram {
-        self.prog
-    }
-
-    /// Errors only (excludes warnings).
-    pub fn errors(&self) -> impl Iterator<Item = &MetalReport> {
-        self.reports.iter().filter(|r| r.is_error)
     }
 
     fn fire(
@@ -132,11 +120,10 @@ impl<'p> MetalMachine<'p> {
         for sid in try_states {
             for rule in &prog.states[sid.0].rules {
                 for pattern in &rule.patterns {
-                    if self.use_index
-                        && !pattern
-                            .required_idents()
-                            .iter()
-                            .all(|id| cand_idents.contains(id.as_str()))
+                    if !pattern
+                        .required_idents()
+                        .iter()
+                        .all(|id| cand_idents.contains(id.as_str()))
                     {
                         continue;
                     }
@@ -683,20 +670,5 @@ mod tests {
         r2.sort();
         assert_eq!(r1, r2);
         assert_eq!(r1.len(), 2); // both inconsistent combinations found
-    }
-
-    #[test]
-    fn index_and_no_index_agree() {
-        let prog = MetalProgram::parse(WAIT_SM).unwrap();
-        let src = "void h(void) { x = y + 1; MISCBUS_READ_DB(a, b); }";
-        let tu = parse_translation_unit(src, "t.c").unwrap();
-        let cfg = Cfg::build(tu.function("h").unwrap());
-        let mut with = MetalMachine::new(&prog);
-        let init = with.start_state();
-        run_machine(&cfg, &mut with, init, Mode::StateSet);
-        let mut without = MetalMachine::new(&prog);
-        without.use_index = false;
-        run_machine(&cfg, &mut without, init, Mode::StateSet);
-        assert_eq!(with.reports, without.reports);
     }
 }

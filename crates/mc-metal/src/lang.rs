@@ -191,12 +191,6 @@ impl MetalProgram {
     pub fn wildcard_names(&self) -> HashSet<String> {
         self.wildcards.keys().cloned().collect()
     }
-
-    /// Number of lines in the original source, recorded for Table 7's
-    /// checker-size column.
-    pub fn source_lines(src: &str) -> usize {
-        src.lines().filter(|l| !l.trim().is_empty()).count()
-    }
 }
 
 #[cfg(test)]

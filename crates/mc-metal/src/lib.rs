@@ -19,17 +19,23 @@
 //! }
 //! ```
 //!
-//! [`MetalProgram::parse`] turns the text into a program;
-//! [`MetalMachine`] runs it as an [`mc_cfg::PathMachine`] down every path of
-//! a function's CFG, recording [`MetalReport`]s when `err(...)` actions
-//! fire.
+//! [`MetalProgram::parse`] turns the text into a program, and
+//! [`CompiledProgram::compile`] lowers it once into indexed bytecode. For
+//! each function, a [`CandidatePlan`] matches every candidate node of its
+//! CFG against the program, and [`CompiledMachine::with_plan`] replays
+//! that plan as an [`mc_cfg::PathMachine`] down every path, recording
+//! [`MetalReport`]s when `err(...)` actions fire. This is the engine the
+//! driver runs.
+//!
+//! [`MetalMachine`] interprets a [`MetalProgram`] directly. It is the
+//! reference semantics: the tests hold the compiled engine to its reports.
 //!
 //! # Example
 //!
 //! ```
 //! use mc_ast::parse_translation_unit;
 //! use mc_cfg::{run_machine, Cfg, Mode};
-//! use mc_metal::{MetalMachine, MetalProgram};
+//! use mc_metal::{CandidatePlan, CompiledMachine, CompiledProgram, MetalProgram};
 //!
 //! let sm = MetalProgram::parse(r#"
 //!     sm wait_for_db {
@@ -40,14 +46,16 @@
 //!         ;
 //!     }
 //! "#)?;
+//! let compiled = CompiledProgram::compile(&sm)?;
 //! let tu = parse_translation_unit(
 //!     "void h(void) { MISCBUS_READ_DB(a, b); }", "h.c").unwrap();
 //! let cfg = Cfg::build(tu.function("h").unwrap());
-//! let mut machine = MetalMachine::new(&sm);
+//! let plan = CandidatePlan::build(&compiled, &cfg);
+//! let mut machine = CompiledMachine::with_plan(&compiled, &plan);
 //! let start = machine.start_state();
 //! run_machine(&cfg, &mut machine, start, Mode::StateSet);
 //! assert_eq!(machine.reports.len(), 1);
-//! # Ok::<(), mc_metal::MetalParseError>(())
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -66,5 +74,4 @@ pub use engine::{compute_transfers, MetalMachine, MetalReport};
 pub use lang::{
     Action, MetalProgram, Pattern, PatternKind, Rule, RuleTarget, StateDef, StateId, TypeClass,
 };
-pub use matcher::{match_expr, match_stmt, Bindings};
 pub use parse::MetalParseError;

@@ -1,8 +1,8 @@
 //! Differential property test for the compiled metal engine: for random
-//! metal programs over random loop-free bodies, the compiled dispatcher
-//! (with and without a prebuilt candidate plan) must produce reports
-//! byte-identical to the interpreter — same messages, same spans, same
-//! witness paths, same order — and the same number of rule applications.
+//! metal programs over random loop-free bodies, the compiled machine
+//! replaying its candidate plan must produce reports byte-identical to the
+//! interpreter — same messages, same spans, same witness paths, same order
+//! — and the same number of rule applications, in both traversal modes.
 //!
 //! This is the oracle that keeps the compiled engine — the only one the
 //! driver runs — honest: the interpreter is the semantics, the compiler is
@@ -112,20 +112,14 @@ proptest! {
         let init = interp.start_state();
         run_machine(&cfg, &mut interp, init, Mode::StateSet);
 
-        // Compiled dispatch without a candidate plan (pure bytecode path).
-        let mut plain = CompiledMachine::new(&compiled);
-        let cinit = plain.start_state();
-        run_machine(&cfg, &mut plain, cinit, Mode::StateSet);
-
-        // Compiled dispatch through a prebuilt candidate plan — the path
-        // the driver actually takes.
+        // The compiled machine replaying its candidate plan — the path the
+        // driver takes.
         let plan = CandidatePlan::build(&compiled, &cfg);
         let mut planned = CompiledMachine::with_plan(&compiled, &plan);
+        let cinit = planned.start_state();
         run_machine(&cfg, &mut planned, cinit, Mode::StateSet);
 
-        prop_assert_eq!(&plain.reports, &interp.reports, "plain compiled diverged\n{}", &sm_src);
         prop_assert_eq!(&planned.reports, &interp.reports, "planned compiled diverged\n{}", &sm_src);
-        prop_assert_eq!(plain.applications, interp.applications, "application counts diverged\n{}", &sm_src);
         prop_assert_eq!(planned.applications, interp.applications, "planned application counts diverged\n{}", &sm_src);
     }
 

@@ -62,22 +62,4 @@ proptest! {
         rb.dedup();
         prop_assert_eq!(ra, rb);
     }
-
-    #[test]
-    fn index_prefilter_never_changes_reports(body in arb_body()) {
-        let prog = MetalProgram::parse(SM).unwrap();
-        let src = format!("void f(void) {{ {body} }}");
-        let tu = parse_translation_unit(&src, "p.c").unwrap();
-        let cfg = Cfg::build(tu.function("f").unwrap());
-
-        let mut with = MetalMachine::new(&prog);
-        let init = with.start_state();
-        run_machine(&cfg, &mut with, init, Mode::StateSet);
-
-        let mut without = MetalMachine::new(&prog);
-        without.use_index = false;
-        run_machine(&cfg, &mut without, init, Mode::StateSet);
-
-        prop_assert_eq!(with.reports, without.reports);
-    }
 }
