@@ -15,7 +15,7 @@
 use crate::flash::{self, FlashSpec, RoutineKind, NUM_LANES};
 use mc_ast::ExprKind;
 use mc_cfg::{summarize_counts, FnSummary};
-use mc_driver::{CheckSink, Checker, Fact, FunctionContext, ProgramContext, Report, Summaries};
+use mc_driver::{CheckSink, Checker, FunctionContext, ProgramContext, Report, Summaries};
 use std::collections::HashSet;
 
 /// The lane-quota checker.
@@ -93,7 +93,7 @@ impl Checker for Lanes {
     /// Link half: for every handler, compare its per-lane maxima against
     /// its allowance and surface cycle warnings from every function the
     /// handler can reach.
-    fn check_program(&self, ctx: &ProgramContext<'_>, _: Vec<Fact>, sink: &mut Vec<Report>) {
+    fn check_program(&self, ctx: &ProgramContext<'_>, sink: &mut Vec<Report>) {
         let Some(store) = ctx.summaries else {
             return;
         };

@@ -270,11 +270,6 @@ pub struct FnEntry {
     /// This function's local diagnostics, in checker order, exactly the
     /// slice a cold run contributes for it.
     pub reports: Vec<Report>,
-    /// Program-pass facts emitted per native checker (registration
-    /// order). Facts are opaque and never cached; the *counts* let the
-    /// engine skip fact regeneration entirely for functions that emit
-    /// none.
-    pub fact_counts: Vec<u64>,
     /// Recorded same-unit reads: every function in this unit transitively
     /// reachable from this one through call edges, with its body
     /// fingerprint at check time. Witness refutation inlines same-file
@@ -315,7 +310,6 @@ fn fn_entry_to_json(e: &FnEntry) -> Json {
         ("body_fp", Json::Str(key_hex(e.body_fp))),
         ("sig_fp", Json::Str(key_hex(e.sig_fp))),
         ("reports", e.reports.to_json()),
-        ("fact_counts", e.fact_counts.to_json()),
         (
             "local_deps",
             Json::Array(
@@ -358,7 +352,6 @@ fn fn_entry_from_json(v: &Json) -> Result<FnEntry, JsonError> {
         body_fp: key_from_json(v, "body_fp")?,
         sig_fp: key_from_json(v, "sig_fp")?,
         reports: field(v, "reports")?,
-        fact_counts: field(v, "fact_counts")?,
         local_deps,
         summary_deps: deps("summary_deps")?,
     })
@@ -963,7 +956,6 @@ mod tests {
                     Span::new(9, 3),
                     "buffer used after free",
                 )],
-                fact_counts: vec![0, 2, 0],
                 local_deps: vec![("helper".into(), 0x0123_4567_89ab_cdef)],
                 summary_deps: vec![
                     ("NI_SEND".into(), None),

@@ -14,9 +14,10 @@
 //! Whole-program ("global") passes run once per *call-graph component*: the
 //! units of a program are partitioned by who-calls-whom (see
 //! [`call_components`]), and each [`Checker::check_program`] invocation sees
-//! one component. Components are the unit of invalidation for the
-//! incremental engine — a global pass only re-runs when a unit in its
-//! component changed.
+//! one component: its units and, when any checker needs one, its summary
+//! store. Components are the unit of invalidation for the incremental
+//! engine — a global pass only re-runs when a unit in its component
+//! changed.
 
 use crate::query::CheckEngine;
 use crate::report::Report;
@@ -28,7 +29,6 @@ use mc_cfg::{
 use mc_metal::{
     CompileError, CompiledMachine, CompiledProgram, MetalParseError, MetalProgram, MetalReport,
 };
-use std::any::Any;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -232,32 +232,16 @@ impl ProgramContext<'_> {
     }
 }
 
-/// A piece of per-function state emitted by a checker's function pass for
-/// its whole-program pass (the "emit" half of the paper's emit-and-link
-/// global framework).
-pub type Fact = Box<dyn Any + Send + Sync>;
-
 /// The accumulator handed to per-function hooks.
 ///
 /// Function hooks run concurrently on worker threads, so checkers are
-/// immutable (`&self`) while checking; everything a hook learns flows out
-/// through its sink — diagnostics via [`CheckSink::push`], state for the
-/// whole-program pass via [`CheckSink::emit`]. The driver merges sinks in
-/// `(unit, function)` index order, never in completion order, which is why
+/// immutable (`&self`) while checking; every diagnostic a hook finds flows
+/// out through [`CheckSink::push`]. The driver merges sinks in `(unit,
+/// function)` index order, never in completion order, which is why
 /// parallel runs produce byte-identical reports.
-#[derive(Default)]
+#[derive(Debug, Default)]
 pub struct CheckSink {
     pub(crate) reports: Vec<Report>,
-    pub(crate) facts: Vec<Fact>,
-}
-
-impl fmt::Debug for CheckSink {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("CheckSink")
-            .field("reports", &self.reports)
-            .field("facts", &self.facts.len())
-            .finish()
-    }
 }
 
 impl CheckSink {
@@ -269,11 +253,6 @@ impl CheckSink {
     /// Records a diagnostic.
     pub fn push(&mut self, report: Report) {
         self.reports.push(report);
-    }
-
-    /// Emits a fact for the owning checker's whole-program pass.
-    pub fn emit<F: Any + Send + Sync>(&mut self, fact: F) {
-        self.facts.push(Box::new(fact));
     }
 
     /// The diagnostics recorded so far.
@@ -300,14 +279,15 @@ impl CheckSink {
 /// A native checker extension.
 ///
 /// Implementations get a per-function hook and an optional whole-program
-/// hook that runs after every function has been seen (the paper's two-pass
-/// emit-and-link global framework; see [`crate::summaries`]).
+/// hook. Cross-function knowledge follows the paper's emit-and-link global
+/// framework (see [`crate::summaries`]): [`summarize_function`] emits what
+/// a checker knows about one function into its summary, and
+/// [`check_program`] links a call-graph component through those summaries.
 ///
 /// The per-function hook takes `&self` because the driver fans functions
-/// out across worker threads; per-function state goes into the
-/// [`CheckSink`], and cross-function state travels to [`check_program`]
-/// as [`Fact`]s via [`CheckSink::emit`].
+/// out across worker threads; its diagnostics go into the [`CheckSink`].
 ///
+/// [`summarize_function`]: Checker::summarize_function
 /// [`check_program`]: Checker::check_program
 pub trait Checker: Send + Sync {
     /// Short name used in reports (e.g. `"buffer_mgmt"`).
@@ -320,10 +300,9 @@ pub trait Checker: Send + Sync {
     ///
     /// Defaults to `true` so external checkers that override
     /// [`check_program`] are always called. Purely-local checkers should
-    /// return `false`: the driver then skips their program pass entirely,
-    /// and the incremental engine never re-runs them for call-graph
-    /// neighbours of an edited unit. A checker returning `false` never has
-    /// its [`check_program`] invoked.
+    /// return `false`: a checker returning `false` never has its
+    /// [`check_program`] invoked, and a suite with no program pass skips
+    /// the engine's component tier entirely.
     ///
     /// [`check_program`]: Checker::check_program
     fn has_program_pass(&self) -> bool {
@@ -333,14 +312,13 @@ pub trait Checker: Send + Sync {
     /// Checks one call-graph component after all of its functions were
     /// visited.
     ///
-    /// `facts` holds everything this checker emitted from its function
-    /// passes over the component's units, in stable `(unit, function)`
-    /// order regardless of which worker produced each fact. Only called
-    /// when [`has_program_pass`] returns `true`.
+    /// The pass reads the component's units and, when present, its
+    /// summary store ([`ProgramContext::summaries`]). Only called when
+    /// [`has_program_pass`] returns `true`.
     ///
     /// [`has_program_pass`]: Checker::has_program_pass
-    fn check_program(&self, ctx: &ProgramContext<'_>, facts: Vec<Fact>, sink: &mut Vec<Report>) {
-        let _ = (ctx, facts, sink);
+    fn check_program(&self, ctx: &ProgramContext<'_>, sink: &mut Vec<Report>) {
+        let _ = (ctx, sink);
     }
 
     /// Whether this checker requires function summaries even when
@@ -364,8 +342,9 @@ pub trait Checker: Send + Sync {
     ///
     /// Defaults to `false`; none of the built-in checkers read the unit at
     /// all. A custom checker that does must return `true`, which makes the
-    /// engine re-check every function of a dirty unit and regenerate every
-    /// function's facts — correctness over granularity.
+    /// engine re-check every function of a dirty unit and fold each unit's
+    /// environment hash into the summary memo keys — correctness over
+    /// granularity.
     fn unit_sensitive(&self) -> bool {
         false
     }
@@ -395,17 +374,6 @@ pub(crate) struct FunctionOutput {
     pub(crate) metal: Vec<Report>,
     /// One sink per native checker, in registration order.
     pub(crate) native: Vec<CheckSink>,
-}
-
-/// The merged local (per-function) results of one translation unit: its
-/// diagnostics plus, per native checker, the facts destined for that
-/// checker's program pass.
-pub(crate) struct UnitLocal {
-    /// Metal and native diagnostics in `(function, checker)` order.
-    pub(crate) reports: Vec<Report>,
-    /// Facts per native checker (registration order), each in function
-    /// order.
-    pub(crate) facts: Vec<Vec<Fact>>,
 }
 
 /// Version stamp folded into every cache key. Bump whenever the meaning or
@@ -445,7 +413,10 @@ pub(crate) struct UnitLocal {
 /// v9: the lexer decodes string and char literals as UTF-8 instead of
 /// byte by byte, so a function with a non-ASCII literal has a different
 /// AST and fingerprint, and its v8 records carry the mis-decoded text.
-pub const CACHE_FORMAT_VERSION: u32 = 9;
+///
+/// v10: `fnindex` records no longer carry per-checker fact counts; a v9
+/// record would fail to validate against the new layout.
+pub const CACHE_FORMAT_VERSION: u32 = 10;
 
 /// Stack size of every thread that runs checks: `Driver::pool_map`'s
 /// workers and `mcheckd`'s connection threads. It matches the usual 8 MiB
@@ -773,11 +744,6 @@ impl Driver {
         self.native.iter().any(|c| c.has_program_pass())
     }
 
-    /// Number of registered native checkers.
-    pub(crate) fn native_count(&self) -> usize {
-        self.native.len()
-    }
-
     /// Whether any registered checker declares itself
     /// [`unit_sensitive`](Checker::unit_sensitive); the engine then treats
     /// every function of a dirty unit as red.
@@ -918,59 +884,17 @@ impl Driver {
         FunctionOutput { metal, native }
     }
 
-    /// Re-runs only the fact-emitting passes of one function.
-    ///
-    /// [`Fact`]s are opaque `Any` values and cannot be cached, so when the
-    /// incremental engine replays a function's *reports* from cache but
-    /// its program pass still needs the function's facts, they are
-    /// regenerated with this cheaper pass: metal machines and purely-local
-    /// native checkers are skipped, and all diagnostics are discarded. The
-    /// engine only calls it for functions whose cached fact counts are
-    /// non-zero.
-    pub(crate) fn collect_function_facts(
-        &self,
-        unit: &CheckedUnit,
-        function: &Function,
-        cfg: &Cfg,
-        summaries: Option<&Summaries>,
-    ) -> Vec<Vec<Fact>> {
-        let traversal = self.traversal();
-        let ctx = FunctionContext {
-            file: &unit.unit.file,
-            unit: &unit.unit,
-            function,
-            cfg,
-            traversal,
-            summaries,
-        };
-        let mut facts: Vec<Vec<Fact>> = self.native.iter().map(|_| Vec::new()).collect();
-        for (i, checker) in self.native.iter().enumerate() {
-            if !checker.has_program_pass() {
-                continue;
-            }
-            let mut sink = CheckSink::new();
-            checker.check_function(&ctx, &mut sink);
-            facts[i].extend(sink.facts);
-        }
-        facts
-    }
-
     /// Runs every program-pass checker over one call-graph component.
-    ///
-    /// `facts` is indexed by native-checker registration order and holds
-    /// each checker's facts from the component's units, in `(unit,
-    /// function)` order.
     pub(crate) fn run_program_passes(
         &self,
         units: &[&CheckedUnit],
-        facts: Vec<Vec<Fact>>,
         summaries: Option<&Summaries>,
     ) -> Vec<Report> {
         let ctx = ProgramContext { units, summaries };
         let mut reports = Vec::new();
-        for (checker, checker_facts) in self.native.iter().zip(facts) {
+        for checker in &self.native {
             if checker.has_program_pass() {
-                checker.check_program(&ctx, checker_facts, &mut reports);
+                checker.check_program(&ctx, &mut reports);
             }
         }
         if self.refute && !reports.is_empty() {
@@ -1158,6 +1082,7 @@ mod tests {
     use mc_ast::{parse_translation_unit, Span};
     use std::collections::HashSet;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     const SM: &str = r#"
         sm wait_for_db {
@@ -1204,17 +1129,18 @@ mod tests {
     }
 
     /// A native checker that flags functions with more than `max` returns
-    /// and counts per-pass activity through the sink/fact machinery.
+    /// and counts its program passes in a counter the test keeps a handle
+    /// to.
     struct ReturnCounter {
         max: usize,
-        program_calls: AtomicUsize,
+        program_calls: Arc<AtomicUsize>,
     }
 
     impl ReturnCounter {
         fn new(max: usize) -> ReturnCounter {
             ReturnCounter {
                 max,
-                program_calls: AtomicUsize::new(0),
+                program_calls: Arc::new(AtomicUsize::new(0)),
             }
         }
     }
@@ -1225,7 +1151,6 @@ mod tests {
         }
         fn check_function(&self, ctx: &FunctionContext<'_>, sink: &mut CheckSink) {
             let exits = ctx.cfg.exits().len();
-            sink.emit(exits);
             if exits > self.max {
                 sink.push(Report::error(
                     self.name(),
@@ -1236,18 +1161,17 @@ mod tests {
                 ));
             }
         }
-        fn check_program(&self, ctx: &ProgramContext<'_>, facts: Vec<Fact>, _: &mut Vec<Report>) {
+        fn check_program(&self, _: &ProgramContext<'_>, _: &mut Vec<Report>) {
             self.program_calls.fetch_add(1, Ordering::Relaxed);
-            // One fact per function, delivered in program order.
-            assert_eq!(facts.len(), ctx.functions().count());
-            assert!(facts.iter().all(|f| f.is::<usize>()));
         }
     }
 
     #[test]
     fn native_checker_and_program_pass() {
+        let counter = ReturnCounter::new(1);
+        let program_calls = counter.program_calls.clone();
         let mut d = Driver::new();
-        d.add_checker(Box::new(ReturnCounter::new(1)));
+        d.add_checker(Box::new(counter));
         let reports = d
             .check_source(
                 "void ok(void) { a(); }\nvoid bad(void) { if (x) { return; } b(); }",
@@ -1256,6 +1180,8 @@ mod tests {
             .unwrap();
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].function, "bad");
+        // One unit is one call-graph component: one program pass.
+        assert_eq!(program_calls.load(Ordering::Relaxed), 1);
     }
 
     #[test]
@@ -1374,11 +1300,20 @@ mod tests {
             })
             .collect();
         let run = |jobs: usize| {
+            let counter = ReturnCounter::new(0);
+            let program_calls = counter.program_calls.clone();
             let mut d = Driver::new();
             d.add_metal_source(SM).unwrap();
-            d.add_checker(Box::new(ReturnCounter::new(0)));
+            d.add_checker(Box::new(counter));
             d.jobs(jobs);
-            d.check_sources(&many).unwrap()
+            let reports = d.check_sources(&many).unwrap();
+            // No unit calls another, so each is its own component.
+            assert_eq!(
+                program_calls.load(Ordering::Relaxed),
+                many.len(),
+                "jobs={jobs}"
+            );
+            reports
         };
         let sequential = run(1);
         assert_eq!(sequential.len(), 48); // 16 metal + 32 native reports

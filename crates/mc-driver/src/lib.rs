@@ -57,7 +57,7 @@ mod report;
 pub mod summaries;
 
 pub use driver::{
-    call_components, CallInfo, CheckSink, CheckedUnit, Checker, Driver, DriverError, Fact,
+    call_components, CallInfo, CheckSink, CheckedUnit, Checker, Driver, DriverError,
     FunctionContext, ProgramContext, CACHE_FORMAT_VERSION, CHECK_STACK_BYTES,
 };
 pub use query::{CheckEngine, RunStats};

@@ -6,9 +6,9 @@
 //! intermediate artifact by content: a warm run re-does only the work whose
 //! inputs actually changed, and produces byte-identical reports to a cold
 //! one. Each phase — parse and fingerprint the files, check the red
-//! functions, regenerate facts — fans its items out over the driver's
-//! worker pool, so the pool schedules functions, not units. The reference
-//! every run is held to is a cold run of a fresh
+//! functions, run the re-run components' program passes — fans its items
+//! out over the driver's worker pool, so the pool schedules functions, not
+//! units. The reference every run is held to is a cold run of a fresh
 //! [`CheckEngine::in_memory`]; the engine has no second execution mode.
 //!
 //! Invalidation is four-tiered, coarse to fine:
@@ -33,15 +33,9 @@
 //! 4. **Component** — program passes re-run per call-graph component
 //!    whenever any member unit changed (see
 //!    [`call_components`](crate::call_components)); clean components replay
-//!    their cached reports.
-//!
-//! [`Fact`]s are opaque `Any` values and are never cached: when a dirty
-//! component contains clean units, those units' facts are regenerated per
-//! function (cheaper than a full check — metal machines and purely-local
-//! checkers are skipped) while their reports
-//! replay from cache. The function index additionally records how many
-//! facts each function emitted per checker, so functions that emit none —
-//! all of the built-in suite — skip regeneration entirely.
+//!    their cached reports. A program pass reads only its component's
+//!    parsed units and summary store, so the clean members of a re-run
+//!    component are parsed but never re-checked.
 //!
 //! The cache-safety policy is *any doubt ⇒ miss*: keys fold everything
 //! that can influence output (crate version, cache format, checker suite,
@@ -54,13 +48,13 @@ use crate::cache::{
     summary_content_hash, ComponentRecord, DiskCache, FnEntry, FnIndexLoad, FnIndexRecord,
     ProgramRecord, SummaryRecord, UnitRecord,
 };
-use crate::driver::{call_components, CallInfo, CheckedUnit, Driver, DriverError, Fact, UnitLocal};
+use crate::driver::{call_components, CallInfo, CheckedUnit, Driver, DriverError};
 use crate::report::Report;
 use crate::summaries::Summaries;
 use mc_ast::{parse_translation_unit, Fingerprint, Fnv1a, Function, ParseError};
 use mc_cfg::{Cfg, FnSummary};
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// A parsed unit with its CFGs and AST fingerprint, shared between memo
 /// table entries and the current run.
@@ -133,9 +127,6 @@ pub struct RunStats {
     pub components: usize,
     /// Components whose program-pass reports replayed from cache.
     pub component_hits: usize,
-    /// Clean units that re-ran their fact-emitting passes because a
-    /// component neighbour changed.
-    pub facts_regenerated: usize,
     /// Functions that ran the full per-function check (red nodes).
     pub functions_rechecked: usize,
     /// Functions inside dirty units whose cached report slices replayed
@@ -637,9 +628,7 @@ impl CheckEngine {
 
         // Tier 3: local pass for genuinely changed units, red/green per
         // function.
-        let unit_sensitive = driver.has_unit_sensitive_checkers();
         stats.units_checked = dirty.len();
-        let mut dirty_facts: HashMap<usize, Vec<Vec<Fact>>> = HashMap::new();
         if !dirty.is_empty() {
             let locals = self.check_dirty_fn(
                 driver,
@@ -662,14 +651,13 @@ impl CheckEngine {
                     summary_key: if interproc { comp_keys[comp_of[i]] } else { 0 },
                     defines: info.defines,
                     calls: info.calls,
-                    reports: local.reports,
+                    reports: local,
                 });
                 self.insert_unit(&rec);
                 if let Some(d) = &self.disk {
                     d.store_unit(&rec);
                 }
                 recs[i] = Some(rec);
-                dirty_facts.insert(i, local.facts);
             }
         }
 
@@ -678,7 +666,7 @@ impl CheckEngine {
             reports.extend(rec.reports.iter().cloned());
         }
 
-        // Whole-program passes need every member's facts, which a shard by
+        // Whole-program passes need every member unit, which a shard by
         // definition does not have; they run once, at merge time (or in
         // any full-mode run), over the complete unit set.
         if driver.has_program_checkers() && self.shard.is_none() {
@@ -700,8 +688,7 @@ impl CheckEngine {
 
             if !rerun.is_empty() {
                 // Every member of a re-run component needs its parsed unit:
-                // the program pass walks real CFGs. Clean members also
-                // regenerate their facts (facts are never cached).
+                // the program pass walks real CFGs.
                 let missing: Vec<usize> = rerun
                     .iter()
                     .flat_map(|&c| comps[c].iter().copied())
@@ -717,8 +704,8 @@ impl CheckEngine {
                 )?;
 
                 // Program passes read summaries (the lane checker always,
-                // every checker under interproc); facts regeneration only
-                // mirrors what a cold local pass would have seen.
+                // every checker under interproc). Components fan out over
+                // the pool; outputs merge in component order.
                 let mut comp_stores: Vec<Option<Arc<Summaries>>> = vec![None; rerun.len()];
                 if driver.needs_summaries() {
                     for (j, &c) in rerun.iter().enumerate() {
@@ -726,99 +713,16 @@ impl CheckEngine {
                             .iter()
                             .map(|&i| parsed[i].as_ref().expect("parsed above").unit.as_ref())
                             .collect();
-                        let store = self.component_summaries(driver, comp_keys[c], &members);
-                        if interproc {
-                            for &i in &comps[c] {
-                                unit_summaries[i] = Some(store.clone());
-                            }
-                        }
-                        comp_stores[j] = Some(store);
+                        comp_stores[j] =
+                            Some(self.component_summaries(driver, comp_keys[c], &members));
                     }
                 }
-
-                let regen: Vec<usize> = rerun
-                    .iter()
-                    .flat_map(|&c| comps[c].iter().copied())
-                    .filter(|i| !dirty_set.contains(i))
-                    .collect();
-                let mut regen_facts: HashMap<usize, Vec<Vec<Fact>>> = HashMap::new();
-                let mut items: Vec<(usize, usize)> = Vec::new();
-                for &i in &regen {
-                    regen_facts.insert(i, (0..driver.native_count()).map(|_| Vec::new()).collect());
-                    let cu = &parsed[i].as_ref().expect("parsed above").unit;
-                    let nfn = cu.cfgs.len();
-                    // A function index snapshotted from this exact source
-                    // content records how many facts each function emits;
-                    // zero-emitters — the whole built-in suite — skip
-                    // regeneration outright.
-                    let skip: Option<Vec<bool>> = if unit_sensitive {
-                        None
-                    } else {
-                        let idx_key = fn_index_key(suite, &sources[i].1);
-                        self.lookup_fn_index(idx_key, &mut stats)
-                            .filter(|p| p.src_key == src_keys[i] && p.functions.len() == nfn)
-                            .map(|p| {
-                                cu.unit
-                                    .functions()
-                                    .zip(&p.functions)
-                                    .map(|(f, e)| {
-                                        e.name == f.name && e.fact_counts.iter().all(|&c| c == 0)
-                                    })
-                                    .collect()
-                            })
-                    };
-                    let before = items.len();
-                    items.extend(
-                        (0..nfn)
-                            .filter(|&f| !skip.as_ref().is_some_and(|s| s[f]))
-                            .map(|f| (i, f)),
-                    );
-                    if items.len() > before {
-                        stats.facts_regenerated += 1;
-                    }
-                }
-                let outputs = map_functions(
-                    driver,
-                    &parsed,
-                    &unit_summaries,
-                    &items,
-                    |cu, f, cfg, store| driver.collect_function_facts(cu, f, cfg, store),
-                );
-                for (&(i, _), facts) in items.iter().zip(outputs) {
-                    let dest = regen_facts.get_mut(&i).expect("regen unit");
-                    for (ci, v) in facts.into_iter().enumerate() {
-                        dest[ci].extend(v);
-                    }
-                }
-
-                // Assemble each component's facts in (unit, function) order
-                // and run its program passes; components fan out over the
-                // pool, outputs merge in component order.
-                let work: Vec<Mutex<Option<Vec<Vec<Fact>>>>> = rerun
-                    .iter()
-                    .map(|&c| {
-                        let mut facts: Vec<Vec<Fact>> =
-                            (0..driver.native_count()).map(|_| Vec::new()).collect();
-                        for &i in &comps[c] {
-                            let unit_facts = dirty_facts
-                                .remove(&i)
-                                .or_else(|| regen_facts.remove(&i))
-                                .expect("dirty or regenerated");
-                            for (ci, f) in unit_facts.into_iter().enumerate() {
-                                facts[ci].extend(f);
-                            }
-                        }
-                        Mutex::new(Some(facts))
-                    })
-                    .collect();
                 let outs: Vec<Vec<Report>> = driver.pool_map(rerun.len(), |j| {
-                    let c = rerun[j];
-                    let members: Vec<&CheckedUnit> = comps[c]
+                    let members: Vec<&CheckedUnit> = comps[rerun[j]]
                         .iter()
                         .map(|&i| parsed[i].as_ref().expect("parsed above").unit.as_ref())
                         .collect();
-                    let facts = work[j].lock().unwrap().take().expect("taken once");
-                    driver.run_program_passes(&members, facts, comp_stores[j].as_deref())
+                    driver.run_program_passes(&members, comp_stores[j].as_deref())
                 });
                 for (&c, out) in rerun.iter().zip(outs) {
                     let rec = Arc::new(ComponentRecord {
@@ -951,7 +855,7 @@ impl CheckEngine {
         comp_keys: &[u64],
         comp_of: &[usize],
         stats: &mut RunStats,
-    ) -> Vec<UnitLocal> {
+    ) -> Vec<Vec<Report>> {
         let suite = driver.suite_key();
         let refute = driver.refute_enabled();
         let interproc = driver.interproc_enabled();
@@ -967,7 +871,6 @@ impl CheckEngine {
 
         let mut plans: Vec<UnitPlan> = Vec::with_capacity(dirty.len());
         let mut red: Vec<(usize, usize)> = Vec::new();
-        let mut green_facts: Vec<(usize, usize)> = Vec::new();
         for &i in dirty {
             let cu = &parsed[i].as_ref().expect("parsed above").unit;
             let idx_key = fn_index_key(suite, &sources[i].1);
@@ -1021,9 +924,6 @@ impl CheckEngine {
                 match entry {
                     Some(e) => {
                         stats.functions_replayed += 1;
-                        if e.fact_counts.iter().any(|&c| c > 0) {
-                            green_facts.push((i, f));
-                        }
                         green.push(Some(e.clone()));
                     }
                     None => {
@@ -1040,22 +940,14 @@ impl CheckEngine {
             });
         }
 
-        // Both batches are in `(unit, function)` order, which is the order
-        // the merge below consumes them in.
+        // The batch is in `(unit, function)` order, which is the order the
+        // merge below consumes it in.
         let mut fresh = map_functions(driver, parsed, unit_summaries, &red, |cu, f, cfg, s| {
             driver.check_one_function(cu, f, cfg, s)
         })
         .into_iter();
-        let mut gfacts = map_functions(
-            driver,
-            parsed,
-            unit_summaries,
-            &green_facts,
-            |cu, f, cfg, s| driver.collect_function_facts(cu, f, cfg, s),
-        )
-        .into_iter();
 
-        let mut locals: Vec<UnitLocal> = Vec::with_capacity(dirty.len());
+        let mut locals: Vec<Vec<Report>> = Vec::with_capacity(dirty.len());
         for (plan, &i) in plans.into_iter().zip(dirty) {
             let cu = &parsed[i].as_ref().expect("parsed above").unit;
             let fps = cu.fn_fingerprints();
@@ -1063,31 +955,19 @@ impl CheckEngine {
             let names: Vec<&str> = cu.unit.functions().map(|f| f.name.as_str()).collect();
             let index_of: HashMap<&str, usize> =
                 names.iter().enumerate().map(|(k, n)| (*n, k)).collect();
-            let mut local = UnitLocal {
-                reports: Vec::new(),
-                facts: (0..driver.native_count()).map(|_| Vec::new()).collect(),
-            };
+            let mut local: Vec<Report> = Vec::new();
             let mut entries: Vec<FnEntry> = Vec::with_capacity(names.len());
             for (f, green) in plan.green.into_iter().enumerate() {
                 match green {
                     Some(entry) => {
-                        local.reports.extend(entry.reports.iter().cloned());
-                        if entry.fact_counts.iter().any(|&c| c > 0) {
-                            let ff = gfacts.next().expect("green facts regenerated");
-                            for (ci, v) in ff.into_iter().enumerate() {
-                                local.facts[ci].extend(v);
-                            }
-                        }
+                        local.extend(entry.reports.iter().cloned());
                         entries.push(entry);
                     }
                     None => {
                         let fo = fresh.next().expect("red function checked");
                         let mut slice: Vec<Report> = fo.metal;
-                        let mut fact_counts: Vec<u64> = Vec::with_capacity(fo.native.len());
-                        for (ci, sink) in fo.native.into_iter().enumerate() {
+                        for sink in fo.native {
                             slice.extend(sink.reports);
-                            fact_counts.push(sink.facts.len() as u64);
-                            local.facts[ci].extend(sink.facts);
                         }
                         let local_deps = if refute {
                             local_call_closure(f, &names, &index_of, calls, fps)
@@ -1113,13 +993,12 @@ impl CheckEngine {
                         } else {
                             Vec::new()
                         };
-                        local.reports.extend(slice.iter().cloned());
+                        local.extend(slice.iter().cloned());
                         entries.push(FnEntry {
                             name: names[f].to_string(),
                             body_fp: fps[f].body,
                             sig_fp: fps[f].sig,
                             reports: slice,
-                            fact_counts,
                             local_deps,
                             summary_deps,
                         });

@@ -203,11 +203,8 @@ enum PatShape {
     },
     /// `;`
     Empty,
-    /// `break;`
-    Break,
-    /// `continue;`
-    Continue,
-    /// A pattern no candidate can ever match (e.g. a list initializer).
+    /// A pattern no candidate can ever match (e.g. a list initializer, or
+    /// `break;`, which the CFG turns into an edge).
     Never,
 }
 
@@ -704,8 +701,6 @@ fn compile_pattern(
                 PatShape::ReturnSome
             }
             StmtKind::Empty => PatShape::Empty,
-            StmtKind::Break => PatShape::Break,
-            StmtKind::Continue => PatShape::Continue,
             StmtKind::Decl(d) => match &d.init {
                 None => PatShape::Decl {
                     ty: d.ty.clone(),
@@ -725,9 +720,9 @@ fn compile_pattern(
                 // but mark it unmatchable.
                 Some(_) => PatShape::Never,
             },
-            // Control-flow statements are decomposed by the CFG and never
-            // appear as candidates; the matcher's fallthrough arm rejects
-            // them unconditionally.
+            // Control-flow statements, `break` and `continue` included, are
+            // decomposed by the CFG into edges and never appear as
+            // candidates.
             _ => PatShape::Never,
         },
     };
@@ -862,8 +857,7 @@ fn register(idx: &mut StateIndex, entry: Entry, pat: &CompiledPattern) {
         PatShape::ReturnSome => idx.ret_some.push(entry),
         PatShape::Decl { .. } => idx.decl.push(entry),
         PatShape::Empty => idx.empty.push(entry),
-        // Break and continue are CFG edges, never event nodes.
-        PatShape::Break | PatShape::Continue | PatShape::Never => {}
+        PatShape::Never => {}
     }
 }
 
@@ -1056,10 +1050,9 @@ fn inner_expr(p: &Pattern) -> Option<&Expr> {
 fn stmts_equal(a: &Stmt, b: &Stmt) -> bool {
     match (&a.kind, &b.kind) {
         (StmtKind::Expr(x), StmtKind::Expr(y)) => exprs_equal(x, y),
-        (StmtKind::Empty, StmtKind::Empty)
-        | (StmtKind::Break, StmtKind::Break)
-        | (StmtKind::Continue, StmtKind::Continue)
-        | (StmtKind::Return(None), StmtKind::Return(None)) => true,
+        (StmtKind::Empty, StmtKind::Empty) | (StmtKind::Return(None), StmtKind::Return(None)) => {
+            true
+        }
         (StmtKind::Return(Some(x)), StmtKind::Return(Some(y))) => exprs_equal(x, y),
         (StmtKind::Decl(x), StmtKind::Decl(y)) => {
             x.ty == y.ty
@@ -2109,6 +2102,33 @@ mod tests {
             .diagnostics()
             .iter()
             .any(|d| d.kind == CompileDiagKind::UnmatchablePattern));
+    }
+
+    #[test]
+    fn break_and_continue_patterns_diagnosed() {
+        // A CFG turns `break` and `continue` into edges, never event nodes,
+        // so these rules can never fire and must say so at load time.
+        let prog = MetalProgram::parse(
+            r#"
+            sm loops {
+                start:
+                    { break; } ==> { err("saw break"); }
+                  | { continue; } ==> { err("saw continue"); }
+                ;
+            }
+        "#,
+        )
+        .unwrap();
+        let cp = CompiledProgram::compile(&prog).unwrap();
+        let d: Vec<_> = cp
+            .diagnostics()
+            .iter()
+            .filter(|d| d.kind == CompileDiagKind::UnmatchablePattern)
+            .collect();
+        assert_eq!(d.len(), 2, "{d:?}");
+        assert!(d
+            .iter()
+            .all(|d| d.message.contains("pattern alternative 1 in state `start`")));
     }
 
     #[test]

@@ -13,12 +13,17 @@
 # not fail: update the baseline in the same change to ratchet it down.
 #
 # Usage: scripts/fp_gate.sh [path-to-fp_delta]
-# (defaults to target/release/fp_delta; builds it if missing)
+# Without a path it (re)builds and runs target/release/fp_delta. The build
+# runs every time, not only when the binary is missing: a target/ restored
+# from a cache may hold an fp_delta built from an older commit, and cargo
+# leaves a fresh binary untouched.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-FP_DELTA=${1:-target/release/fp_delta}
-if [ ! -x "$FP_DELTA" ]; then
+if [ $# -ge 1 ]; then
+    FP_DELTA=$1
+else
+    FP_DELTA=target/release/fp_delta
     cargo build --release -p mc-bench --bin fp_delta
 fi
 

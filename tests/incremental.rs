@@ -126,6 +126,48 @@ fn one_dirty_warm_run_equals_fresh_cold_run() {
     assert_eq!(rendered(&incremental), rendered(&cold));
 }
 
+/// The component tier: with two units that call nothing of each other (two
+/// call-graph components) and the built-in suite, whose lane checker gives
+/// every component a program pass, an edit to one unit re-runs that
+/// component's program passes and replays the other's from cache.
+#[test]
+fn one_dirty_component_reruns_and_the_clean_one_replays() {
+    let handler = |name: &str| {
+        format!(
+            "void {name}(void) {{\n    HANDLER_DEFS();\n    HANDLER_PROLOGUE();\n    \
+             MISCBUS_READ_DB(a, b);\n}}\n"
+        )
+    };
+    let sources = vec![
+        (handler("PIHandlerA"), "a.c".to_string()),
+        (handler("PIHandlerB"), "b.c".to_string()),
+    ];
+    let mut edited = sources.clone();
+    edited[0]
+        .0
+        .push_str("void PIProbeA(void) { long m; m = MISCBUS_READ_DB(a, b); }\n");
+    let spec = flash_mc::checkers::flash::FlashSpec::default();
+    for jobs in [1usize, 4] {
+        let driver = driver_for(&spec, jobs);
+        let mut engine = CheckEngine::in_memory();
+        let (_, cold) = engine.check_sources(&driver, &sources).expect("parses");
+        assert_eq!(cold.components, 2, "jobs={jobs}: {cold:?}");
+        assert_eq!(cold.components_rechecked, 2, "jobs={jobs}: {cold:?}");
+
+        let (warm, stats) = engine.check_sources(&driver, &edited).expect("parses");
+        assert_eq!(stats.components, 2, "jobs={jobs}: {stats:?}");
+        assert_eq!(stats.components_rechecked, 1, "jobs={jobs}: {stats:?}");
+        assert_eq!(stats.component_hits, 1, "jobs={jobs}: {stats:?}");
+        let fresh = oracle(&driver, &edited);
+        assert!(!fresh.is_empty(), "the probe and the handlers are flagged");
+        assert_eq!(
+            warm, fresh,
+            "jobs={jobs}: warm run diverged from a cold run"
+        );
+        assert_eq!(rendered(&warm), rendered(&fresh));
+    }
+}
+
 /// One edit step of the invalidation matrix: a probe callee/caller pair
 /// appended to the first corpus file, each field independently editable so
 /// a step can change exactly one invalidation-relevant dimension.
