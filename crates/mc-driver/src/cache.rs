@@ -1,12 +1,19 @@
 //! On-disk cache records for the incremental check engine.
 //!
 //! Every record is one mc-json document in one file under the cache
-//! directory, named after the content-addressed key it answers
-//! (`usrc-<key>.json`, `uast-<key>.json`, `comp-<key>.json`,
-//! `sumy-<key>.json`, `prog-<key>.json`). Keys already fold the driver's
-//! [`suite_key`](crate::Driver::suite_key), so one directory can be shared
-//! by different checker suites, configurations, and crate versions without
-//! cross-talk.
+//! directory, named after the key it answers:
+//!
+//! * `fnidx-<slot>.json` — a source file's one [`FnIndexRecord`], at the
+//!   *file slot* `H(suite, file name)` and overwritten as the file changes;
+//! * `comp-<key>.json`, `sumy-<key>.json` — a call-graph component's
+//!   program-pass reports and function summaries, by component key;
+//! * `prog-<key>.json` — a whole run's final reports, by program key;
+//! * `clm-<content>-<slot>.json` — a shard's claim on a file's content
+//!   (see [`DiskCache::claim`]), an empty marker, not a record.
+//!
+//! Keys already fold the driver's [`suite_key`](crate::Driver::suite_key),
+//! so one directory can be shared by different checker suites,
+//! configurations, and crate versions without cross-talk.
 //!
 //! The directory can be size-bounded ([`DiskCache::set_cap_bytes`]):
 //! every store then evicts record files oldest-first until the directory
@@ -55,68 +62,6 @@ fn check_tag(v: &Json, kind: &str) -> Result<(), JsonError> {
         return Err(JsonError(format!("cache format version {version}")));
     }
     Ok(())
-}
-
-/// The cached local results of one translation unit.
-///
-/// Keyed two ways: by `src_key` (hash of the raw source text — the fast
-/// path, no parsing needed) and by `ast_key` (hash of the parsed AST
-/// including every node span — hit when only layout that displaces no
-/// token changed). `defines`/`calls` are the unit's [`CallInfo`]
-/// (`crate::call_info`), stored so the engine can rebuild the unit-level
-/// call graph without re-parsing clean units.
-///
-/// [`CallInfo`]: crate::CallInfo
-#[derive(Debug, Clone, PartialEq)]
-pub struct UnitRecord {
-    /// Key of the unit's raw source text (suite-scoped).
-    pub src_key: u64,
-    /// Key of the unit's parsed AST (suite-scoped).
-    pub ast_key: u64,
-    /// The component key the unit's local reports were computed under when
-    /// interprocedural call-site resolution was on, `0` otherwise.
-    ///
-    /// With summaries in play a unit's local reports depend on its whole
-    /// call-graph component, not just its own source: the engine compares
-    /// this against the component key of the current run and demotes the
-    /// record to dirty on mismatch.
-    pub summary_key: u64,
-    /// Function names the unit defines, in definition order.
-    pub defines: Vec<String>,
-    /// Function names the unit calls, sorted.
-    pub calls: Vec<String>,
-    /// The unit's local diagnostics, in `(function, checker)` order,
-    /// exactly as a cold run produces them.
-    pub reports: Vec<Report>,
-}
-
-impl ToJson for UnitRecord {
-    fn to_json(&self) -> Json {
-        object(vec![
-            ("kind", Json::Str("unit".into())),
-            ("version", CACHE_FORMAT_VERSION.to_json()),
-            ("src_key", Json::Str(key_hex(self.src_key))),
-            ("ast_key", Json::Str(key_hex(self.ast_key))),
-            ("summary_key", Json::Str(key_hex(self.summary_key))),
-            ("defines", self.defines.to_json()),
-            ("calls", self.calls.to_json()),
-            ("reports", self.reports.to_json()),
-        ])
-    }
-}
-
-impl FromJson for UnitRecord {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        check_tag(v, "unit")?;
-        Ok(UnitRecord {
-            src_key: key_from_json(v, "src_key")?,
-            ast_key: key_from_json(v, "ast_key")?,
-            summary_key: key_from_json(v, "summary_key")?,
-            defines: field(v, "defines")?,
-            calls: field(v, "calls")?,
-            reports: field(v, "reports")?,
-        })
-    }
 }
 
 /// The cached reports of one call-graph component's program passes.
@@ -357,14 +302,19 @@ fn fn_entry_from_json(v: &Json) -> Result<FnEntry, JsonError> {
     })
 }
 
-/// The per-function dependency index of one source file — the red/green
-/// baseline a dirty file is diffed against.
+/// The one cache record of one source file: its local results, per
+/// function, plus everything the engine needs to replay them or to diff
+/// an edited version of the file against them.
 ///
 /// Unlike the other records, which are immutable values at
 /// content-addressed keys, this one lives at a *file-addressed* slot
 /// (`H(suite, file name)`) and is overwritten whenever the file's checked
 /// state moves: it always describes the latest snapshot the engine
-/// produced for that file under that suite.
+/// produced for that file under that suite. A run whose file still has
+/// `src_key` replays the record without parsing; any other run parses
+/// the file and diffs it against the record function by function. The
+/// unit's defined names are the entries' names, and its local reports are
+/// the entries' report slices concatenated.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FnIndexRecord {
     /// Key folding the suite key and the file name.
@@ -372,10 +322,25 @@ pub struct FnIndexRecord {
     /// The unit's source key at snapshot time, for freshness checks
     /// without a parse.
     pub src_key: u64,
+    /// The unit's AST key at snapshot time (suite-scoped, every node span
+    /// folded in), so component keys can be built without a parse.
+    pub ast_key: u64,
+    /// The component key the entries were computed under when
+    /// interprocedural call-site resolution was on, `0` otherwise.
+    ///
+    /// With summaries in play a unit's local reports depend on its whole
+    /// call-graph component, not just its own source: the engine compares
+    /// this against the component key of the current run and diffs the
+    /// unit instead of replaying it on mismatch.
+    pub summary_key: u64,
     /// The unit's environment hash at snapshot time
     /// ([`mc_ast::Fingerprint::of_unit_env`] plus the unit's written-global
     /// set).
     pub env_fp: u64,
+    /// Function names the unit calls, sorted — with the entries' names,
+    /// the unit's [`CallInfo`](crate::CallInfo), so the unit-level call
+    /// graph is rebuilt without re-parsing clean units.
+    pub calls: Vec<String>,
     /// Per-function entries in definition order.
     pub functions: Vec<FnEntry>,
 }
@@ -387,7 +352,10 @@ impl ToJson for FnIndexRecord {
             ("version", CACHE_FORMAT_VERSION.to_json()),
             ("key", Json::Str(key_hex(self.key))),
             ("src_key", Json::Str(key_hex(self.src_key))),
+            ("ast_key", Json::Str(key_hex(self.ast_key))),
+            ("summary_key", Json::Str(key_hex(self.summary_key))),
             ("env_fp", Json::Str(key_hex(self.env_fp))),
+            ("calls", self.calls.to_json()),
             (
                 "functions",
                 Json::Array(self.functions.iter().map(fn_entry_to_json).collect()),
@@ -409,7 +377,10 @@ impl FromJson for FnIndexRecord {
         Ok(FnIndexRecord {
             key: key_from_json(v, "key")?,
             src_key: key_from_json(v, "src_key")?,
+            ast_key: key_from_json(v, "ast_key")?,
+            summary_key: key_from_json(v, "summary_key")?,
             env_fp: key_from_json(v, "env_fp")?,
+            calls: field(v, "calls")?,
             functions,
         })
     }
@@ -556,7 +527,7 @@ impl DiskCache {
     ///   just stored may be read back momentarily (this handle's own
     ///   writes stay evictable, so a single capped run still honors the
     ///   bound);
-    /// * records whose key is covered by a live claim file (see
+    /// * records at a slot named by a live claim file (see
     ///   [`DiskCache::claim`]) — the claiming writer is still working on
     ///   or relying on them. Claims older than [`CLAIM_TTL`] are dead and
     ///   protect nothing.
@@ -581,7 +552,8 @@ impl DiskCache {
             let Ok(meta) = e.metadata() else { continue };
             let Ok(mtime) = meta.modified() else { continue };
             if let Some(stem) = path.file_stem().and_then(|s| s.to_str()) {
-                if let Some(key) = stem.strip_prefix("clm-") {
+                // A claim guards the record whose key is its last part.
+                if let Some(key) = stem.strip_prefix("clm-").and_then(|k| k.rsplit('-').next()) {
                     let fresh = now
                         .duration_since(mtime)
                         .map(|age| age < CLAIM_TTL)
@@ -620,20 +592,25 @@ impl DiskCache {
         }
     }
 
-    /// Claims `key` for this writer: returns `true` when the caller now
-    /// holds the claim and should compute (and store) the record, `false`
-    /// when another live writer already holds it.
+    /// Claims the file content `key` for this writer: returns `true` when
+    /// the caller now holds the claim and should compute (and store) the
+    /// file's record at slot `slot`, `false` when another live writer
+    /// already holds it.
     ///
-    /// The claim is a `clm-<key>.json` file created with `create_new`, so
-    /// exactly one concurrent writer wins a fresh key. A claim whose
-    /// mtime is older than `CLAIM_TTL` (ten minutes) belongs to a dead
-    /// writer and is taken over. Claims are purely an optimization plus an eviction
-    /// guard — never a correctness dependency: records are
-    /// content-addressed and stored via tmp+rename, so two writers
-    /// computing the same key merely duplicate work, and the last rename
-    /// wins with identical bytes.
-    pub fn claim(&self, key: u64) -> bool {
-        let path = self.dir.join(format!("clm-{}.json", key_hex(key)));
+    /// The claim is a `clm-<key>-<slot>.json` file created with
+    /// `create_new`, so exactly one concurrent writer wins fresh content,
+    /// while a later edit of the same file is new content and a new claim.
+    /// While it is live the claim also keeps the record at `slot` from
+    /// eviction. A claim whose mtime is older than `CLAIM_TTL` (ten
+    /// minutes) belongs to a dead writer and is taken over. Claims are
+    /// purely an optimization plus an eviction guard — never a correctness
+    /// dependency: records are validated on load and stored via
+    /// tmp+rename, so two writers computing the same content merely
+    /// duplicate work, and the last rename wins with identical bytes.
+    pub fn claim(&self, key: u64, slot: u64) -> bool {
+        let path = self
+            .dir
+            .join(format!("clm-{}-{}.json", key_hex(key), key_hex(slot)));
         match std::fs::OpenOptions::new()
             .write(true)
             .create_new(true)
@@ -677,26 +654,6 @@ impl DiskCache {
             }
         }
         self.enforce_cap();
-    }
-
-    /// Looks a unit up by the hash of its raw source text.
-    pub fn load_unit_by_source(&self, src_key: u64) -> Option<UnitRecord> {
-        let rec: UnitRecord = self.load("usrc", src_key)?;
-        (rec.src_key == src_key).then_some(rec)
-    }
-
-    /// Looks a unit up by the hash of its parsed AST (the fallback when
-    /// only layout changed).
-    pub fn load_unit_by_ast(&self, ast_key: u64) -> Option<UnitRecord> {
-        let rec: UnitRecord = self.load("uast", ast_key)?;
-        (rec.ast_key == ast_key).then_some(rec)
-    }
-
-    /// Stores a unit record under both of its keys.
-    pub fn store_unit(&self, rec: &UnitRecord) {
-        let text = mc_json::to_string(rec);
-        self.store(self.path("usrc", rec.src_key), &text);
-        self.store(self.path("uast", rec.ast_key), &text);
     }
 
     /// Looks up a component's program-pass reports.
@@ -756,28 +713,51 @@ mod tests {
     use super::*;
     use mc_ast::Span;
 
-    fn sample_unit() -> UnitRecord {
-        UnitRecord {
+    fn sample_fn_index() -> FnIndexRecord {
+        FnIndexRecord {
+            key: 0xabcd_ef01_2345_6789,
             src_key: 0xdead_beef_dead_beef,
             ast_key: 0x1234_5678_9abc_def0,
             summary_key: 0,
-            defines: vec!["NILocalGet".into(), "helper".into()],
+            env_fp: 0x5555_6666_7777_8888,
             calls: vec!["NI_SEND".into(), "helper".into()],
-            reports: vec![Report::error(
-                "lanes",
-                "p.c",
-                "NILocalGet",
-                Span::new(3, 5),
-                "over quota",
-            )],
+            functions: vec![FnEntry {
+                name: "NILocalGet".into(),
+                body_fp: 0x9999_aaaa_bbbb_cccc,
+                sig_fp: 0xdddd_eeee_ffff_0000,
+                reports: vec![Report::error(
+                    "buffer_mgmt",
+                    "p.c",
+                    "NILocalGet",
+                    Span::new(9, 3),
+                    "buffer used after free",
+                )],
+                local_deps: vec![("helper".into(), 0x0123_4567_89ab_cdef)],
+                summary_deps: vec![
+                    ("NI_SEND".into(), None),
+                    ("helper".into(), Some(0xfedc_ba98_7654_3210)),
+                ],
+            }],
         }
     }
 
+    /// `sample_fn_index` moved to another file slot.
+    fn sample_at(slot: u64) -> FnIndexRecord {
+        FnIndexRecord {
+            key: slot,
+            ..sample_fn_index()
+        }
+    }
+
+    fn stored(cache: &DiskCache, slot: u64) -> bool {
+        matches!(cache.load_fn_index(slot), FnIndexLoad::Hit(_))
+    }
+
     #[test]
-    fn unit_record_roundtrip_exact() {
-        let rec = sample_unit();
+    fn fn_index_roundtrip_exact() {
+        let rec = sample_fn_index();
         let text = mc_json::to_string(&rec);
-        let back: UnitRecord = mc_json::from_str(&text).unwrap();
+        let back: FnIndexRecord = mc_json::from_str(&text).unwrap();
         assert_eq!(rec, back);
         // Keys above i64::MAX survive (they are hex strings, not numbers).
         assert!(text.contains("deadbeefdeadbeef"));
@@ -785,14 +765,14 @@ mod tests {
 
     #[test]
     fn wrong_kind_or_version_rejected() {
-        let rec = sample_unit();
+        let rec = sample_fn_index();
         let text = mc_json::to_string(&rec);
         let as_comp: Result<ComponentRecord, _> = mc_json::from_str(&text);
         assert!(as_comp.is_err());
         let current = format!("\"version\":{CACHE_FORMAT_VERSION}");
         assert!(text.contains(&current), "{text}");
         let bumped = text.replace(&current, "\"version\":999");
-        let back: Result<UnitRecord, _> = mc_json::from_str(&bumped);
+        let back: Result<FnIndexRecord, _> = mc_json::from_str(&bumped);
         assert!(back.is_err());
     }
 
@@ -836,24 +816,26 @@ mod tests {
     fn cap_evicts_oldest_record_files_first() {
         let dir = std::env::temp_dir().join(format!("mc-cache-cap-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut rec = sample_unit();
-        // First run: store the soon-to-be-old pair.
-        DiskCache::open(&dir).unwrap().store_unit(&rec);
-        let one = mc_json::to_string(&rec).len() as u64;
-        // Each store writes two files (usrc + uast); a cap below three
-        // files' worth forces the older pair out when the new one lands.
-        let cap = one * 3 - 1;
+        let old = sample_at(1);
+        // First run: store the soon-to-be-old record.
+        DiskCache::open(&dir).unwrap().store_fn_index(&old);
+        let one = mc_json::to_string(&old).len() as u64;
+        // A cap below two records' worth forces the older one out when
+        // the new one lands.
+        let cap = one * 2 - 1;
         // Second run (fresh handle, later run_start): files from the
         // first run are older than this run and evictable.
         std::thread::sleep(std::time::Duration::from_millis(20));
         let mut cache = DiskCache::open(&dir).unwrap();
         cache.set_cap_bytes(Some(cap));
-        rec.src_key += 1;
-        rec.ast_key += 1;
-        cache.store_unit(&rec);
-        // The newer record survives; the older pair was evicted.
-        assert_eq!(cache.load_unit_by_source(rec.src_key), Some(rec.clone()));
-        assert_eq!(cache.load_unit_by_source(rec.src_key - 1), None);
+        let new = sample_at(2);
+        cache.store_fn_index(&new);
+        // The newer record survives; the older one was evicted.
+        match cache.load_fn_index(new.key) {
+            FnIndexLoad::Hit(back) => assert_eq!(back, new),
+            other => panic!("expected hit, got {other:?}"),
+        }
+        assert!(!stored(&cache, old.key));
         let total: u64 = std::fs::read_dir(&dir)
             .unwrap()
             .flatten()
@@ -875,23 +857,16 @@ mod tests {
         let mut a = DiskCache::open(&dir).unwrap();
         a.set_cap_bytes(Some(1));
         let b = DiskCache::open(&dir).unwrap();
-        let base = sample_unit();
-        for i in 0..3u64 {
-            let mut rec = base.clone();
-            rec.src_key = base.src_key + i;
-            rec.ast_key = base.ast_key + i;
-            b.store_unit(&rec);
+        for slot in 0..3u64 {
+            b.store_fn_index(&sample_at(slot));
         }
         // `a`'s store triggers its eviction pass; `b`'s records are newer
         // than `a.run_start` and not `a`'s own, so all three survive.
-        let mut own = base.clone();
-        own.src_key = base.src_key + 100;
-        own.ast_key = base.ast_key + 100;
-        a.store_unit(&own);
-        for i in 0..3u64 {
+        a.store_fn_index(&sample_at(100));
+        for slot in 0..3u64 {
             assert!(
-                b.load_unit_by_source(base.src_key + i).is_some(),
-                "record {i} of a concurrent writer was evicted"
+                stored(&b, slot),
+                "record {slot} of a concurrent writer was evicted"
             );
         }
         let _ = std::fs::remove_dir_all(&dir);
@@ -904,27 +879,19 @@ mod tests {
         // Run 1: store two records; claim the first one (a live writer
         // still depends on it).
         let old = DiskCache::open(&dir).unwrap();
-        let kept = sample_unit();
-        let mut gone = sample_unit();
-        gone.src_key += 100;
-        gone.ast_key += 100;
-        old.store_unit(&kept);
-        old.store_unit(&gone);
-        assert!(old.claim(kept.src_key));
+        let kept = sample_at(1);
+        let gone = sample_at(101);
+        old.store_fn_index(&kept);
+        old.store_fn_index(&gone);
+        assert!(old.claim(kept.src_key, kept.key));
         // Run 2: a tiny cap forces eviction of run-1 files — but the
         // claimed record (and the claim itself) must survive.
         std::thread::sleep(std::time::Duration::from_millis(20));
         let mut cache = DiskCache::open(&dir).unwrap();
         cache.set_cap_bytes(Some(1));
-        let mut fresh = sample_unit();
-        fresh.src_key += 200;
-        fresh.ast_key += 200;
-        cache.store_unit(&fresh);
-        assert!(
-            cache.load_unit_by_source(kept.src_key).is_some(),
-            "claimed record was evicted"
-        );
-        assert!(cache.load_unit_by_source(gone.src_key).is_none());
+        cache.store_fn_index(&sample_at(201));
+        assert!(stored(&cache, kept.key), "claimed record was evicted");
+        assert!(!stored(&cache, gone.key));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -934,43 +901,13 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let a = DiskCache::open(&dir).unwrap();
         let b = DiskCache::open(&dir).unwrap();
-        assert!(a.claim(42));
-        assert!(!b.claim(42), "second writer must lose a fresh claim");
-        assert!(b.claim(43));
+        assert!(a.claim(42, 7));
+        assert!(!b.claim(42, 7), "second writer must lose a fresh claim");
+        assert!(
+            b.claim(43, 7),
+            "new content of the same file is a new claim"
+        );
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    fn sample_fn_index() -> FnIndexRecord {
-        FnIndexRecord {
-            key: 0xabcd_ef01_2345_6789,
-            src_key: 0x1111_2222_3333_4444,
-            env_fp: 0x5555_6666_7777_8888,
-            functions: vec![FnEntry {
-                name: "NILocalGet".into(),
-                body_fp: 0x9999_aaaa_bbbb_cccc,
-                sig_fp: 0xdddd_eeee_ffff_0000,
-                reports: vec![Report::error(
-                    "buffer_mgmt",
-                    "p.c",
-                    "NILocalGet",
-                    Span::new(9, 3),
-                    "buffer used after free",
-                )],
-                local_deps: vec![("helper".into(), 0x0123_4567_89ab_cdef)],
-                summary_deps: vec![
-                    ("NI_SEND".into(), None),
-                    ("helper".into(), Some(0xfedc_ba98_7654_3210)),
-                ],
-            }],
-        }
-    }
-
-    #[test]
-    fn fn_index_roundtrip_exact() {
-        let rec = sample_fn_index();
-        let text = mc_json::to_string(&rec);
-        let back: FnIndexRecord = mc_json::from_str(&text).unwrap();
-        assert_eq!(rec, back);
     }
 
     #[test]
@@ -1013,23 +950,5 @@ mod tests {
         assert_eq!(summary_content_hash(&a), summary_content_hash(&b));
         a.counters.insert("lane2".into(), 1);
         assert_ne!(summary_content_hash(&a), summary_content_hash(&b));
-    }
-
-    #[test]
-    fn disk_roundtrip_and_key_validation() {
-        let dir = std::env::temp_dir().join(format!("mc-cache-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cache = DiskCache::open(&dir).unwrap();
-        let rec = sample_unit();
-        cache.store_unit(&rec);
-        assert_eq!(cache.load_unit_by_source(rec.src_key), Some(rec.clone()));
-        assert_eq!(cache.load_unit_by_ast(rec.ast_key), Some(rec.clone()));
-        assert_eq!(cache.load_unit_by_source(rec.src_key + 1), None);
-
-        // Corrupt the stored file: load degrades to a miss.
-        let path = dir.join(format!("usrc-{}.json", key_hex(rec.src_key)));
-        std::fs::write(&path, "{\"kind\":\"unit\",garbage").unwrap();
-        assert_eq!(cache.load_unit_by_source(rec.src_key), None);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

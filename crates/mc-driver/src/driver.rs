@@ -416,7 +416,11 @@ pub(crate) struct FunctionOutput {
 ///
 /// v10: `fnindex` records no longer carry per-checker fact counts; a v9
 /// record would fail to validate against the new layout.
-pub const CACHE_FORMAT_VERSION: u32 = 10;
+///
+/// v11: the unit record is folded into the `fnindex` record, which gains
+/// `ast_key`, `summary_key` and `calls`; `unit` records are no longer
+/// written or read.
+pub const CACHE_FORMAT_VERSION: u32 = 11;
 
 /// Stack size of every thread that runs checks: `Driver::pool_map`'s
 /// workers and `mcheckd`'s connection threads. It matches the usual 8 MiB

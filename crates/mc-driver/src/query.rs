@@ -15,38 +15,40 @@
 //!
 //! 1. **Program** — a key over the suite key plus every unit's source hash.
 //!    A hit returns the final report vector without parsing anything.
-//! 2. **Unit** — each unit's local reports, keyed by its raw source text
-//!    (fast path) with a parsed-AST fallback that survives edits displacing
-//!    no token (trailing whitespace, comment-only changes).
-//! 3. **Function** — a dirty unit is *diffed* against its per-function
-//!    dependency index ([`FnIndexRecord`]): every function is
-//!    re-fingerprinted, and a function is **green** — its cached report
-//!    slice replays verbatim — when its body fingerprint, its unit's
-//!    environment hash, and every read it recorded at check time (same-unit
-//!    callee bodies for witness refutation, callee summary content hashes
-//!    under interprocedural resolution) are unchanged. Everything else is
-//!    **red** and re-checks, recording a fresh dependency edge set. An edit
-//!    to one handler body re-checks a handful of functions, not a
-//!    300-function component. When a registered checker is
+//! 2. **File** — each file has one record ([`FnIndexRecord`]) at its file
+//!    slot `H(suite, file)`. The record answers the file without a parse
+//!    when its source key is the file's and, under interprocedural
+//!    resolution, its summary key is the file's current component key.
+//! 3. **Function** — every other file is parsed and *diffed* against that
+//!    same record: every function is re-fingerprinted, and a function is
+//!    **green** — its cached report slice replays verbatim — when its body
+//!    fingerprint, its unit's environment hash, and every read it recorded
+//!    at check time (same-unit callee bodies for witness refutation, callee
+//!    summary content hashes under interprocedural resolution) are
+//!    unchanged. Everything else is **red** and re-checks, recording a
+//!    fresh dependency edge set. An edit to one handler body re-checks a
+//!    handful of functions, not a 300-function component, and an edit that
+//!    displaces no token (trailing whitespace, comment-only changes)
+//!    re-checks none. When a registered checker is
 //!    [`unit_sensitive`](crate::Checker::unit_sensitive), every function of
 //!    a dirty unit is red.
-//! 4. **Component** — program passes re-run per call-graph component
-//!    whenever any member unit changed (see
-//!    [`call_components`](crate::call_components)); clean components replay
-//!    their cached reports. A program pass reads only its component's
-//!    parsed units and summary store, so the clean members of a re-run
-//!    component are parsed but never re-checked.
+//! 4. **Component** — program passes replay per call-graph component (see
+//!    [`call_components`](crate::call_components)) whenever the component
+//!    key, which folds every member's AST key, hits; otherwise they re-run.
+//!    A program pass reads only its component's parsed units and summary
+//!    store, so the clean members of a re-run component are parsed but
+//!    never re-checked.
 //!
 //! The cache-safety policy is *any doubt ⇒ miss*: keys fold everything
 //! that can influence output (crate version, cache format, checker suite,
 //! config epoch, traversal settings, file names, content hashes), loads
 //! validate records against their keys, and anything unverifiable re-runs.
-//! A corrupt function index is a miss too, counted loudly in
+//! A corrupt file record is a miss too, counted loudly in
 //! [`RunStats::fn_index_corrupt`].
 
 use crate::cache::{
     summary_content_hash, ComponentRecord, DiskCache, FnEntry, FnIndexLoad, FnIndexRecord,
-    ProgramRecord, SummaryRecord, UnitRecord,
+    ProgramRecord, SummaryRecord,
 };
 use crate::driver::{call_components, CallInfo, CheckedUnit, Driver, DriverError};
 use crate::report::Report;
@@ -113,15 +115,16 @@ pub struct RunStats {
     /// The whole run was answered by the program-level cache; nothing was
     /// parsed or checked.
     pub program_hit: bool,
-    /// Units whose local reports replayed via their source-text key.
+    /// Units whose file record replayed unparsed: its source key matched
+    /// (and, under interprocedural resolution, its summary key).
     pub source_hits: usize,
-    /// Units whose local reports replayed via the AST fallback after a
-    /// layout-only edit.
-    pub ast_hits: usize,
-    /// Units that ran the full local check pass.
+    /// Dirty units that re-checked at least one function or had no usable
+    /// prior record. A dirty unit whose record replays every function
+    /// green (a layout-only edit) is not counted.
     pub units_checked: usize,
-    /// Files parsed this run (dirty units plus clean members of dirty
-    /// components).
+    /// Files parsed this run: dirty units, clean members of re-run
+    /// components, and clean members of components whose summary store
+    /// had to be recomputed.
     pub parses: usize,
     /// Call-graph components in the program.
     pub components: usize,
@@ -136,8 +139,9 @@ pub struct RunStats {
     pub functions_replayed: usize,
     /// Call-graph components whose program passes re-ran.
     pub components_rechecked: usize,
-    /// Function-index records that existed on disk but failed to parse or
-    /// validate. Always safe (a corrupt record is just a miss) but loud:
+    /// File records ([`FnIndexRecord`]) that existed on disk but failed
+    /// to parse or validate; every unit's record is loaded, so this covers
+    /// all of them. Always safe (a corrupt record is just a miss) but loud:
     /// a non-zero value on a healthy cache points at concurrent-writer or
     /// disk trouble.
     pub fn_index_corrupt: usize,
@@ -170,10 +174,8 @@ pub struct CheckEngine {
     claimed: HashSet<u64>,
     /// Parse/CFG memo, keyed by `(file, source hash)` — suite-independent.
     checked: HashMap<u64, ParsedUnit>,
-    /// Unit records, each indexed under both its source key and AST key.
-    units: HashMap<u64, Arc<UnitRecord>>,
-    /// Per-file function indexes by `H(suite, file)` — the red/green
-    /// baselines.
+    /// File records by `H(suite, file)` — each file's replayable results
+    /// and red/green baseline.
     fn_index: HashMap<u64, Arc<FnIndexRecord>>,
     /// Component program-pass reports by component key.
     components: HashMap<u64, Arc<ComponentRecord>>,
@@ -185,9 +187,14 @@ pub struct CheckEngine {
     /// Summary content hashes by `H(component key, function name)`,
     /// computed on demand while validating or recording summary reads.
     sum_hashes: HashMap<u64, u64>,
-    /// Final report vectors by program key.
+    /// Final report vectors by program key, at most [`PROGRAM_MEMO_CAP`].
     programs: HashMap<u64, Arc<ProgramRecord>>,
 }
+
+/// The most program records an engine keeps in memory; past it the table
+/// is cleared wholesale. Exact repeats within the bound (an edit and its
+/// revert) still replay without a disk cache.
+const PROGRAM_MEMO_CAP: usize = 64;
 
 impl CheckEngine {
     /// Creates an engine with no on-disk cache (memoization only lives for
@@ -219,7 +226,7 @@ impl CheckEngine {
     /// through [`DiskCache::claim`] first so overlapping writers split
     /// instead of duplicating. Shards skip whole-program passes and never
     /// store a program record — their reports are *partial* by design.
-    /// The shared cache accumulates every unit/fn-index/summary record;
+    /// The shared cache accumulates every file and summary record;
     /// a subsequent full run over the same cache (`mcheck merge`) finds
     /// all of them warm and produces output byte-identical to a
     /// single-process run.
@@ -243,9 +250,9 @@ impl CheckEngine {
         self.shard
     }
 
-    /// Loads a file's function index: memo first, then disk. A corrupt
-    /// disk record is a counted miss, never an error — the engine simply
-    /// re-checks the whole unit and overwrites the record.
+    /// Loads a file's record: memo first, then disk. A corrupt disk record
+    /// is a counted miss, never an error — the engine simply re-checks the
+    /// whole unit and overwrites the record.
     fn lookup_fn_index(&mut self, key: u64, stats: &mut RunStats) -> Option<Arc<FnIndexRecord>> {
         if let Some(rec) = self.fn_index.get(&key) {
             return Some(rec.clone());
@@ -264,12 +271,13 @@ impl CheckEngine {
         }
     }
 
-    fn store_fn_index(&mut self, rec: FnIndexRecord) {
+    fn store_fn_index(&mut self, rec: FnIndexRecord) -> Arc<FnIndexRecord> {
         let rec = Arc::new(rec);
         if let Some(d) = &self.disk {
             d.store_fn_index(&rec);
         }
-        self.fn_index.insert(rec.key, rec);
+        self.fn_index.insert(rec.key, rec.clone());
+        rec
     }
 
     /// The content hash of `name`'s summary in component `comp_key`'s
@@ -296,42 +304,6 @@ impl CheckEngine {
         Some(h)
     }
 
-    fn lookup_unit(&mut self, src_key: u64, by_ast: Option<u64>) -> Option<Arc<UnitRecord>> {
-        if let Some(rec) = self.units.get(&src_key) {
-            return Some(rec.clone());
-        }
-        if let Some(rec) = self
-            .disk
-            .as_ref()
-            .and_then(|d| d.load_unit_by_source(src_key))
-        {
-            let rec = Arc::new(rec);
-            self.insert_unit(&rec);
-            return Some(rec);
-        }
-        let ast_key = by_ast?;
-        let rec = match self.units.get(&ast_key) {
-            Some(rec) => rec.clone(),
-            None => Arc::new(self.disk.as_ref()?.load_unit_by_ast(ast_key)?),
-        };
-        // Layout-only edit: same AST, new source text. Re-index the record
-        // under the new source key so the next run takes the fast path.
-        let rec = Arc::new(UnitRecord {
-            src_key,
-            ..(*rec).clone()
-        });
-        self.insert_unit(&rec);
-        if let Some(d) = &self.disk {
-            d.store_unit(&rec);
-        }
-        Some(rec)
-    }
-
-    fn insert_unit(&mut self, rec: &Arc<UnitRecord>) {
-        self.units.insert(rec.src_key, rec.clone());
-        self.units.insert(rec.ast_key, rec.clone());
-    }
-
     fn lookup_component(&mut self, key: u64) -> Option<Arc<ComponentRecord>> {
         if let Some(rec) = self.components.get(&key) {
             return Some(rec.clone());
@@ -346,8 +318,31 @@ impl CheckEngine {
             return Some(rec.clone());
         }
         let rec = Arc::new(self.disk.as_ref()?.load_program(key)?);
-        self.programs.insert(key, rec.clone());
+        self.memo_program(rec.clone());
         Some(rec)
+    }
+
+    fn memo_program(&mut self, rec: Arc<ProgramRecord>) {
+        if self.programs.len() >= PROGRAM_MEMO_CAP {
+            self.programs.clear();
+        }
+        self.programs.insert(rec.key, rec);
+    }
+
+    /// A component's summary store from memory or disk, without computing
+    /// it (which needs every member parsed).
+    fn cached_summaries(&mut self, key: u64) -> Option<Arc<Summaries>> {
+        if let Some(s) = self.summaries.get(&key) {
+            return Some(s.clone());
+        }
+        let rec = self.disk.as_ref()?.load_summaries(key)?;
+        let mut store = Summaries::empty();
+        for fs in rec.summaries {
+            store.insert(fs);
+        }
+        let store = Arc::new(store);
+        self.summaries.insert(key, store.clone());
+        Some(store)
     }
 
     /// The summary store of one component: memoized, then disk, then
@@ -360,36 +355,24 @@ impl CheckEngine {
         key: u64,
         members: &[&CheckedUnit],
     ) -> Arc<Summaries> {
-        if let Some(s) = self.summaries.get(&key) {
-            return s.clone();
+        if let Some(s) = self.cached_summaries(key) {
+            return s;
         }
-        let store = match self.disk.as_ref().and_then(|d| d.load_summaries(key)) {
-            Some(rec) => {
-                let mut s = Summaries::empty();
-                for fs in rec.summaries {
-                    s.insert(fs);
-                }
-                s
-            }
-            None => {
-                // Function granularity extends to summaries: functions whose
-                // inputs are unchanged replay from the per-function memo
-                // instead of re-running every checker's summarize pass.
-                let s = Summaries::compute_memoized(
-                    driver,
-                    members,
-                    driver.interproc_enabled(),
-                    &mut self.fn_summaries,
-                );
-                if let Some(d) = &self.disk {
-                    d.store_summaries(&SummaryRecord {
-                        key,
-                        summaries: s.iter().cloned().collect(),
-                    });
-                }
-                s
-            }
-        };
+        // Function granularity extends to summaries: functions whose
+        // inputs are unchanged replay from the per-function memo instead of
+        // re-running every checker's summarize pass.
+        let store = Summaries::compute_memoized(
+            driver,
+            members,
+            driver.interproc_enabled(),
+            &mut self.fn_summaries,
+        );
+        if let Some(d) = &self.disk {
+            d.store_summaries(&SummaryRecord {
+                key,
+                summaries: store.iter().cloned().collect(),
+            });
+        }
         let store = Arc::new(store);
         self.summaries.insert(key, store.clone());
         store
@@ -457,45 +440,41 @@ impl CheckEngine {
             }
         }
 
-        // Tier 2: per-unit lookup by source text.
-        let mut recs: Vec<Option<Arc<UnitRecord>>> = src_keys
+        // Tier 2: each file's one record, at its file slot, answers the
+        // file unparsed when it was stored for these exact bytes. Every
+        // other file is parsed and diffed against that same record.
+        let slots: Vec<u64> = sources
             .iter()
-            .map(|k| self.lookup_unit(*k, None))
+            .map(|(_, file)| fn_index_key(suite, file))
+            .collect();
+        let mut priors: Vec<Option<Arc<FnIndexRecord>>> = Vec::with_capacity(n);
+        for &slot in &slots {
+            priors.push(self.lookup_fn_index(slot, &mut stats));
+        }
+        let mut recs: Vec<Option<Arc<FnIndexRecord>>> = priors
+            .iter()
+            .zip(&src_keys)
+            .map(|(prior, &key)| prior.clone().filter(|r| r.src_key == key))
             .collect();
         stats.source_hits = recs.iter().flatten().count();
 
-        // Parse + build CFGs for every unit without a source-key hit.
         let mut parsed: Vec<Option<ParsedUnit>> = vec![None; n];
-        let need: Vec<usize> = (0..n).filter(|&i| recs[i].is_none()).collect();
+        let mut dirty: Vec<usize> = (0..n).filter(|&i| recs[i].is_none()).collect();
         self.parse_into(
             driver,
             sources,
             &content_keys,
-            &need,
+            &dirty,
             &mut parsed,
             &mut stats,
         )?;
 
-        // AST fallback: a unit whose source changed but whose AST (spans
-        // included) did not can replay its reports.
-        let mut dirty: Vec<usize> = Vec::new();
-        for &i in &need {
-            let pu = parsed[i].as_ref().expect("parsed above");
-            let ast_key = ast_key_of(suite, &sources[i].1, pu.ast_fp);
-            match self.lookup_unit(src_keys[i], Some(ast_key)) {
-                Some(rec) => {
-                    stats.ast_hits += 1;
-                    recs[i] = Some(rec);
-                }
-                None => dirty.push(i),
-            }
-        }
-
         // Partition into call-graph components *before* checking anything:
         // under interprocedural analysis a unit's local reports depend on
-        // its whole component, so component keys participate in unit-record
-        // validation. Call infos come from cached records for clean units
-        // and from the fresh parse for dirty ones — no extra parsing.
+        // its whole component, so component keys participate in record
+        // validation. AST keys and call infos come from the records of
+        // clean units and from the fresh parse of dirty ones — no extra
+        // parsing.
         let ast_keys: Vec<u64> = (0..n)
             .map(|i| match &recs[i] {
                 Some(r) => r.ast_key,
@@ -508,7 +487,7 @@ impl CheckEngine {
         let mut infos: Vec<CallInfo> = (0..n)
             .map(|i| match &recs[i] {
                 Some(r) => CallInfo {
-                    defines: r.defines.clone(),
+                    defines: r.functions.iter().map(|e| e.name.clone()).collect(),
                     calls: r.calls.clone(),
                 },
                 None => parsed[i].as_ref().expect("parsed").unit.call_info(),
@@ -541,7 +520,8 @@ impl CheckEngine {
             // Demote records whose reports were computed under a different
             // component content: a changed neighbour means changed callee
             // summaries, so the unit's local reports may change even though
-            // its own source did not.
+            // its own source did not. The unit is diffed against the same
+            // record, so only functions whose summary reads changed re-check.
             let mut demoted: Vec<usize> = (0..n)
                 .filter(|&i| {
                     recs[i]
@@ -566,14 +546,14 @@ impl CheckEngine {
             }
         }
 
-        // Shard filter: once the dirty list is final (source misses, AST
-        // fallback, interproc demotion all applied), a shard keeps only
-        // the dirty units it owns — partitioned by the suite-independent
-        // unit-fingerprint hash, so every shard of the same input agrees
-        // on ownership — and claims each one so a concurrent writer
-        // racing on the same key backs off. Unowned dirty units stay
-        // unchecked (`recs[i]` remains `None`); the merge run computes or
-        // finds them later.
+        // Shard filter: once the dirty list is final (source misses and
+        // interproc demotion applied), a shard keeps only the dirty units
+        // it owns — partitioned by the suite-independent unit-fingerprint
+        // hash, so every shard of the same input agrees on ownership — and
+        // claims each one's content so a concurrent writer racing on the
+        // same bytes backs off. Unowned dirty units stay unchecked
+        // (`recs[i]` remains `None`); the merge run computes or finds them
+        // later.
         if let Some((si, sn)) = self.shard {
             let before = dirty.len();
             let mut kept: Vec<usize> = Vec::with_capacity(dirty.len());
@@ -582,8 +562,8 @@ impl CheckEngine {
                     continue;
                 }
                 let key = src_keys[i];
-                let mine =
-                    self.claimed.contains(&key) || self.disk.as_ref().is_none_or(|d| d.claim(key));
+                let mine = self.claimed.contains(&key)
+                    || self.disk.as_ref().is_none_or(|d| d.claim(key, slots[i]));
                 if mine {
                     self.claimed.insert(key);
                     kept.push(i);
@@ -593,15 +573,26 @@ impl CheckEngine {
             stats.units_deferred = before - dirty.len();
         }
 
-        // Build (or replay) the summary store of every component that will
-        // run local checks, parsing any still-clean members it needs.
-        let dirty_set: HashSet<usize> = dirty.iter().copied().collect();
+        // Find (or build) the summary store of every component that will
+        // run local checks. A stored summary record needs nothing parsed;
+        // only the clean members of components whose store missed are.
         let mut unit_summaries: Vec<Option<Arc<Summaries>>> = vec![None; n];
         if interproc && !dirty.is_empty() {
-            let touched: Vec<usize> = (0..comps.len())
-                .filter(|&c| comps[c].iter().any(|i| dirty_set.contains(i)))
-                .collect();
-            let missing: Vec<usize> = touched
+            let mut touched: Vec<usize> = dirty.iter().map(|&i| comp_of[i]).collect();
+            touched.sort_unstable();
+            touched.dedup();
+            let mut missed: Vec<usize> = Vec::new();
+            for c in touched {
+                match self.cached_summaries(comp_keys[c]) {
+                    Some(store) => {
+                        for &i in &comps[c] {
+                            unit_summaries[i] = Some(store.clone());
+                        }
+                    }
+                    None => missed.push(c),
+                }
+            }
+            let missing: Vec<usize> = missed
                 .iter()
                 .flat_map(|&c| comps[c].iter().copied())
                 .filter(|&i| parsed[i].is_none())
@@ -614,7 +605,7 @@ impl CheckEngine {
                 &mut parsed,
                 &mut stats,
             )?;
-            for &c in &touched {
+            for &c in &missed {
                 let members: Vec<&CheckedUnit> = comps[c]
                     .iter()
                     .map(|&i| parsed[i].as_ref().expect("parsed above").unit.as_ref())
@@ -626,63 +617,59 @@ impl CheckEngine {
             }
         }
 
-        // Tier 3: local pass for genuinely changed units, red/green per
-        // function.
-        stats.units_checked = dirty.len();
+        // Tier 3: diff every dirty unit against its record, red/green per
+        // function, and store the new record in the same slot.
         if !dirty.is_empty() {
-            let locals = self.check_dirty_fn(
+            let entries = self.check_dirty_fn(
                 driver,
-                sources,
-                &src_keys,
                 &parsed,
                 &dirty,
+                &priors,
                 &unit_summaries,
                 &comp_keys,
                 &comp_of,
                 &mut stats,
             );
-            for (&i, local) in dirty.iter().zip(locals) {
+            for (&i, functions) in dirty.iter().zip(entries) {
                 // `infos[i]` came from this unit's parse or from a record of
                 // the same content: either way it is this unit's call info.
-                let info = std::mem::take(&mut infos[i]);
-                let rec = Arc::new(UnitRecord {
+                let rec = FnIndexRecord {
+                    key: slots[i],
                     src_key: src_keys[i],
                     ast_key: ast_keys[i],
                     summary_key: if interproc { comp_keys[comp_of[i]] } else { 0 },
-                    defines: info.defines,
-                    calls: info.calls,
-                    reports: local,
-                });
-                self.insert_unit(&rec);
-                if let Some(d) = &self.disk {
-                    d.store_unit(&rec);
-                }
-                recs[i] = Some(rec);
+                    env_fp: parsed[i].as_ref().expect("parsed above").unit.env_fp(),
+                    calls: std::mem::take(&mut infos[i].calls),
+                    functions,
+                };
+                recs[i] = Some(self.store_fn_index(rec));
             }
         }
 
-        let mut reports: Vec<Report> = Vec::new();
-        for rec in recs.iter().flatten() {
-            reports.extend(rec.reports.iter().cloned());
-        }
+        let mut reports: Vec<Report> = recs
+            .iter()
+            .flatten()
+            .flat_map(|rec| &rec.functions)
+            .flat_map(|e| e.reports.iter().cloned())
+            .collect();
 
         // Whole-program passes need every member unit, which a shard by
         // definition does not have; they run once, at merge time (or in
         // any full-mode run), over the complete unit set.
         if driver.has_program_checkers() && self.shard.is_none() {
-            // Decide per component: replay or re-run.
+            // Decide per component: replay or re-run. The key folds every
+            // member's AST key, so a hit replays even when a member's bytes
+            // changed without moving a token.
             let mut rerun: Vec<usize> = Vec::new();
             let mut comp_reports: Vec<Option<Arc<ComponentRecord>>> = vec![None; comps.len()];
-            for (c, comp) in comps.iter().enumerate() {
-                let is_dirty = comp.iter().any(|i| dirty_set.contains(i));
-                if !is_dirty {
-                    if let Some(rec) = self.lookup_component(comp_keys[c]) {
+            for (c, &key) in comp_keys.iter().enumerate() {
+                match self.lookup_component(key) {
+                    Some(rec) => {
                         stats.component_hits += 1;
                         comp_reports[c] = Some(rec);
-                        continue;
                     }
+                    None => rerun.push(c),
                 }
-                rerun.push(c);
             }
             stats.components_rechecked = rerun.len();
 
@@ -752,23 +739,21 @@ impl CheckEngine {
                 key: prog_key,
                 reports: reports.clone(),
             });
-            self.programs.insert(prog_key, prog.clone());
             if let Some(d) = &self.disk {
                 d.store_program(&prog);
             }
+            self.memo_program(prog);
         }
 
-        // Bound memo growth across watch iterations: keep only the parse
-        // and summary artifacts of the program we just saw.
+        // Bound memo growth across watch iterations: keep only the parse,
+        // file, component and summary artifacts of the program we just saw.
         let live: HashSet<u64> = content_keys.iter().copied().collect();
         self.checked.retain(|k, _| live.contains(k));
         let live_comps: HashSet<u64> = comp_keys.iter().copied().collect();
         self.summaries.retain(|k, _| live_comps.contains(k));
-        let live_idx: HashSet<u64> = sources
-            .iter()
-            .map(|(_, file)| fn_index_key(suite, file))
-            .collect();
-        self.fn_index.retain(|k, _| live_idx.contains(k));
+        self.components.retain(|k, _| live_comps.contains(k));
+        let live_slots: HashSet<u64> = slots.iter().copied().collect();
+        self.fn_index.retain(|k, _| live_slots.contains(k));
         // The per-function memos are content-addressed and cheap per
         // entry; clear them wholesale only if a pathological watch session
         // ever grows them without bound.
@@ -829,10 +814,10 @@ impl CheckEngine {
         Ok(())
     }
 
-    /// The tier-3 pass: diffs every dirty unit against its function index,
-    /// replays green functions' cached report slices verbatim, re-checks
-    /// red ones over the worker pool, recording fresh dependency edges,
-    /// and snapshots a new index for the next run.
+    /// The tier-3 pass: diffs every dirty unit against its prior file
+    /// record, replays green functions' cached report slices verbatim,
+    /// re-checks red ones over the worker pool, recording fresh dependency
+    /// edges, and returns each unit's new entries for the next record.
     ///
     /// A function is **green** when its body fingerprint matches its
     /// recorded entry, the unit environment hash matches, and every read
@@ -847,34 +832,24 @@ impl CheckEngine {
     fn check_dirty_fn(
         &mut self,
         driver: &Driver,
-        sources: &[(String, String)],
-        src_keys: &[u64],
         parsed: &[Option<ParsedUnit>],
         dirty: &[usize],
+        priors: &[Option<Arc<FnIndexRecord>>],
         unit_summaries: &[Option<Arc<Summaries>>],
         comp_keys: &[u64],
         comp_of: &[usize],
         stats: &mut RunStats,
-    ) -> Vec<Vec<Report>> {
-        let suite = driver.suite_key();
+    ) -> Vec<Vec<FnEntry>> {
         let refute = driver.refute_enabled();
         let interproc = driver.interproc_enabled();
         let unit_sensitive = driver.has_unit_sensitive_checkers();
 
-        struct UnitPlan {
-            idx_key: u64,
-            env: u64,
-            /// Per function in definition order: the replayed entry
-            /// (green) or `None` (red, re-checked below).
-            green: Vec<Option<FnEntry>>,
-        }
-
-        let mut plans: Vec<UnitPlan> = Vec::with_capacity(dirty.len());
+        // Per dirty unit, per function in definition order: the replayed
+        // entry (green) or `None` (red, re-checked below).
+        let mut plans: Vec<Vec<Option<FnEntry>>> = Vec::with_capacity(dirty.len());
         let mut red: Vec<(usize, usize)> = Vec::new();
         for &i in dirty {
             let cu = &parsed[i].as_ref().expect("parsed above").unit;
-            let idx_key = fn_index_key(suite, &sources[i].1);
-            let prior = self.lookup_fn_index(idx_key, stats);
             let env = cu.env_fp();
             let fps = cu.fn_fingerprints();
             let names: Vec<&str> = cu.unit.functions().map(|f| f.name.as_str()).collect();
@@ -885,7 +860,7 @@ impl CheckEngine {
                 let mut seen = HashSet::new();
                 names.iter().all(|n| seen.insert(*n))
             };
-            let prior = prior.filter(|p| {
+            let prior = priors[i].as_ref().filter(|p| {
                 !unit_sensitive && unique && p.env_fp == env && {
                     let mut seen = HashSet::new();
                     p.functions.iter().all(|e| seen.insert(e.name.as_str()))
@@ -899,7 +874,6 @@ impl CheckEngine {
             let mut green: Vec<Option<FnEntry>> = Vec::with_capacity(names.len());
             for (f, nm) in names.iter().enumerate() {
                 let entry = prior
-                    .as_ref()
                     .and_then(|p| p.functions.iter().find(|e| e.name == *nm))
                     .filter(|e| {
                         e.body_fp == fps[f].body
@@ -933,11 +907,10 @@ impl CheckEngine {
                     }
                 }
             }
-            plans.push(UnitPlan {
-                idx_key,
-                env,
-                green,
-            });
+            if prior.is_none() || green.iter().any(Option::is_none) {
+                stats.units_checked += 1;
+            }
+            plans.push(green);
         }
 
         // The batch is in `(unit, function)` order, which is the order the
@@ -947,7 +920,7 @@ impl CheckEngine {
         })
         .into_iter();
 
-        let mut locals: Vec<Vec<Report>> = Vec::with_capacity(dirty.len());
+        let mut units: Vec<Vec<FnEntry>> = Vec::with_capacity(dirty.len());
         for (plan, &i) in plans.into_iter().zip(dirty) {
             let cu = &parsed[i].as_ref().expect("parsed above").unit;
             let fps = cu.fn_fingerprints();
@@ -955,14 +928,10 @@ impl CheckEngine {
             let names: Vec<&str> = cu.unit.functions().map(|f| f.name.as_str()).collect();
             let index_of: HashMap<&str, usize> =
                 names.iter().enumerate().map(|(k, n)| (*n, k)).collect();
-            let mut local: Vec<Report> = Vec::new();
             let mut entries: Vec<FnEntry> = Vec::with_capacity(names.len());
-            for (f, green) in plan.green.into_iter().enumerate() {
+            for (f, green) in plan.into_iter().enumerate() {
                 match green {
-                    Some(entry) => {
-                        local.extend(entry.reports.iter().cloned());
-                        entries.push(entry);
-                    }
+                    Some(entry) => entries.push(entry),
                     None => {
                         let fo = fresh.next().expect("red function checked");
                         let mut slice: Vec<Report> = fo.metal;
@@ -993,7 +962,6 @@ impl CheckEngine {
                         } else {
                             Vec::new()
                         };
-                        local.extend(slice.iter().cloned());
                         entries.push(FnEntry {
                             name: names[f].to_string(),
                             body_fp: fps[f].body,
@@ -1005,15 +973,9 @@ impl CheckEngine {
                     }
                 }
             }
-            self.store_fn_index(FnIndexRecord {
-                key: plan.idx_key,
-                src_key: src_keys[i],
-                env_fp: plan.env,
-                functions: entries,
-            });
-            locals.push(local);
+            units.push(entries);
         }
-        locals
+        units
     }
 }
 
@@ -1139,19 +1101,58 @@ mod tests {
     }
 
     #[test]
-    fn layout_only_edit_replays_via_ast_key() {
+    fn layout_only_edit_replays_every_function_green() {
         let d = driver();
         let mut srcs = sources();
         let mut engine = CheckEngine::in_memory();
         let (cold, _) = engine.check_sources(&d, &srcs).unwrap();
 
-        // Trailing whitespace displaces no token: AST (spans included) is
-        // unchanged, so the unit replays without re-checking.
+        // Trailing whitespace displaces no token: every span-folded body
+        // fingerprint is unchanged, so the unit's record replays in full.
         srcs[0].0.push_str("   \n");
         let (warm, stats) = engine.check_sources(&d, &srcs).unwrap();
-        assert_eq!(stats.ast_hits, 1);
+        assert_eq!(stats.source_hits, srcs.len() - 1);
+        assert_eq!(stats.functions_rechecked, 0);
+        assert_eq!(stats.functions_replayed, 2);
         assert_eq!(stats.units_checked, 0);
         assert_eq!(warm, cold);
+    }
+
+    /// Reports nothing but keeps the default program pass, so a driver
+    /// with it has component records.
+    struct ComponentCount;
+
+    impl crate::Checker for ComponentCount {
+        fn name(&self) -> &str {
+            "component_count"
+        }
+        fn check_function(&self, _: &crate::FunctionContext<'_>, _: &mut crate::CheckSink) {}
+    }
+
+    #[test]
+    fn memo_tables_stay_bounded_across_many_distinct_edits() {
+        let mut d = driver();
+        d.add_checker(Box::new(ComponentCount));
+        let mut srcs = sources();
+        let mut engine = CheckEngine::in_memory();
+        let (primed, _) = engine.check_sources(&d, &srcs).unwrap();
+        let pristine = srcs[0].0.clone();
+        let comps = srcs.len();
+        for k in 0..2 * PROGRAM_MEMO_CAP + 10 {
+            srcs[0].0 = format!("{pristine}\nvoid edit{k}(void) {{ a(); }}\n");
+            let (reports, stats) = engine.check_sources(&d, &srcs).unwrap();
+            assert!(!stats.program_hit, "edit {k} is new");
+            assert_eq!(stats.component_hits, comps - 1, "edit {k}: {stats:?}");
+            assert_eq!(reports, primed, "edit {k} adds no report");
+            assert!(engine.programs.len() <= PROGRAM_MEMO_CAP, "edit {k}");
+            assert!(engine.components.len() <= comps, "edit {k}");
+        }
+        // An in-memory revert within the bound still replays the program.
+        let last = srcs[0].0.clone();
+        srcs[0].0 = pristine;
+        engine.check_sources(&d, &srcs).unwrap();
+        srcs[0].0 = last;
+        assert!(engine.check_sources(&d, &srcs).unwrap().1.program_hit);
     }
 
     #[test]
@@ -1186,7 +1187,7 @@ mod tests {
 
     #[test]
     fn refuted_and_sat_verdicts_survive_the_cache() {
-        // Verdicts are decided inside the local pass, so cached unit
+        // Verdicts are decided inside the local pass, so cached file
         // records carry them: warm runs must replay refuted/sat reports
         // byte-identically, without re-running the solver.
         let mut d = driver();

@@ -5,7 +5,9 @@
 
 use mc_ast::Span;
 use mc_cfg::PathStep;
-use mc_driver::cache::{key_hex, ComponentRecord, DiskCache, ProgramRecord, UnitRecord};
+use mc_driver::cache::{
+    key_hex, ComponentRecord, DiskCache, FnEntry, FnIndexLoad, FnIndexRecord, ProgramRecord,
+};
 use mc_driver::{Report, Severity, Verdict};
 use proptest::prelude::*;
 
@@ -80,23 +82,42 @@ fn arb_report() -> impl Strategy<Value = Report> {
         )
 }
 
-fn arb_unit() -> impl Strategy<Value = UnitRecord> {
+fn arb_entry() -> impl Strategy<Value = FnEntry> {
     (
-        (any::<u64>(), any::<u64>(), any::<u64>()),
-        (
-            prop::collection::vec(func_name(), 0..5),
-            prop::collection::vec(func_name(), 0..5),
-            prop::collection::vec(arb_report(), 0..5),
-        ),
+        (func_name(), any::<u64>(), any::<u64>()),
+        prop::collection::vec(arb_report(), 0..3),
+        prop::collection::vec((func_name(), any::<u64>()), 0..3),
+        prop::collection::vec((func_name(), prop::option::of(any::<u64>())), 0..3),
     )
         .prop_map(
-            |((src_key, ast_key, summary_key), (defines, calls, reports))| UnitRecord {
+            |((name, body_fp, sig_fp), reports, local_deps, summary_deps)| FnEntry {
+                name,
+                body_fp,
+                sig_fp,
+                reports,
+                local_deps,
+                summary_deps,
+            },
+        )
+}
+
+/// A file record: the one record the engine keeps per source file.
+fn arb_file() -> impl Strategy<Value = FnIndexRecord> {
+    (
+        (any::<u64>(), any::<u64>(), any::<u64>()),
+        (any::<u64>(), any::<u64>()),
+        prop::collection::vec(func_name(), 0..5),
+        prop::collection::vec(arb_entry(), 0..4),
+    )
+        .prop_map(
+            |((key, src_key, ast_key), (summary_key, env_fp), calls, functions)| FnIndexRecord {
+                key,
                 src_key,
                 ast_key,
                 summary_key,
-                defines,
+                env_fp,
                 calls,
-                reports,
+                functions,
             },
         )
 }
@@ -120,10 +141,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn unit_record_roundtrips_exactly(rec in arb_unit()) {
-        let compact: UnitRecord = mc_json::from_str(&mc_json::to_string(&rec)).unwrap();
+    fn file_record_roundtrips_exactly(rec in arb_file()) {
+        let compact: FnIndexRecord = mc_json::from_str(&mc_json::to_string(&rec)).unwrap();
         prop_assert_eq!(&compact, &rec);
-        let pretty: UnitRecord = mc_json::from_str(&mc_json::to_string_pretty(&rec)).unwrap();
+        let pretty: FnIndexRecord = mc_json::from_str(&mc_json::to_string_pretty(&rec)).unwrap();
         prop_assert_eq!(&pretty, &rec);
     }
 
@@ -141,20 +162,20 @@ proptest! {
 
     #[test]
     fn truncated_record_rejected_never_panics(
-        (rec, cut) in (arb_unit(), any::<usize>())
+        (rec, cut) in (arb_file(), any::<usize>())
     ) {
         // Every strict prefix of a record document is invalid JSON (the
         // closing brace is the last byte); parsing must error, not panic.
         // Generated text is ASCII, so any byte index is a char boundary.
         let text = mc_json::to_string(&rec);
         let cut = cut % text.len(); // strictly less than len
-        prop_assert!(mc_json::from_str::<UnitRecord>(&text[..cut]).is_err());
+        prop_assert!(mc_json::from_str::<FnIndexRecord>(&text[..cut]).is_err());
     }
 
     #[test]
-    fn record_kinds_do_not_cross_parse(rec in arb_unit()) {
-        // A unit document must not load as a component or program record
-        // even though all three share the key/reports shape.
+    fn record_kinds_do_not_cross_parse(rec in arb_file()) {
+        // A file document must not load as a component or program record
+        // even though all three carry a key.
         let text = mc_json::to_string(&rec);
         prop_assert!(mc_json::from_str::<ComponentRecord>(&text).is_err());
         prop_assert!(mc_json::from_str::<ProgramRecord>(&text).is_err());
@@ -166,34 +187,36 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn disk_store_then_load_is_identity(rec in arb_unit()) {
+    fn disk_store_then_load_is_identity(rec in arb_file()) {
         let dir = scratch_dir("roundtrip");
         let cache = DiskCache::open(&dir).unwrap();
-        cache.store_unit(&rec);
-        prop_assert_eq!(cache.load_unit_by_source(rec.src_key).as_ref(), Some(&rec));
-        prop_assert_eq!(cache.load_unit_by_ast(rec.ast_key).as_ref(), Some(&rec));
+        cache.store_fn_index(&rec);
+        match cache.load_fn_index(rec.key) {
+            FnIndexLoad::Hit(back) => prop_assert_eq!(back, rec),
+            other => prop_assert!(false, "expected a hit, got {:?}", other),
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn corrupted_or_mislabeled_file_is_a_miss(
-        (rec, cut) in (arb_unit(), any::<usize>())
+        (rec, cut) in (arb_file(), any::<usize>())
     ) {
         let dir = scratch_dir("corrupt");
         let cache = DiskCache::open(&dir).unwrap();
         let text = mc_json::to_string(&rec);
 
-        // Truncated on disk: miss.
-        let path = dir.join(format!("usrc-{}.json", key_hex(rec.src_key)));
+        // Truncated on disk: a (counted) miss.
+        let path = dir.join(format!("fnidx-{}.json", key_hex(rec.key)));
         std::fs::write(&path, &text[..cut % text.len()]).unwrap();
-        prop_assert_eq!(cache.load_unit_by_source(rec.src_key), None);
+        prop_assert!(matches!(cache.load_fn_index(rec.key), FnIndexLoad::Corrupt));
 
-        // Valid record parked under the wrong key's filename: the embedded
+        // Valid record parked under the wrong slot's filename: the embedded
         // key check makes it a miss instead of a wrong answer.
-        let other = rec.src_key.wrapping_add(1);
-        let wrong = dir.join(format!("usrc-{}.json", key_hex(other)));
+        let other = rec.key.wrapping_add(1);
+        let wrong = dir.join(format!("fnidx-{}.json", key_hex(other)));
         std::fs::write(&wrong, &text).unwrap();
-        prop_assert_eq!(cache.load_unit_by_source(other), None);
+        prop_assert!(matches!(cache.load_fn_index(other), FnIndexLoad::Corrupt));
 
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -248,8 +248,9 @@ fn interproc_driver(spec: &flash_mc::checkers::flash::FlashSpec, jobs: usize) ->
 /// The full invalidation matrix, at every worker count: every step's
 /// incremental output is byte-identical to a from-scratch oracle run on the
 /// same sources, and the per-step stats show the intended tier answered —
-/// function replay for a body edit, the AST key for a layout edit, a
-/// red caller for a callee-summary change, a program replay for a revert.
+/// function replay for a body edit, an all-green file record for a layout
+/// edit, a red caller for a callee-summary change, a program replay for a
+/// revert.
 #[test]
 fn invalidation_matrix_byte_identical_across_jobs() {
     let (sources, spec) = corpus_sources(0);
@@ -311,7 +312,7 @@ fn invalidation_matrix_byte_identical_across_jobs() {
                     );
                 }
                 "layout-only" => {
-                    assert_eq!(stats.ast_hits, 1, "{label}: {stats:?}");
+                    assert_eq!(stats.functions_rechecked, 0, "{label}: {stats:?}");
                     assert_eq!(stats.units_checked, 0, "{label}: {stats:?}");
                 }
                 "callee-summary" => {
@@ -400,6 +401,52 @@ fn metal_program_change_invalidates_and_matches_cold() {
         "the new diagnostic text should surface: {}",
         rendered(&under_v2)
     );
+}
+
+/// The partially warm disk path: a fresh engine over a primed cache
+/// directory, with one file edited, so the program record cannot answer.
+/// Every other file replays its record unparsed, and the edited one is
+/// diffed against its record: a body edit re-checks, a trailing comment
+/// re-checks no function and re-runs no component.
+#[test]
+fn partially_warm_disk_runs_equal_the_cold_oracle() {
+    let (sources, spec) = corpus_sources(0);
+    let n = sources.len();
+    let body = edit_one_body(&sources);
+    let mut layout = sources.clone();
+    layout[0]
+        .0
+        .push_str("\n// trailing comment, no token moves\n");
+    let cases = [("body", body), ("layout", layout)];
+    let oracles: Vec<Vec<Report>> = cases
+        .iter()
+        .map(|(_, edited)| oracle(&driver_for(&spec, 1), edited))
+        .collect();
+
+    for jobs in [1usize, 4] {
+        let driver = driver_for(&spec, jobs);
+        for ((label, edited), expected) in cases.iter().zip(&oracles) {
+            let dir = scratch_dir(&format!("partial-{label}-{jobs}"));
+            let _ = std::fs::remove_dir_all(&dir);
+            CheckEngine::with_disk(DiskCache::open(&dir).expect("cache dir"))
+                .check_sources(&driver, &sources)
+                .expect("parses");
+
+            let mut engine = CheckEngine::with_disk(DiskCache::open(&dir).expect("cache dir"));
+            let (got, stats) = engine.check_sources(&driver, edited).expect("parses");
+            assert_eq!(got, *expected, "jobs={jobs} {label}: diverged from cold");
+            assert_eq!(rendered(&got), rendered(expected));
+            assert!(!stats.program_hit, "jobs={jobs} {label}: {stats:?}");
+            assert_eq!(stats.source_hits, n - 1, "jobs={jobs} {label}: {stats:?}");
+            if *label == "layout" {
+                assert_eq!(stats.functions_rechecked, 0, "jobs={jobs}: {stats:?}");
+                assert_eq!(stats.components_rechecked, 0, "jobs={jobs}: {stats:?}");
+            } else {
+                assert!(stats.functions_rechecked >= 1, "jobs={jobs}: {stats:?}");
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
 }
 
 #[test]

@@ -170,3 +170,61 @@ fn merge_with_no_manifests_is_an_error() {
     assert!(err.to_string().contains("no shard manifests"), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Runs one `shards`-way farm over `files` into `cache`, returning the
+/// total `units_checked` its manifests record.
+fn run_farm(files: &[String], spec: &str, cache: &str, shards: u32) -> i64 {
+    let mut checked = 0;
+    for i in 0..shards {
+        let mut a = base_args(files, spec, 1);
+        a.extend([
+            "--cache-dir".into(),
+            cache.to_string(),
+            "--shard".into(),
+            format!("{i}/{shards}"),
+        ]);
+        let (code, _) = run_to_string(&opts(&a));
+        assert_eq!(code, 0, "a shard run always exits 0");
+        let manifest = Path::new(cache).join(format!("shard-{i}-of-{shards}.json"));
+        let m = mc_json::Json::parse(&std::fs::read_to_string(manifest).unwrap()).unwrap();
+        checked += m.get("units_checked").and_then(|v| v.as_i64()).unwrap();
+    }
+    checked
+}
+
+/// Claims deduplicate by content, not by file: a second farm over edited
+/// files, run right after the first (well within the claim TTL), checks
+/// the edited files itself instead of deferring them to the first farm's
+/// long-finished claims, and its merge equals a single-process run.
+#[test]
+fn a_second_farm_over_edited_files_checks_them() {
+    let dir = scratch("refarm");
+    let (files, spec) = corpus_protocol(&dir);
+    let cache = dir.join("cache").display().to_string();
+    let shards = 2;
+
+    let checked = run_farm(&files, &spec, &cache, shards);
+    assert_eq!(
+        checked,
+        files.len() as i64,
+        "the first farm checks every file"
+    );
+
+    for f in &files[..2] {
+        let mut src = std::fs::read_to_string(f).unwrap();
+        src.push_str("\nvoid refarm_probe(void) { long m; m = MISCBUS_READ_DB(a, b); }\n");
+        std::fs::write(f, src).unwrap();
+    }
+    // Each shard checks the edited files it owns; neither defers to the
+    // first farm's claims, which name the old content.
+    let checked = run_farm(&files, &spec, &cache, shards);
+    assert_eq!(checked, 2, "both edited files are checked by their owners");
+
+    let (_, baseline) = run_to_string(&opts(&base_args(&files, &spec, 1)));
+    let mut m = vec!["merge".to_string()];
+    m.extend(base_args(&files, &spec, 1));
+    m.extend(["--cache-dir".into(), cache]);
+    let (_, merged) = run_to_string(&opts(&m));
+    assert_eq!(merged, baseline, "merge after the second farm");
+    let _ = std::fs::remove_dir_all(&dir);
+}
