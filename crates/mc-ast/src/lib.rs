@@ -36,6 +36,7 @@
 
 pub mod ast;
 pub mod fingerprint;
+pub mod flash;
 pub mod lexer;
 pub mod parser;
 pub mod printer;

@@ -217,19 +217,7 @@ pub mod applied {
 
     /// Table 6: number of allocations.
     pub fn allocs(run: &ProtocolRun) -> usize {
-        run.count(|f| {
-            struct V(usize);
-            impl mc_ast::Visitor for V {
-                fn visit_expr(&mut self, e: &mc_ast::Expr) {
-                    if let Some((flash::DB_ALLOC, _)) = e.as_call() {
-                        self.0 += 1;
-                    }
-                }
-            }
-            let mut v = V(0);
-            mc_ast::walk_function(&mut v, f);
-            v.0
-        })
+        run.count(|f| flash::count_calls(f, |e, _| e == flash::Effect::BufAlloc))
     }
 
     /// Table 6: number of directory operations.

@@ -9,7 +9,7 @@
 //! counts as a use — that is precisely the source of the two dyn_ptr false
 //! positives in the paper.
 
-use crate::flash;
+use crate::flash::{self, DB_ALLOC};
 use crate::{dedup_found, stamp_witness};
 use mc_ast::{Expr, ExprKind, Span, StmtKind};
 use mc_cfg::{run_traversal, PathEvent, PathMachine, PathStep, Witness};
@@ -51,7 +51,7 @@ impl Checker for AllocCheck {
                 ctx.file,
                 &ctx.function.name,
                 span,
-                format!("buffer `{var}` used before checking DB_ALLOC for failure"),
+                format!("buffer `{var}` used before checking {DB_ALLOC} for failure"),
             );
             report.steps = steps;
             sink.push(report);

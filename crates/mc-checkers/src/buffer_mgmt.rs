@@ -215,29 +215,19 @@ struct BufMachine<'c> {
 
 impl BufMachine<'_> {
     fn classify_call(&self, name: &str) -> Option<Op> {
-        if name == flash::DB_FREE || self.checker.spec.free_routines.contains(name) {
-            return Some(Op::Free);
-        }
-        if name == flash::DB_ALLOC {
-            return Some(Op::Alloc);
-        }
-        if name == flash::MISCBUS_READ_DB
-            || name == flash::DB_WRITE
-            || flash::is_send(name)
-            || self.checker.spec.use_routines.contains(name)
-        {
-            return Some(Op::Use);
-        }
-        if self.checker.spec.cond_free_routines.contains(name) {
-            return Some(Op::CondFree);
-        }
-        if name == flash::HAS_BUFFER {
-            return Some(Op::AnnotHasBuffer);
-        }
-        if name == flash::NO_FREE_NEEDED {
-            return Some(Op::AnnotNoFreeNeeded);
-        }
-        None
+        use flash::Effect::*;
+        let spec = &self.checker.spec;
+        Some(match flash::effect(name) {
+            Some(BufFree) => Op::Free,
+            _ if spec.free_routines.contains(name) => Op::Free,
+            Some(BufAlloc) => Op::Alloc,
+            Some(DbRead | BufWrite | Send { .. }) => Op::Use,
+            _ if spec.use_routines.contains(name) => Op::Use,
+            _ if spec.cond_free_routines.contains(name) => Op::CondFree,
+            _ if name == flash::HAS_BUFFER => Op::AnnotHasBuffer,
+            _ if name == flash::NO_FREE_NEEDED => Op::AnnotNoFreeNeeded,
+            _ => return None,
+        })
     }
 
     /// Collects buffer operations from an expression tree in evaluation

@@ -9,24 +9,12 @@
 //! reproduction.
 
 use crate::flash;
-use mc_ast::{walk_function, Expr, Function, Visitor};
+use mc_ast::Function;
 
 /// Counts the `MISCBUS_READ_DB` uses in a function — the "Applied" column
 /// of Table 2 ("the number of reads performed").
 pub fn count_reads(func: &Function) -> usize {
-    struct V(usize);
-    impl Visitor for V {
-        fn visit_expr(&mut self, e: &Expr) {
-            if let Some((name, _)) = e.as_call() {
-                if name == flash::MISCBUS_READ_DB {
-                    self.0 += 1;
-                }
-            }
-        }
-    }
-    let mut v = V(0);
-    walk_function(&mut v, func);
-    v.0
+    flash::count_calls(func, |e, _| e == flash::Effect::DbRead)
 }
 
 #[cfg(test)]

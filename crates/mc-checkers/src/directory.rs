@@ -16,7 +16,7 @@
 //! entry address by hand instead of with `DIR_ADDR()` is reported as an
 //! abstraction violation.
 
-use crate::flash::{self, FlashSpec, RoutineKind};
+use crate::flash::{self, FlashSpec, RoutineKind, DIR_ADDR, DIR_LOAD};
 use crate::{dedup_found, stamp_witness};
 use mc_ast::{Expr, ExprKind, Span, StmtKind};
 use mc_cfg::{FnSummary, PathEvent, PathMachine, PathStep, Witness};
@@ -176,15 +176,15 @@ impl DirState {
 /// Is `name` one of the directory macros (or NAK-carrying send) the machine
 /// models directly? Summaries for these must never be applied on top.
 fn is_modeled_call(name: &str) -> bool {
+    is_dir_op(flash::effect(name)) || name == flash::NI_SEND
+}
+
+/// Is `effect` a directory-entry operation: load, read, set or write-back?
+fn is_dir_op(effect: Option<flash::Effect>) -> bool {
+    use flash::Effect::*;
     matches!(
-        name,
-        flash::DIR_LOAD
-            | flash::DIR_STATE
-            | flash::DIR_PTR
-            | flash::DIR_SET_STATE
-            | flash::DIR_SET_PTR
-            | flash::DIR_WRITEBACK
-            | flash::NI_SEND
+        effect,
+        Some(DirLoad | DirRead(_) | DirSet(_) | DirWriteback)
     )
 }
 
@@ -229,12 +229,12 @@ impl DirMachine<'_> {
                 st = self.process(a, st);
                 st = self.process(b, st);
             }
-            ExprKind::Ident(name) if name == "DIR_ADDR_BASE" => {
+            ExprKind::Ident(name) if name == flash::DIR_ADDR_BASE => {
                 // Explicit address arithmetic instead of DIR_ADDR(): the
                 // §9.1 "abstraction error" class.
                 self.found.push((
                     e.span,
-                    "directory address computed explicitly; use DIR_ADDR()".to_string(),
+                    format!("directory address computed explicitly; use {DIR_ADDR}()"),
                     Vec::new(),
                 ));
             }
@@ -252,7 +252,7 @@ impl DirMachine<'_> {
                 if !st.loaded {
                     self.found.push((
                         e.span,
-                        "directory entry read before DIR_LOAD".to_string(),
+                        format!("directory entry read before {DIR_LOAD}"),
                         Vec::new(),
                     ));
                 }
@@ -261,7 +261,7 @@ impl DirMachine<'_> {
                 if !st.loaded {
                     self.found.push((
                         e.span,
-                        "directory entry modified before DIR_LOAD".to_string(),
+                        format!("directory entry modified before {DIR_LOAD}"),
                         Vec::new(),
                     ));
                 } else {
@@ -361,27 +361,7 @@ impl PathMachine for DirMachine<'_> {
 
 /// Counts directory operations — the "Applied" column of Table 6.
 pub fn count_dir_ops(func: &mc_ast::Function) -> usize {
-    struct V(usize);
-    impl mc_ast::Visitor for V {
-        fn visit_expr(&mut self, e: &Expr) {
-            if let Some((name, _)) = e.as_call() {
-                if matches!(
-                    name,
-                    flash::DIR_LOAD
-                        | flash::DIR_STATE
-                        | flash::DIR_PTR
-                        | flash::DIR_SET_STATE
-                        | flash::DIR_SET_PTR
-                        | flash::DIR_WRITEBACK
-                ) {
-                    self.0 += 1;
-                }
-            }
-        }
-    }
-    let mut v = V(0);
-    mc_ast::walk_function(&mut v, func);
-    v.0
+    flash::count_calls(func, |e, _| is_dir_op(Some(e)))
 }
 
 #[cfg(test)]

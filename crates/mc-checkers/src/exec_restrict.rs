@@ -17,7 +17,7 @@
 //! violations in unimplemented routines). `inline` functions are exempt
 //! from the hook requirement, matching the paper's counting.
 
-use crate::flash::{self, FlashSpec, RoutineKind};
+use crate::flash::{self, FlashSpec, RoutineKind, NO_STACK, SET_STACKPTR};
 use mc_ast::{walk_function, Declaration, Expr, ExprKind, Function, Stmt, StmtKind, Type, Visitor};
 use mc_driver::{CheckSink, Checker, FunctionContext, Report};
 
@@ -138,14 +138,14 @@ impl Checker for ExecRestrict {
         if no_stack_positions.len() > 1 {
             sink.push(err(
                 f.span,
-                "more than one NO_STACK() annotation".to_string(),
+                format!("more than one {NO_STACK}() annotation"),
             ));
         }
         let is_no_stack = !no_stack_positions.is_empty();
         if is_no_stack && no_stack_positions[0] != 2 {
             sink.push(err(
                 f.span,
-                "NO_STACK() must directly follow the prologue hooks".to_string(),
+                format!("{NO_STACK}() must directly follow the prologue hooks"),
             ));
         }
         if is_no_stack {
@@ -219,7 +219,7 @@ impl Visitor for RestrictionWalk<'_> {
             }
             ExprKind::Call { callee, .. } => {
                 if let ExprKind::Ident(name) = &callee.kind {
-                    if flash::DEPRECATED_MACROS.contains(&name.as_str()) {
+                    if flash::effect(name) == Some(flash::Effect::Deprecated) {
                         self.deprecated.push((name.clone(), e.span));
                     }
                 }
@@ -256,7 +256,7 @@ fn check_set_stackptr(f: &Function, file: &str, sink: &mut CheckSink) {
                         file,
                         func,
                         s.span,
-                        format!("call to `{name}` without preceding SET_STACKPTR()"),
+                        format!("call to `{name}` without preceding {SET_STACKPTR}()"),
                     ));
                 }
             } else if prev_was_set {
@@ -265,7 +265,7 @@ fn check_set_stackptr(f: &Function, file: &str, sink: &mut CheckSink) {
                     file,
                     func,
                     s.span,
-                    "spurious SET_STACKPTR(): not followed by a call".to_string(),
+                    format!("spurious {SET_STACKPTR}(): not followed by a call"),
                 ));
             }
             prev_was_set = is_set;
@@ -295,7 +295,7 @@ fn check_set_stackptr(f: &Function, file: &str, sink: &mut CheckSink) {
                 file,
                 func,
                 stmts.last().map(|s| s.span).unwrap_or_default(),
-                "spurious SET_STACKPTR(): not followed by a call".to_string(),
+                format!("spurious {SET_STACKPTR}(): not followed by a call"),
             ));
         }
     }
@@ -309,7 +309,7 @@ fn subroutine_call_name(s: &Stmt) -> Option<String> {
         return None;
     };
     let (name, _) = e.as_call()?;
-    (!flash::is_flash_macro(name)).then(|| name.to_string())
+    flash::effect(name).is_none().then(|| name.to_string())
 }
 
 /// Counts routines and declared variables — the "Handlers" and "Vars"

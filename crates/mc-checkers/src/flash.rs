@@ -1,114 +1,20 @@
-//! FLASH protocol vocabulary: the macro names, handler conventions, and
-//! per-protocol tables the checkers consult.
+//! The per-protocol tables the checkers consult: handler classification,
+//! lane rules, and the routine tables of the buffer-management and
+//! directory checkers.
 //!
-//! The real FLASH headers defined these macros; protocol handlers are
-//! written entirely in terms of them, which is what makes the code so
-//! amenable to pattern-based checking. The corpus generator emits code in
-//! exactly this vocabulary.
+//! The FLASH vocabulary itself — every macro and constant name with its
+//! effect — lives in [`mc_ast::flash`] and is re-exported here, so the
+//! checkers, the simulator and the symbolic executor read one table. The
+//! corpus generator emits code in exactly this vocabulary.
 
+use mc_ast::{walk_function, Expr, Function, Visitor};
 use mc_json::{FromJson, Json, JsonError, ToJson};
 use std::collections::{BTreeMap, BTreeSet};
 
+pub use mc_ast::flash::*;
+
 /// Number of virtual network lanes (§7 of the paper).
 pub const NUM_LANES: usize = 4;
-
-/// The buffer-synchronization wait macro (Figure 2).
-pub const WAIT_FOR_DB_FULL: &str = "WAIT_FOR_DB_FULL";
-/// The explicit data-buffer read macro (Figure 2).
-pub const MISCBUS_READ_DB: &str = "MISCBUS_READ_DB";
-
-/// Send macros: `PI_SEND(flag, keep, swap, wait, dec, null)`.
-pub const PI_SEND: &str = "PI_SEND";
-/// `IO_SEND(flag, keep, swap, wait, dec, null)`.
-pub const IO_SEND: &str = "IO_SEND";
-/// `NI_SEND(type, flag, keep, wait, dec, null)`.
-pub const NI_SEND: &str = "NI_SEND";
-
-/// Wait-for-reply macros, one per hardware interface.
-pub const PI_WAIT: &str = "PI_WAIT";
-/// See [`PI_WAIT`].
-pub const IO_WAIT: &str = "IO_WAIT";
-/// See [`PI_WAIT`].
-pub const NI_WAIT: &str = "NI_WAIT";
-
-/// `F_DATA` / `F_NODATA`: the has-data send parameter (Figure 3).
-pub const F_DATA: &str = "F_DATA";
-/// See [`F_DATA`].
-pub const F_NODATA: &str = "F_NODATA";
-/// `W_WAIT` / `W_NOWAIT`: the wait send parameter (§9 send-wait check).
-pub const W_WAIT: &str = "W_WAIT";
-/// See [`W_WAIT`].
-pub const W_NOWAIT: &str = "W_NOWAIT";
-
-/// Message-length constants (Figure 3).
-pub const LEN_NODATA: &str = "LEN_NODATA";
-/// See [`LEN_NODATA`].
-pub const LEN_WORD: &str = "LEN_WORD";
-/// See [`LEN_NODATA`].
-pub const LEN_CACHELINE: &str = "LEN_CACHELINE";
-
-/// Message-type constant for negative acknowledgements; a speculative
-/// handler that sends a NAK legitimately discards directory modifications.
-pub const MSG_NAK: &str = "MSG_NAK";
-
-/// Data-buffer management macros (§6).
-pub const DB_FREE: &str = "DB_FREE";
-/// `b = DB_ALLOC();` allocates a new data buffer.
-pub const DB_ALLOC: &str = "DB_ALLOC";
-/// Sentinel returned by a failed [`DB_ALLOC`].
-pub const DB_FAIL: &str = "DB_FAIL";
-/// `DB_WRITE(buf, off, val)` writes message data into a buffer.
-pub const DB_WRITE: &str = "DB_WRITE";
-
-/// Directory-entry macros (§9).
-pub const DIR_LOAD: &str = "DIR_LOAD";
-/// Reads the loaded entry's state.
-pub const DIR_STATE: &str = "DIR_STATE";
-/// Reads the loaded entry's sharer vector / pointer field.
-pub const DIR_PTR: &str = "DIR_PTR";
-/// Modifies the loaded entry.
-pub const DIR_SET_STATE: &str = "DIR_SET_STATE";
-/// Modifies the loaded entry.
-pub const DIR_SET_PTR: &str = "DIR_SET_PTR";
-/// Writes the (modified) entry back to memory.
-pub const DIR_WRITEBACK: &str = "DIR_WRITEBACK";
-/// Explicit directory-address computation macro; computing the address by
-/// hand instead is the "abstraction error" false-positive class of §9.1.
-pub const DIR_ADDR: &str = "DIR_ADDR";
-
-/// Simulator hooks (§8): hardware handlers.
-pub const HANDLER_DEFS: &str = "HANDLER_DEFS";
-/// See [`HANDLER_DEFS`].
-pub const HANDLER_PROLOGUE: &str = "HANDLER_PROLOGUE";
-/// Simulator hooks: software handlers.
-pub const SWHANDLER_DEFS: &str = "SWHANDLER_DEFS";
-/// See [`SWHANDLER_DEFS`].
-pub const SWHANDLER_PROLOGUE: &str = "SWHANDLER_PROLOGUE";
-/// Simulator hooks: ordinary subroutines.
-pub const PROC_DEFS: &str = "PROC_DEFS";
-/// See [`PROC_DEFS`].
-pub const PROC_PROLOGUE: &str = "PROC_PROLOGUE";
-
-/// No-stack assertion, placed directly after the prologue hooks.
-pub const NO_STACK: &str = "NO_STACK";
-/// Must immediately precede every call in a no-stack handler.
-pub const SET_STACKPTR: &str = "SET_STACKPTR";
-/// Marks intentionally unimplemented routines; the execution-restriction
-/// checker skips them (the paper did not count sci's three violations in
-/// unimplemented routines for exactly this reason).
-pub const FATAL_ERROR: &str = "FATAL_ERROR";
-
-/// Checker-suppression annotations (§6.1).
-pub const HAS_BUFFER: &str = "has_buffer";
-/// See [`HAS_BUFFER`].
-pub const NO_FREE_NEEDED: &str = "no_free_needed";
-
-/// The manual reference-count bump that caused the §11 "betrayal" incident;
-/// after that incident the extension "aggressively objects" to it.
-pub const DB_REFCOUNT_INCR: &str = "DB_REFCOUNT_INCR";
-
-/// Macros deprecated in favor of newer interfaces (§8 warns on use).
-pub const DEPRECATED_MACROS: &[&str] = &["OLD_WAIT_DB", "MISCBUS_READ_DB_OLD", "BUF_CAST"];
 
 /// Message-type constants and the lane each send class uses.
 ///
@@ -119,7 +25,7 @@ pub fn lane_of_send(callee: &str, first_arg_const: Option<&str>) -> Option<usize
         PI_SEND => Some(0),
         IO_SEND => Some(1),
         NI_SEND => match first_arg_const {
-            Some("MSG_REQ") => Some(2),
+            Some(MSG_REQ) => Some(2),
             _ => Some(3),
         },
         _ => None,
@@ -251,65 +157,21 @@ pub fn is_unimplemented(f: &mc_ast::Function) -> bool {
     }
 }
 
-/// Returns `true` if `name` is one of the send macros.
-pub fn is_send(name: &str) -> bool {
-    matches!(name, PI_SEND | IO_SEND | NI_SEND)
-}
-
-/// Returns `true` if `name` is one of the wait macros.
-pub fn is_wait(name: &str) -> bool {
-    matches!(name, PI_WAIT | IO_WAIT | NI_WAIT)
-}
-
-/// The wait macro matching a send macro's interface.
-pub fn wait_for_send(send: &str) -> Option<&'static str> {
-    match send {
-        PI_SEND => Some(PI_WAIT),
-        IO_SEND => Some(IO_WAIT),
-        NI_SEND => Some(NI_WAIT),
-        _ => None,
+/// Counts the calls in `func` to FLASH names whose effect `pick` accepts,
+/// given the call's arguments — the "Applied" columns of the paper's
+/// tables.
+pub fn count_calls(func: &Function, pick: impl Fn(Effect, &[Expr]) -> bool) -> usize {
+    struct V<F>(F, usize);
+    impl<F: Fn(Effect, &[Expr]) -> bool> Visitor for V<F> {
+        fn visit_expr(&mut self, e: &Expr) {
+            if let Some((name, args)) = e.as_call() {
+                self.1 += usize::from(effect(name).is_some_and(|eff| (self.0)(eff, args)));
+            }
+        }
     }
-}
-
-/// All FLASH macro names — calls to these are intrinsics, not subroutine
-/// calls (the no-stack checker does not require `SET_STACKPTR` before
-/// them).
-pub fn is_flash_macro(name: &str) -> bool {
-    matches!(
-        name,
-        WAIT_FOR_DB_FULL
-            | MISCBUS_READ_DB
-            | PI_SEND
-            | IO_SEND
-            | NI_SEND
-            | PI_WAIT
-            | IO_WAIT
-            | NI_WAIT
-            | DB_FREE
-            | DB_ALLOC
-            | DB_WRITE
-            | DIR_LOAD
-            | DIR_STATE
-            | DIR_PTR
-            | DIR_SET_STATE
-            | DIR_SET_PTR
-            | DIR_WRITEBACK
-            | DIR_ADDR
-            | HANDLER_DEFS
-            | HANDLER_PROLOGUE
-            | SWHANDLER_DEFS
-            | SWHANDLER_PROLOGUE
-            | PROC_DEFS
-            | PROC_PROLOGUE
-            | NO_STACK
-            | SET_STACKPTR
-            | FATAL_ERROR
-            | HAS_BUFFER
-            | NO_FREE_NEEDED
-            | DB_REFCOUNT_INCR
-            | "HANDLER_GLOBALS"
-            | "debug_print"
-    ) || DEPRECATED_MACROS.contains(&name)
+    let mut v = V(pick, 0);
+    walk_function(&mut v, func);
+    v.1
 }
 
 #[cfg(test)]
@@ -347,15 +209,14 @@ mod tests {
     fn send_wait_pairing() {
         assert_eq!(wait_for_send(PI_SEND), Some(PI_WAIT));
         assert_eq!(wait_for_send(NI_SEND), Some(NI_WAIT));
-        assert!(is_send(IO_SEND));
-        assert!(is_wait(IO_WAIT));
-        assert!(!is_send(IO_WAIT));
+        assert!(matches!(effect(IO_SEND), Some(Effect::Send { .. })));
+        assert_eq!(effect(IO_WAIT), Some(Effect::Wait(Iface::Io)));
     }
 
     #[test]
     fn macro_table() {
-        assert!(is_flash_macro("DB_FREE"));
-        assert!(is_flash_macro("OLD_WAIT_DB"));
-        assert!(!is_flash_macro("compute_owner"));
+        assert_eq!(effect("DB_FREE"), Some(Effect::BufFree));
+        assert_eq!(effect("OLD_WAIT_DB"), Some(Effect::Deprecated));
+        assert_eq!(effect("compute_owner"), None);
     }
 }

@@ -8,25 +8,13 @@
 //! paper's most profitable checker: 18 bugs.
 
 use crate::flash;
-use mc_ast::{walk_function, Expr, Function, Visitor};
+use mc_ast::Function;
 
 /// Counts the sends in a function — the "Applied" column of Table 3 (each
 /// send reached by the checker is one application of the consistency
 /// check).
 pub fn count_sends(func: &Function) -> usize {
-    struct V(usize);
-    impl Visitor for V {
-        fn visit_expr(&mut self, e: &Expr) {
-            if let Some((name, _)) = e.as_call() {
-                if flash::is_send(name) {
-                    self.0 += 1;
-                }
-            }
-        }
-    }
-    let mut v = V(0);
-    walk_function(&mut v, func);
-    v.0
+    flash::count_calls(func, |e, _| matches!(e, flash::Effect::Send { .. }))
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@
 //! false positives (real problems for simulation, since hooks cannot be
 //! inserted).
 
-use crate::flash;
+use crate::flash::{self, Effect};
 use crate::{dedup_found, stamp_witness};
 use mc_ast::{Expr, ExprKind, Span, StmtKind};
 use mc_cfg::{run_traversal, PathEvent, PathMachine, PathStep, Witness};
@@ -105,29 +105,22 @@ impl WaitMachine {
         let Some((name, args)) = e.as_call() else {
             return st;
         };
-        if flash::is_send(name) {
-            if let WaitState::Pending(iface) = st {
-                self.found.push((
-                    e.span,
-                    format!("send issued before waiting for pending {iface}()"),
-                    Vec::new(),
-                ));
-            }
-            // `wait` parameter: arg 3 for PI/IO/NI alike.
-            let wants_wait = args
-                .get(3)
-                .and_then(|a| a.as_ident())
-                .map(|n| n == flash::W_WAIT)
-                .unwrap_or(false);
-            if wants_wait {
-                if let Some(w) = flash::wait_for_send(name) {
-                    st = WaitState::Pending(w);
+        match flash::effect(name) {
+            Some(Effect::Send { wait, .. }) => {
+                if let WaitState::Pending(iface) = st {
+                    self.found.push((
+                        e.span,
+                        format!("send issued before waiting for pending {iface}()"),
+                        Vec::new(),
+                    ));
+                }
+                if waits(args, wait) {
+                    if let Some(w) = flash::wait_for_send(name) {
+                        st = WaitState::Pending(w);
+                    }
                 }
             }
-            return st;
-        }
-        if flash::is_wait(name) {
-            match st {
+            Some(Effect::Wait(_)) => match st {
                 WaitState::Pending(expected) if expected == name => {
                     st = WaitState::Idle;
                 }
@@ -142,10 +135,16 @@ impl WaitMachine {
                 WaitState::Idle => {
                     // A wait with nothing outstanding is harmless.
                 }
-            }
+            },
+            _ => {}
         }
         st
     }
+}
+
+/// Whether a send's `wait` argument asks to wait for the reply.
+fn waits(args: &[Expr], wait: usize) -> bool {
+    args.get(wait).and_then(Expr::as_ident) == Some(flash::W_WAIT)
 }
 
 impl WaitMachine {
@@ -207,21 +206,11 @@ impl PathMachine for WaitMachine {
 /// Counts sends with the wait bit plus wait-macro calls — the "Applied"
 /// column of Table 6's send-wait check.
 pub fn count_send_waits(func: &mc_ast::Function) -> usize {
-    struct V(usize);
-    impl mc_ast::Visitor for V {
-        fn visit_expr(&mut self, e: &Expr) {
-            if let Some((name, args)) = e.as_call() {
-                let waited_send = flash::is_send(name)
-                    && args.get(3).and_then(|a| a.as_ident()) == Some(flash::W_WAIT);
-                if flash::is_wait(name) || waited_send {
-                    self.0 += 1;
-                }
-            }
-        }
-    }
-    let mut v = V(0);
-    mc_ast::walk_function(&mut v, func);
-    v.0
+    flash::count_calls(func, |e, args| match e {
+        Effect::Wait(_) => true,
+        Effect::Send { wait, .. } => waits(args, wait),
+        _ => false,
+    })
 }
 
 #[cfg(test)]

@@ -22,7 +22,7 @@
 use crate::query::CheckEngine;
 use crate::report::Report;
 use crate::summaries::Summaries;
-use mc_ast::{Fnv1a, Function, ParseError, TranslationUnit};
+use mc_ast::{flash, Fnv1a, Function, ParseError, TranslationUnit};
 use mc_cfg::{
     feasibility_stats, run_traversal_with, Cfg, FnSummary, Mode, SummaryLookup, Traversal,
 };
@@ -420,7 +420,11 @@ pub(crate) struct FunctionOutput {
 /// v11: the unit record is folded into the `fnindex` record, which gains
 /// `ast_key`, `summary_key` and `calls`; `unit` records are no longer
 /// written or read.
-pub const CACHE_FORMAT_VERSION: u32 = 11;
+///
+/// v12: the symbolic executor steps over calls the FLASH table marks pure
+/// and writes `HANDLER_GLOBALS(..)` targets as their own slots, so cached
+/// `sat` reports of v11 carry models that bind too few globals.
+pub const CACHE_FORMAT_VERSION: u32 = 12;
 
 /// Stack size of every thread that runs checks: `Driver::pool_map`'s
 /// workers and `mcheckd`'s connection threads. It matches the usual 8 MiB
@@ -1012,12 +1016,13 @@ fn scan_for_ranking(function: &Function) -> RankScan {
     impl mc_ast::Visitor for Scan {
         fn visit_expr(&mut self, expr: &mc_ast::Expr) {
             if let Some(name) = expr.as_ident() {
-                if name == "MSG_NAK" || name.starts_with("MSG_NAK_") {
+                if matches!(name.strip_prefix(flash::MSG_NAK), Some(r) if r.is_empty() || r.starts_with('_'))
+                {
                     self.nak = true;
                 }
             }
             if let Some((callee, _)) = expr.as_call() {
-                if callee.contains("debug_print") {
+                if callee.contains(flash::DEBUG_PRINT) {
                     self.debug = true;
                 }
             }

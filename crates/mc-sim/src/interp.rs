@@ -1,7 +1,9 @@
 //! The handler interpreter: executes FLASH protocol C against the machine
-//! model, mapping the FLASH macros onto machine effects.
+//! model. A call to a FLASH name runs the effect [`mc_ast::flash`]'s table
+//! gives it; any other call runs the program's definition of that name.
 
 use crate::machine::{DirEntry, Machine, Message, SimEvent};
+use mc_ast::flash::{self, DirField, Effect, Iface};
 use mc_ast::{BinaryOp, Expr, ExprKind, Function, Initializer, Stmt, StmtKind, UnaryOp};
 use std::collections::HashMap;
 
@@ -51,7 +53,6 @@ pub fn run_handler(
         out_type: 0,
         msg_src: msg_src as i64,
         pending_wait: None,
-        dir_loaded: false,
         dir_modified: false,
         dir_copy: DirEntry::default(),
         dir_line: 0,
@@ -90,35 +91,13 @@ struct Ctx<'m> {
     /// Source node of the message being handled
     /// (`HANDLER_GLOBALS(header.nh.src)`).
     msg_src: i64,
-    pending_wait: Option<&'static str>,
-    dir_loaded: bool,
+    /// The interface a waited send still owes a wait on.
+    pending_wait: Option<Iface>,
     dir_modified: bool,
     dir_copy: DirEntry,
     dir_line: i64,
     steps: u64,
     depth: usize,
-}
-
-/// Values of the FLASH constants the interpreter understands.
-fn const_value(name: &str) -> Option<i64> {
-    Some(match name {
-        "F_DATA" => 1,
-        "F_NODATA" => 0,
-        "W_WAIT" => 1,
-        "W_NOWAIT" => 0,
-        "LEN_NODATA" => 0,
-        "LEN_WORD" => 1,
-        "LEN_CACHELINE" => 16,
-        "DB_FAIL" => -1,
-        "MSG_REQ" => 100,
-        "MSG_REPLY" => 101,
-        "MSG_NAK" => 102,
-        "DIR_IDLE" => 0,
-        "DIR_SHARED" => 1,
-        "DIR_DIRTY" => 2,
-        "DIR_PENDING" => 3,
-        _ => return None,
-    })
 }
 
 impl Ctx<'_> {
@@ -384,7 +363,7 @@ impl Ctx<'_> {
         if let Some(v) = locals.get(name) {
             return *v;
         }
-        if let Some(v) = const_value(name) {
+        if let Some(v) = flash::constant(name) {
             return v;
         }
         if let Some(v) = self.machine.nodes[self.node].globals.get(name) {
@@ -413,7 +392,7 @@ impl Ctx<'_> {
             // `HANDLER_GLOBALS(header.nh.<field>) = X` sets an outgoing
             // header field (len, dest, or type).
             ExprKind::Call { callee, args } => {
-                if callee.as_ident() == Some("HANDLER_GLOBALS") {
+                if callee.as_ident().and_then(flash::effect) == Some(Effect::Header) {
                     match args.first().and_then(header_field) {
                         Some("dest") => self.out_dest = Some(value),
                         Some("type") => self.out_type = value,
@@ -449,23 +428,20 @@ impl Ctx<'_> {
             None => return self.fault("indirect calls are not supported"),
         };
         let node = self.node;
-        match name.as_str() {
-            // Hooks and annotations: no machine effect.
-            "HANDLER_DEFS" | "HANDLER_PROLOGUE" | "SWHANDLER_DEFS" | "SWHANDLER_PROLOGUE"
-            | "PROC_DEFS" | "PROC_PROLOGUE" | "NO_STACK" | "SET_STACKPTR" | "has_buffer"
-            | "no_free_needed" | "debug_print" => Ok(0),
-            "HANDLER_GLOBALS" => Ok(match args.first().and_then(header_field) {
+        match flash::effect(&name) {
+            Some(Effect::Hook) => Ok(0),
+            Some(Effect::Header) => Ok(match args.first().and_then(header_field) {
                 Some("src") => self.msg_src,
                 Some("dest") => self.out_dest.unwrap_or(0),
                 Some("type") => self.out_type,
                 Some("node") => self.node as i64,
                 _ => self.out_len,
             }),
-            "FATAL_ERROR" => self.fault("FATAL_ERROR: unimplemented handler invoked"),
-            "MAGIC_PI_STATUS" | "MAGIC_NI_STATUS" | "MAGIC_IO_STATUS" => Ok(1),
-            "DB_CURRENT" => Ok(self.current_buf),
-
-            "DB_ALLOC" => {
+            Some(Effect::Fatal) => self.fault(format!("{name}: unimplemented handler invoked")),
+            Some(Effect::Status) => Ok(1),
+            Some(Effect::Const(v)) => Ok(v),
+            Some(Effect::BufCurrent) => Ok(self.current_buf),
+            Some(Effect::BufAlloc) => {
                 let allocated = self.machine.nodes[node].buffers.alloc();
                 match allocated {
                     Some(idx) => {
@@ -475,7 +451,7 @@ impl Ctx<'_> {
                     None => Ok(-1),
                 }
             }
-            "DB_FREE" => {
+            Some(Effect::BufFree) => {
                 if self.current_buf < 0
                     || !self.machine.nodes[node]
                         .buffers
@@ -486,7 +462,7 @@ impl Ctx<'_> {
                 }
                 Ok(0)
             }
-            "DB_REFCOUNT_INCR" => {
+            Some(Effect::BufRefcount) => {
                 if self.current_buf >= 0 {
                     self.machine.nodes[node]
                         .buffers
@@ -494,7 +470,7 @@ impl Ctx<'_> {
                 }
                 Ok(0)
             }
-            "DB_WRITE" => {
+            Some(Effect::BufWrite) => {
                 let b = self.arg(&args, 0, locals)?;
                 let off = self.arg(&args, 1, locals)? as usize % 16;
                 let v = self.arg(&args, 2, locals)?;
@@ -503,7 +479,7 @@ impl Ctx<'_> {
                 }
                 Ok(0)
             }
-            "WAIT_FOR_DB_FULL" => {
+            Some(Effect::DbWait) => {
                 if self.current_buf >= 0 {
                     self.machine.nodes[node]
                         .buffers
@@ -511,7 +487,7 @@ impl Ctx<'_> {
                 }
                 Ok(1)
             }
-            "MISCBUS_READ_DB" => {
+            Some(Effect::DbRead) => {
                 let off = if args.len() > 1 {
                     self.arg(&args, 1, locals)? as usize % 16
                 } else {
@@ -530,49 +506,46 @@ impl Ctx<'_> {
                 }
                 Ok(self.machine.nodes[node].buffers.payloads[b][off])
             }
-
-            "PI_SEND" | "IO_SEND" | "NI_SEND" => self.do_send(&name, &args, locals),
-            "PI_WAIT" | "IO_WAIT" | "NI_WAIT" => {
-                if self.pending_wait == Some(leak_static(&name)) {
+            Some(Effect::Send { iface, flag, wait }) => {
+                self.do_send(iface, flag, wait, &args, locals)
+            }
+            Some(Effect::Wait(iface)) => {
+                if self.pending_wait == Some(iface) {
                     self.pending_wait = None;
                 }
                 Ok(1)
             }
-
-            "DIR_LOAD" => {
+            Some(Effect::DirLoad) => {
                 self.dir_line = self.read_var("gLine", locals);
                 self.dir_copy = self.machine.nodes[node]
                     .directory
                     .get(&self.dir_line)
                     .copied()
                     .unwrap_or_default();
-                self.dir_loaded = true;
                 self.dir_modified = false;
                 Ok(0)
             }
-            "DIR_STATE" => Ok(self.dir_copy.state),
-            "DIR_PTR" => Ok(self.dir_copy.ptr),
-            "DIR_SET_STATE" => {
-                self.dir_copy.state = self.arg(&args, 0, locals)?;
+            Some(Effect::DirRead(DirField::State)) => Ok(self.dir_copy.state),
+            Some(Effect::DirRead(DirField::Ptr)) => Ok(self.dir_copy.ptr),
+            Some(Effect::DirSet(field)) => {
+                let v = self.arg(&args, 0, locals)?;
+                match field {
+                    DirField::State => self.dir_copy.state = v,
+                    DirField::Ptr => self.dir_copy.ptr = v,
+                }
                 self.dir_modified = true;
                 Ok(0)
             }
-            "DIR_SET_PTR" => {
-                self.dir_copy.ptr = self.arg(&args, 0, locals)?;
-                self.dir_modified = true;
-                Ok(0)
-            }
-            "DIR_WRITEBACK" => {
+            Some(Effect::DirWriteback) => {
                 let line = self.dir_line;
                 let copy = self.dir_copy;
                 self.machine.nodes[node].directory.insert(line, copy);
                 self.dir_modified = false;
                 Ok(0)
             }
-            "DIR_ADDR" => Ok(self.read_var("gLine", locals) * 8),
-
-            _ => {
-                // User function?
+            Some(Effect::DirAddr) => Ok(self.read_var("gLine", locals) * 8),
+            // A user function (a deprecated macro runs one if defined).
+            Some(Effect::Deprecated) | None => {
                 if let Some(func) = self.machine.program.shared_function(&name) {
                     let mut vals = Vec::new();
                     for a in &args {
@@ -600,16 +573,15 @@ impl Ctx<'_> {
 
     fn do_send(
         &mut self,
-        name: &str,
+        iface: Iface,
+        flag: usize,
+        wait: usize,
         args: &[Expr],
         locals: &mut HashMap<String, i64>,
     ) -> Result<i64, InterpError> {
         let node = self.node;
-        // PI/IO_SEND(flag, keep, swap, wait, dec, null);
-        // NI_SEND(type, flag, keep, wait, dec, null).
-        let (flag_idx, wait_idx) = if name == "NI_SEND" { (1, 3) } else { (0, 3) };
-        let has_data = self.arg(args, flag_idx, locals)? != 0;
-        let wants_wait = self.arg(args, wait_idx, locals)? != 0;
+        let has_data = self.arg(args, flag, locals)? != 0;
+        let wants_wait = self.arg(args, wait, locals)? != 0;
         // Consistency between the header length and the has-data flag —
         // the Figure 3 invariant, enforced by the hardware interface.
         let consistent = (has_data && self.out_len > 0) || (!has_data && self.out_len == 0);
@@ -624,15 +596,15 @@ impl Ctx<'_> {
             });
         }
         if wants_wait {
-            self.pending_wait = Some(match name {
-                "PI_SEND" => "PI_WAIT",
-                "IO_SEND" => "IO_WAIT",
-                _ => "NI_WAIT",
-            });
+            self.pending_wait = Some(iface);
         }
-        if name == "NI_SEND" {
+        if iface == Iface::Ni {
             let msg_type = self.arg(args, 0, locals)?;
-            let lane = if msg_type == 100 { 2 } else { 3 };
+            let lane = if Some(msg_type) == flash::constant(flash::MSG_REQ) {
+                2
+            } else {
+                3
+            };
             let dst = match self.out_dest {
                 Some(d) => (d.rem_euclid(self.machine.nodes.len() as i64)) as usize,
                 None => self.machine.remote_of(node),
@@ -663,15 +635,6 @@ fn header_field(e: &Expr) -> Option<&str> {
     match &e.kind {
         ExprKind::Member { field, .. } => Some(field.as_str()),
         _ => None,
-    }
-}
-
-/// Maps a wait-macro name to its static string (for `pending_wait`).
-fn leak_static(name: &str) -> &'static str {
-    match name {
-        "PI_WAIT" => "PI_WAIT",
-        "IO_WAIT" => "IO_WAIT",
-        _ => "NI_WAIT",
     }
 }
 
@@ -803,6 +766,79 @@ mod tests {
         m.inject(0, "NISync"); // payload words are 7
         m.run();
         assert_eq!(m.nodes[0].globals["gGot"], 7);
+    }
+
+    /// Every node's globals (sorted), directory, buffers, lanes and wedge
+    /// flag, then the event log.
+    fn snapshot(m: &Machine) -> String {
+        let mut out = String::new();
+        for n in &m.nodes {
+            let mut globals: Vec<_> = n.globals.iter().collect();
+            globals.sort();
+            out += &format!(
+                "{globals:?} {:?} {:?} {:?} {}\n",
+                n.directory, n.buffers, n.lanes, n.wedged
+            );
+        }
+        out + &format!("{:?}", m.events())
+    }
+
+    #[test]
+    fn entries_the_table_marks_pure_change_nothing() {
+        // Each entry runs mid-handler, with globals, the directory entry
+        // and the incoming buffer set beforehand, a modified directory
+        // copy and a waited send in flight, and the buffer not yet filled.
+        // Nothing after the probe waits, fills or writes back, so any
+        // effect on a variable or on machine state shows in the end state.
+        // Every pure entry must leave it exactly as without the call; this
+        // is what lets the symbolic executor step over such a call without
+        // forgetting any global. Every other entry must show, so the test
+        // can see what it checks, except a deprecated one (it runs a
+        // definition only if the program has one) and a wait on an
+        // interface no send is pending on.
+        let run = |probe: &str| {
+            let src = format!(
+                "void NIProbe(void) {{
+                    gSeen = gMode + 1;
+                    DIR_LOAD();
+                    DIR_SET_STATE(2);
+                    HANDLER_GLOBALS(header.nh.len) = LEN_WORD;
+                    PI_SEND(F_DATA, 1, 0, W_WAIT, 1, 0);
+                    {probe}
+                    gAfter = gMode + MISCBUS_READ_DB(addr, 0) + DIR_STATE()
+                        + DIR_PTR() + HANDLER_GLOBALS(header.nh.len);
+                    DB_FREE();
+                }}"
+            );
+            let mut m = machine_with(&src);
+            m.set_global(0, "gLine", 3);
+            m.set_global(0, "gMode", 7);
+            m.nodes[0]
+                .directory
+                .insert(3, DirEntry { state: 1, ptr: 5 });
+            m.inject(0, "NIProbe");
+            m.run();
+            snapshot(&m)
+        };
+        let base = run("");
+        assert!(base.contains("\"gAfter\""), "the handler ran: {base}");
+        let mut pure = 0;
+        for (name, effect) in flash::TABLE {
+            let call = match effect {
+                Effect::Header => format!("{name}(header.nh.len);"),
+                _ => format!("{name}();"),
+            };
+            if flash::is_pure(name) {
+                assert_eq!(run(&call), base, "{call}");
+                pure += 1;
+            } else if !matches!(
+                effect,
+                Effect::Deprecated | Effect::Wait(Iface::Io | Iface::Ni)
+            ) {
+                assert_ne!(run(&call), base, "{call} shows no effect");
+            }
+        }
+        assert!(pure >= 10, "only {pure} pure entries");
     }
 
     #[test]

@@ -13,11 +13,15 @@
 //! deadlocks — then run the fixed handler and watch it stay healthy. The
 //! same bug is found statically by the checkers in milliseconds.
 //!
+//! A call to a FLASH name runs the effect [`mc_ast::flash`]'s table gives
+//! it: the table the checkers and the symbolic executor read too.
+//!
 //! A [`Program`] is an immutable, shared handle on the parsed protocol:
 //! cloning it is O(1) and copies no AST, and the interpreter runs each
 //! function body in place. [`replay`], which confirms a checker report by
 //! running its witness model, can therefore replay every report of a check
-//! against clones of one parsed program.
+//! against clones of one parsed program. It refuses a handler whose call
+//! closure reaches a name defined in more than one source.
 //!
 //! # Example
 //!

@@ -9,6 +9,8 @@
 //! `confirmed`: the reviewer gets a concrete input, not just a path.
 
 use crate::machine::{Machine, Program, SimConfig, SimEvent};
+use mc_ast::{walk_function, Expr, Visitor};
+use std::collections::HashSet;
 
 /// The dynamic event classes one static checker's reports correspond to.
 ///
@@ -56,12 +58,13 @@ pub fn replayable_checker(checker: &str) -> bool {
 /// across runs, worker counts, and cache state. A `false` return is *not*
 /// evidence the report is wrong (the model may bind too few globals, or
 /// the violation may need cross-handler state); it only means the report
-/// stays at its symbolic verdict. A handler name defined by more than one
-/// source always returns `false`: the program runs one of the bodies, and
-/// it may not be the one the report is on.
+/// stays at its symbolic verdict. When any function the handler can reach
+/// (itself included) is defined by more than one source, `replay` returns
+/// `false`: the program runs one of the bodies, and it may not be the one
+/// the report's file calls.
 pub fn replay(program: Program, checker: &str, handler: &str, model: &[(String, i64)]) -> bool {
     if program.function(handler).is_none()
-        || program.is_duplicate(handler)
+        || reaches_duplicate(&program, handler)
         || !replayable_checker(checker)
     {
         return false;
@@ -76,6 +79,29 @@ pub fn replay(program: Program, checker: &str, handler: &str, model: &[(String, 
         .events()
         .iter()
         .any(|ev| event_matches(checker, handler, ev).unwrap_or(false))
+}
+
+/// Whether a name in `handler`'s call closure, resolved by name as the
+/// interpreter resolves it, is defined by more than one source.
+fn reaches_duplicate(program: &Program, handler: &str) -> bool {
+    struct Callees(Vec<String>);
+    impl Visitor for Callees {
+        fn visit_expr(&mut self, e: &Expr) {
+            if let Some((name, _)) = e.as_call() {
+                self.0.push(name.to_string());
+            }
+        }
+    }
+    let mut seen = HashSet::new();
+    let mut work = Callees(vec![handler.to_string()]);
+    while let Some(name) = work.0.pop() {
+        match program.function(&name) {
+            Some(_) if program.is_duplicate(&name) => return true,
+            Some(f) if seen.insert(name.clone()) => walk_function(&mut work, f),
+            _ => {}
+        }
+    }
+    false
 }
 
 #[cfg(test)]
@@ -148,6 +174,36 @@ mod tests {
             let program = Program::from_sources(&sources).unwrap();
             assert!(!replay(program, "buffer_mgmt", "PIHandler", &[]));
         }
+    }
+
+    #[test]
+    fn a_helper_defined_twice_is_never_confirmed() {
+        // The handler is unique, but a function it reaches is defined in
+        // two files: the program runs the last definition, which need not
+        // be the one the handler's file calls.
+        let handler = "static void release_buf(void) { DB_FREE(); }\n\
+                       void PIHandler(void) { HANDLER_DEFS(); HANDLER_PROLOGUE(); release_buf(); }";
+        let other = "static void release_buf(void) { }";
+        for order in [[handler, other], [other, handler]] {
+            let sources: Vec<(String, String)> = order
+                .iter()
+                .zip(["a.c", "b.c"])
+                .map(|(src, name)| (src.to_string(), name.to_string()))
+                .collect();
+            let program = Program::from_sources(&sources).unwrap();
+            assert!(!replay(program, "buffer_mgmt", "PIHandler", &[]));
+        }
+        // Alone, the leak-free handler does not reproduce a leak either;
+        // with the empty helper alone it does.
+        let alone = Program::parse(handler).unwrap();
+        assert!(!replay(alone, "buffer_mgmt", "PIHandler", &[]));
+        let leaky = handler.replace("{ DB_FREE(); }", "{ }");
+        assert!(replay(
+            Program::parse(&leaky).unwrap(),
+            "buffer_mgmt",
+            "PIHandler",
+            &[]
+        ));
     }
 
     #[test]

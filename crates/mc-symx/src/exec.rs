@@ -8,7 +8,9 @@
 //! - a non-linear value is simply unknown (no constraint is emitted for a
 //!   condition that mentions it);
 //! - a call that cannot be inlined havocs every global-like binding, so
-//!   later reads are fresh symbols unrelated to earlier ones;
+//!   later reads are fresh symbols unrelated to earlier ones — unless the
+//!   FLASH table ([`mc_ast::flash`]) marks the callee pure, as it does the
+//!   `HANDLER_PROLOGUE()` hooks that open every handler;
 //! - a store through an unresolvable lvalue havocs the whole store.
 //!
 //! Havoc is *forgetting*, and forgetting only ever removes constraints, so
@@ -38,7 +40,7 @@
 //! only ever fold in-range constants, where wrapping cannot occur.
 
 use crate::path::PathOp;
-use crate::slice::{for_each_child, Scope};
+use crate::slice::{for_each_child, lvalue_key, Scope};
 use crate::solver::{self, Constraint, LinExpr, SolveResult, SymId};
 use crate::{Verdict, World};
 use mc_ast::{BinaryOp, Expr, ExprKind, Function, Initializer, Stmt, StmtKind, UnaryOp};
@@ -238,7 +240,7 @@ impl<'w> Exec<'w> {
             }
             ExprKind::Assign { op, lhs, rhs } => {
                 let rhs_v = self.eval(rhs, frame);
-                match key_of(lhs) {
+                match lvalue_key(lhs) {
                     Some(k) => {
                         let rk = frame.resolve(&k);
                         let val = match op {
@@ -380,7 +382,7 @@ impl<'w> Exec<'w> {
     }
 
     fn incdec(&mut self, operand: &Expr, delta: i128, pre: bool, frame: &Frame) -> Option<LinExpr> {
-        match key_of(operand) {
+        match lvalue_key(operand) {
             Some(k) => {
                 let rk = frame.resolve(&k);
                 let old = self.read(&rk);
@@ -405,6 +407,9 @@ impl<'w> Exec<'w> {
 
     fn call(&mut self, callee: &Expr, args: &[Expr], frame: &Frame) -> Option<LinExpr> {
         let arg_vals: Vec<Option<LinExpr>> = args.iter().map(|a| self.eval(a, frame)).collect();
+        if callee.as_ident().is_some_and(mc_ast::flash::is_pure) {
+            return Some(LinExpr::sym(self.fresh("ret:pure".to_string(), false)));
+        }
         let name = match &callee.kind {
             ExprKind::Ident(n) => n.clone(),
             _ => {

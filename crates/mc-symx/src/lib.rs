@@ -265,6 +265,67 @@ mod tests {
         );
     }
 
+    /// The model of `f`'s witness along `dirs`; panics unless it is `Sat`.
+    fn model_along(src: &str, dirs: &[isize]) -> Vec<(String, i64)> {
+        let w = UnitWorld::parse(src);
+        let f = func_of(&w, "f");
+        match analyze_witness(f, &witness(f, dirs), &w).verdict {
+            Verdict::Sat { model } => model,
+            other => panic!("expected Sat, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_global_read_across_the_prologue_hooks_gets_a_replayable_model() {
+        // The hooks that open every handler touch no variable, so the
+        // read after them still sees the global's initial value.
+        let model = model_along(
+            "int gLen;\nvoid f(void) {\n  HANDLER_DEFS();\n  HANDLER_PROLOGUE();\n  if (gLen > 4) {\n    gLen = 0;\n  }\n}\n",
+            &[1],
+        );
+        assert_eq!(model.len(), 1, "model: {model:?}");
+        assert_eq!(model[0].0, "gLen");
+        assert!(model[0].1 > 4, "model: {model:?}");
+    }
+
+    #[test]
+    fn a_global_read_across_an_opaque_call_still_havocs() {
+        let model = model_along(
+            "int gLen;\nvoid f(void) {\n  HANDLER_PROLOGUE();\n  OPAQUE();\n  if (gLen > 4) {\n    gLen = 0;\n  }\n}\n",
+            &[1],
+        );
+        assert!(model.is_empty(), "model: {model:?}");
+        // The same call between two correlated guards breaks the
+        // correlation; a pure read such as DIR_STATE() does not.
+        let body = |call: &str| {
+            format!("int gMode;\nvoid f(void) {{\n  if (gMode) {{\n    {call}();\n    if (!gMode) {{\n      gMode = 2;\n    }}\n  }}\n}}\n")
+        };
+        let opaque = UnitWorld::parse(&body("OPAQUE"));
+        let f = func_of(&opaque, "f");
+        let a = analyze_witness(f, &witness(f, &[1, 1]), &opaque);
+        assert!(matches!(a.verdict, Verdict::Sat { .. }), "{a:?}");
+        let pure = UnitWorld::parse(&body("DIR_STATE"));
+        let f = func_of(&pure, "f");
+        let a = analyze_witness(f, &witness(f, &[1, 1]), &pure);
+        assert_eq!(a.verdict, Verdict::Refuted, "{a:?}");
+    }
+
+    #[test]
+    fn a_header_field_write_is_its_own_slot() {
+        // `HANDLER_GLOBALS(header.nh.len) = …` sets the outgoing header,
+        // not some global, so the guards on gMode stay correlated and the
+        // model still binds gMode.
+        let src = "int gMode;\nvoid f(void) {\n  if (gMode) {\n    HANDLER_GLOBALS(header.nh.len) = LEN_WORD;\n  }\n  if (!gMode) {\n    gMode = 2;\n  }\n}\n";
+        let w = UnitWorld::parse(src);
+        let f = func_of(&w, "f");
+        let a = analyze_witness(f, &witness(f, &[1, 1]), &w);
+        assert_eq!(a.verdict, Verdict::Refuted, "{a:?}");
+        let model = model_along(src, &[1, 0]);
+        assert_eq!(model.len(), 1, "model: {model:?}");
+        assert_eq!(model[0].0, "gMode");
+        assert_ne!(model[0].1, 0, "model: {model:?}");
+    }
+
     #[test]
     fn manifest_constants_resolve_through_the_world() {
         let mut w = UnitWorld::parse(

@@ -8,9 +8,9 @@
 //!
 //! The def/use domain is deliberately coarse — three levels:
 //!
-//! - exact keys (`mc_cfg::feasibility::key_of` lvalues);
+//! - exact keys (`key_of` lvalues and `HANDLER_GLOBALS(..)` header slots);
 //! - *all globals* (a call may write any global, plus any address-taken
-//!   local);
+//!   local), except a call the FLASH table marks pure;
 //! - *everything* (a store through an unresolvable lvalue like `*p`).
 //!
 //! Coarseness only ever *keeps more*: dropping a statement the executor
@@ -19,6 +19,7 @@
 //! precision-preserving performance pass, nothing else.
 
 use crate::path::PathOp;
+use mc_ast::flash::{self, Effect};
 use mc_ast::{Expr, ExprKind, Function, Initializer, Stmt, StmtKind, UnaryOp};
 use mc_cfg::feasibility::key_of;
 use std::collections::BTreeSet;
@@ -134,6 +135,17 @@ fn collect_expr(e: &Expr, scope: &mut Scope) {
     for_each_child(e, &mut |c| collect_expr(c, scope));
 }
 
+/// The store key of an assignment target: a `key_of` lvalue, or a header
+/// field `HANDLER_GLOBALS(header.nh.len)`, which is a slot of its own.
+pub(crate) fn lvalue_key(lhs: &Expr) -> Option<String> {
+    key_of(lhs).or_else(|| match lhs.as_call()? {
+        (name, [field]) if flash::effect(name) == Some(Effect::Header) => {
+            Some(format!("{name}({})", key_of(field)?))
+        }
+        _ => None,
+    })
+}
+
 /// Visits every direct subexpression of `e`.
 pub fn for_each_child(e: &Expr, f: &mut dyn FnMut(&Expr)) {
     match &e.kind {
@@ -203,7 +215,7 @@ fn scan_expr(e: &Expr, du: &mut DefUse) {
         }
         ExprKind::Assign { op, lhs, rhs } => {
             scan_expr(rhs, du);
-            match key_of(lhs) {
+            match lvalue_key(lhs) {
                 Some(k) => {
                     if op.is_some() {
                         du.uses.insert(k.clone());
@@ -220,7 +232,7 @@ fn scan_expr(e: &Expr, du: &mut DefUse) {
         ExprKind::Unary {
             op: UnaryOp::PreInc | UnaryOp::PreDec,
             operand,
-        } => match key_of(operand) {
+        } => match lvalue_key(operand) {
             Some(k) => {
                 du.uses.insert(k.clone());
                 du.defs.insert(k);
@@ -230,7 +242,7 @@ fn scan_expr(e: &Expr, du: &mut DefUse) {
                 scan_expr(operand, du);
             }
         },
-        ExprKind::Postfix { operand, .. } => match key_of(operand) {
+        ExprKind::Postfix { operand, .. } => match lvalue_key(operand) {
             Some(k) => {
                 du.uses.insert(k.clone());
                 du.defs.insert(k);
@@ -240,8 +252,8 @@ fn scan_expr(e: &Expr, du: &mut DefUse) {
                 scan_expr(operand, du);
             }
         },
-        ExprKind::Call { args, .. } => {
-            du.touches_globals = true;
+        ExprKind::Call { callee, args } => {
+            du.touches_globals |= !callee.as_ident().is_some_and(flash::is_pure);
             args.iter().for_each(|a| scan_expr(a, du));
         }
         _ => for_each_child(e, &mut |c| scan_expr(c, du)),

@@ -8,6 +8,7 @@
 #
 # Usage: scripts/shard_check.sh <shards> <cache-dir> <mcheck-args>...
 #   e.g. scripts/shard_check.sh 4 /tmp/cache --builtin --spec spec.json src/*.c
+# Set MCHECK=<path> to drive a given binary instead of building one.
 #
 # The merge output goes to stdout; shard progress goes to stderr. Exits
 # with the merge's exit code (0 = clean, 1 = reports emitted).
@@ -23,9 +24,11 @@ SHARDS=$1
 CACHE=$2
 shift 2
 
-MCHECK=${MCHECK:-target/release/mcheck}
-if [ ! -x "$MCHECK" ]; then
+# Without an explicit MCHECK, always run the build: cargo makes it a
+# no-op when the binary is fresh, and never drives a stale one.
+if [ -z "${MCHECK:-}" ]; then
     cargo build --release -p mc-cli --bin mcheck
+    MCHECK=target/release/mcheck
 fi
 
 # Shards always exit 0 (they render nothing); >= 2 is a real failure.

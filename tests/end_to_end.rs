@@ -152,15 +152,11 @@ fn exhaustive_and_state_set_modes_agree_on_a_protocol() {
     assert_eq!(a.iter().filter(|r| r.checker == "msglen_check").count(), 8);
 }
 
-/// Every `confirmed` report of a product-default `mcheck --builtin --spec`
-/// run over one seed-corpus protocol, as sorted
-/// `(checker, function, model)` rows, plus the protocol's `sat` count.
-fn confirmed_verdicts(proto: &Protocol) -> (Vec<String>, usize) {
-    let dir = std::env::temp_dir().join(format!(
-        "mc-confirmed-pin-{}-{}",
-        proto.name,
-        std::process::id()
-    ));
+/// Every report of a product-default `mcheck --builtin --spec` run over
+/// one protocol, refuted ones included, with file paths relative to the
+/// scratch directory the protocol was written to.
+fn check_protocol(proto: &Protocol, tag: &str) -> Vec<Report> {
+    let dir = std::env::temp_dir().join(format!("mc-{tag}-{}-{}", proto.name, std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let spec = dir.join("spec.json");
@@ -176,8 +172,23 @@ fn confirmed_verdicts(proto: &Protocol) -> (Vec<String>, usize) {
         args.push(path.display().to_string());
     }
     let opts = mc_cli::parse_args(args).expect("args parse");
-    let reports = mc_cli::run(&opts).expect("check runs");
+    let mut reports = mc_cli::run(&opts).expect("check runs");
     let _ = std::fs::remove_dir_all(&dir);
+    let prefix = format!("{}/", dir.display());
+    for r in &mut reports {
+        r.file = r.file.replace(&prefix, "");
+        for step in &mut r.steps {
+            step.file = step.file.replace(&prefix, "");
+        }
+    }
+    reports
+}
+
+/// Every `confirmed` report of a product-default `mcheck --builtin --spec`
+/// run over one seed-corpus protocol, as sorted
+/// `(checker, function, model)` rows, plus the protocol's `sat` count.
+fn confirmed_verdicts(proto: &Protocol) -> (Vec<String>, usize) {
+    let reports = check_protocol(proto, "confirmed-pin");
     let mut confirmed: Vec<String> = reports
         .iter()
         .filter(|r| r.verdict == Verdict::Confirmed)
@@ -192,36 +203,65 @@ fn confirmed_verdicts(proto: &Protocol) -> (Vec<String>, usize) {
 const CONFIRMED_PIN: [(&str, usize, &[&str]); 6] = [
     (
         "bitvector",
-        7,
+        2,
         &[
             "buffer_mgmt IOBvWriteBack11 []",
             "buffer_mgmt PIBvUncachedWrite10 []",
             "buffer_mgmt PIBvUpgrade8 []",
             "directory PIBvLocalPut15 []",
+            "msglen_check NIBvInval5 [(\"gDirtyRemote\", 1), (\"gQueueFull\", 1)]",
+            "msglen_check NIBvSharing7 [(\"gEagerMode\", 1), (\"gQueueFull\", 1)]",
+            "msglen_check PIBvAck6 [(\"gDirtyRemote\", 1), (\"gQueueFull\", 1)]",
             "refcount_bump NIBvUncachedWrite22 []",
             "wait_for_db NIBvLocalGet1 []",
             "wait_for_db NIBvLocalPut3 []",
+            "wait_for_db NIBvRemoteGet2 [(\"gCornerCase\", 1)]",
+            "wait_for_db NIBvRemotePut4 [(\"gCornerCase\", 1)]",
         ],
     ),
     (
         "dyn_ptr",
-        16,
+        8,
         &[
             "buffer_mgmt IODpInval17 []",
+            "buffer_mgmt NIDpReplace12 [(\"gErrCase\", 1)]",
             "buffer_mgmt PIDpUncachedRead9 []",
             "buffer_mgmt PIDpWriteBack11 []",
+            "msglen_check NIDpInval5 [(\"gDirtyRemote\", 1), (\"gQueueFull\", 1)]",
+            "msglen_check NIDpLocalGet1 [(\"gDirtyRemote\", 1), (\"gQueueFull\", 1)]",
+            "msglen_check NIDpLocalPut3 [(\"gEagerMode\", 1), (\"gQueueFull\", 1)]",
+            "msglen_check NIDpSharing7 [(\"gDirtyRemote\", 1), (\"gQueueFull\", 1)]",
+            "msglen_check PIDpAck6 [(\"gEagerMode\", 1), (\"gQueueFull\", 1)]",
+            "msglen_check PIDpRemoteGet2 [(\"gDirtyRemote\", 1), (\"gQueueFull\", 1)]",
+            "msglen_check PIDpRemotePut4 [(\"gDirtyRemote\", 1), (\"gQueueFull\", 1)]",
         ],
     ),
     (
         "sci",
-        4,
+        2,
         &[
+            "buffer_mgmt NISciInval5 [(\"gErrCase\", 1)]",
+            "buffer_mgmt NISciLocalPut3 [(\"gErrCase\", 1)]",
             "buffer_mgmt PISciLocalGet1 []",
             "buffer_mgmt PISciRemotePut4 []",
         ],
     ),
     ("coma", 5, &[]),
-    ("rac", 13, &["buffer_mgmt PIRacUncachedRead9 []"]),
+    (
+        "rac",
+        5,
+        &[
+            "buffer_mgmt PIRacUncachedRead9 []",
+            "msglen_check NIRacInval5 [(\"gDirtyRemote\", 1), (\"gQueueFull\", 1)]",
+            "msglen_check NIRacLocalGet1 [(\"gDirtyRemote\", 1), (\"gQueueFull\", 1)]",
+            "msglen_check NIRacLocalPut3 [(\"gEagerMode\", 1), (\"gQueueFull\", 1)]",
+            "msglen_check NIRacSharing7 [(\"gDirtyRemote\", 1), (\"gQueueFull\", 1)]",
+            "msglen_check PIRacAck6 [(\"gEagerMode\", 1), (\"gQueueFull\", 1)]",
+            "msglen_check PIRacRemoteGet2 [(\"gDirtyRemote\", 1), (\"gQueueFull\", 1)]",
+            "msglen_check PIRacRemotePut4 [(\"gDirtyRemote\", 1), (\"gQueueFull\", 1)]",
+            "msglen_check PIRacUpgrade8 [(\"gDirtyRemote\", 1), (\"gQueueFull\", 1)]",
+        ],
+    ),
     (
         "common",
         0,
@@ -249,7 +289,7 @@ fn confirmed_verdicts_are_pinned_on_the_seed_corpus() {
         assert_eq!(got_sat, sat, "{name}: sat reports");
         total += confirmed.len();
     }
-    assert_eq!(total, 16);
+    assert_eq!(total, 39);
 }
 
 #[test]
@@ -291,4 +331,66 @@ fn a_handler_defined_in_two_files_is_not_confirmed_against_the_other_body() {
     };
     assert_eq!(verdict_in(&clean), Verdict::Sat);
     assert_eq!(verdict_in(&leaking), Verdict::Sat);
+}
+
+#[test]
+fn a_handler_is_not_confirmed_through_another_files_helper() {
+    // PIHandler frees its buffer through a.c's `release_buf`, so the
+    // intraprocedural leak report on it is false. b.c defines a second
+    // `release_buf` that frees nothing. Replay resolves a helper by name,
+    // so in either file order it could run b.c's body and reproduce a
+    // leak that a.c's handler does not have: the report stays `sat`.
+    let dir = std::env::temp_dir().join(format!("mc-dup-helper-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let a = dir.join("a.c");
+    let b = dir.join("b.c");
+    std::fs::write(
+        &a,
+        "static void release_buf(void) { DB_FREE(); }\n\
+         void PIHandler(void) { HANDLER_DEFS(); HANDLER_PROLOGUE(); release_buf(); }\n",
+    )
+    .unwrap();
+    std::fs::write(&b, "static void release_buf(void) { }\n").unwrap();
+    for order in [[&a, &b], [&b, &a]] {
+        let args = ["--builtin".to_string()]
+            .into_iter()
+            .chain(order.iter().map(|p| p.display().to_string()));
+        let reports = mc_cli::run(&mc_cli::parse_args(args).unwrap()).unwrap();
+        let leak = reports
+            .iter()
+            .find(|r| r.checker == "buffer_mgmt" && r.function == "PIHandler")
+            .expect("the intraprocedural leak report");
+        assert_eq!(leak.verdict, Verdict::Sat, "file order {order:?}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// FNV-1a digest of the sorted `protocol fingerprint` rows of every report
+/// refutation keeps, product defaults, over `generate_fleet(61861, 3)`
+/// (222 rows).
+const FLEET3_KEPT_DIGEST: u64 = 0xc1fc_c2f1_4c96_528f;
+
+#[test]
+fn kept_report_fingerprints_are_pinned_on_the_scale_3_fleet() {
+    // Refutation may only move reports between `sat`, `confirmed` and
+    // `unchecked` here: a change that refutes or resurrects a report on
+    // the fleet changes this digest.
+    let mut rows: Vec<String> = Vec::new();
+    for proto in flash_mc::corpus::generate_fleet(DEFAULT_SEED, 3) {
+        for r in check_protocol(&proto, "fleet-pin") {
+            if r.verdict != Verdict::Refuted {
+                rows.push(format!("{} {}", proto.name, r.fingerprint()));
+            }
+        }
+    }
+    rows.sort();
+    assert!(rows.len() > 200, "{} kept reports", rows.len());
+    let digest = flash_mc::ast::fnv1a(rows.join("\n").as_bytes());
+    assert_eq!(
+        digest,
+        FLEET3_KEPT_DIGEST,
+        "digest {digest:#018x} over {} rows",
+        rows.len()
+    );
 }
