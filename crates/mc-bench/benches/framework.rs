@@ -145,7 +145,7 @@ fn bench_checkers(c: &mut Criterion) {
     g.bench_function("lanes_interprocedural", |b| {
         b.iter(|| {
             let mut d = Driver::new();
-            d.add_checker(Box::new(Lanes::new(spec.clone())));
+            d.add_checker(Box::new(Lanes::new(spec.clone()))).unwrap();
             d.check_sources(black_box(&sources)).unwrap().len()
         })
     });

@@ -21,7 +21,10 @@
 //!    [`run_traversal_with`]) — a per-function abstraction of what a call
 //!    can do to checker state (state-machine transfers, counter
 //!    contributions, fact clobbers), generalizing the paper's one-off §7
-//!    emit-and-link lane pass into a layer any checker can opt into.
+//!    emit-and-link lane pass into a layer any checker can opt into. Every
+//!    state machine's transfer table is built by [`transfer_table`] and
+//!    applied at call sites by [`apply_transfer`], through its
+//!    [`TransferCodec`].
 //!
 //! # Example
 //!
@@ -44,17 +47,19 @@ mod hash;
 mod machine;
 mod stats;
 mod summary;
+mod transfer;
 mod witness;
 
 pub use build::{Block, BlockId, Cfg, Node, Terminator};
 pub use feasibility::FactSet;
 pub use machine::{
-    feasibility_stats, run_machine, run_traversal, run_traversal_with, EndCollector, Mode,
-    PathEvent, PathMachine, Traversal, TraversalStats,
+    feasibility_stats, run_machine, run_traversal, run_traversal_with, Mode, PathEvent,
+    PathMachine, Traversal, TraversalStats,
 };
 pub use stats::PathStats;
 pub use summary::{
     collect_calls, collect_clobbers, summarize_counts, tarjan_sccs, CountSummary, CycleWarning,
     FnSummary, Resolved, SummaryLookup,
 };
+pub use transfer::{apply_transfer, transfer_table, TransferCodec};
 pub use witness::{PathStep, StepKind, Witness, WitnessArena, WitnessId};

@@ -167,63 +167,6 @@ impl Default for Traversal {
     }
 }
 
-/// Wraps a [`PathMachine`] and records the post-step states at every
-/// [`PathEvent::Return`] — the states the wrapped machine actually exits the
-/// function in.
-///
-/// This is the collection half of summary-transfer computation: both the
-/// interpreted and the compiled metal engines run one `EndCollector` per
-/// start state to learn what a function does to checker state, so the
-/// summary layer stays agnostic of which engine dispatched the steps.
-#[derive(Debug)]
-pub struct EndCollector<M: PathMachine> {
-    /// The machine being observed.
-    pub inner: M,
-    /// Every state observed immediately after stepping a return event.
-    pub ends: std::collections::HashSet<M::State>,
-}
-
-impl<M: PathMachine> EndCollector<M> {
-    /// Wraps `inner` with an empty end-state set.
-    pub fn new(inner: M) -> EndCollector<M> {
-        EndCollector {
-            inner,
-            ends: std::collections::HashSet::new(),
-        }
-    }
-}
-
-impl<M: PathMachine> PathMachine for EndCollector<M> {
-    type State = M::State;
-
-    fn step(
-        &mut self,
-        state: &Self::State,
-        event: &PathEvent<'_>,
-        witness: &Witness<'_>,
-    ) -> Vec<Self::State> {
-        let out = self.inner.step(state, event, witness);
-        if matches!(event, PathEvent::Return { .. }) {
-            self.ends.extend(out.iter().cloned());
-        }
-        out
-    }
-
-    fn step_into(
-        &mut self,
-        state: &Self::State,
-        event: &PathEvent<'_>,
-        witness: &Witness<'_>,
-        out: &mut Vec<Self::State>,
-    ) {
-        let before = out.len();
-        self.inner.step_into(state, event, witness, out);
-        if matches!(event, PathEvent::Return { .. }) {
-            self.ends.extend(out[before..].iter().cloned());
-        }
-    }
-}
-
 /// What a traversal observed about path feasibility.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraversalStats {

@@ -10,10 +10,10 @@
 //! positives in the paper.
 
 use crate::flash::{self, DB_ALLOC};
-use crate::{dedup_found, stamp_witness};
-use mc_ast::{Expr, ExprKind, Span, StmtKind};
-use mc_cfg::{run_traversal, PathEvent, PathMachine, PathStep, Witness};
-use mc_driver::{CheckSink, Checker, FunctionContext, Report};
+use crate::violations::{self, Found, Transition};
+use mc_ast::{Expr, ExprKind, StmtKind};
+use mc_cfg::PathEvent;
+use mc_driver::{CheckSink, Checker, FunctionContext};
 use std::collections::BTreeSet;
 
 /// The allocation-failure checker.
@@ -42,29 +42,15 @@ impl Checker for AllocCheck {
         if flash::is_unimplemented(ctx.function) {
             return;
         }
-        let mut machine = AllocMachine { found: Vec::new() };
-        run_traversal(ctx.cfg, &mut machine, BTreeSet::new(), ctx.traversal);
-        dedup_found(&mut machine.found);
-        for (span, var, steps) in machine.found {
-            let mut report = Report::error(
-                "alloc_check",
-                ctx.file,
-                &ctx.function.name,
-                span,
-                format!("buffer `{var}` used before checking {DB_ALLOC} for failure"),
-            );
-            report.steps = steps;
-            sink.push(report);
-        }
+        // Unchecked-handle uses are syntactic (the handle variable is
+        // local), so callee summaries carry nothing for this checker.
+        let init = BTreeSet::new();
+        violations::check("alloc_check", ctx, &AllocMachine, init, false, sink);
     }
 }
 
 /// State: the set of variables holding unchecked allocations.
-struct AllocMachine {
-    /// Violations: location, variable name, and the witness path that
-    /// produced them (stamped by the [`PathMachine::step`] wrapper).
-    found: Vec<(Span, String, Vec<PathStep>)>,
-}
+struct AllocMachine;
 
 impl AllocMachine {
     /// If `e` is `v = DB_ALLOC()`, returns `v`.
@@ -97,58 +83,25 @@ impl AllocMachine {
     /// Records any unchecked-variable uses inside `e`, skipping the
     /// contexts that are not uses (the alloc assignment itself and failure
     /// checks).
-    fn find_uses(&mut self, e: &Expr, state: &BTreeSet<String>, out: &mut Vec<(Span, String)>) {
-        if Self::checked_var(e).is_some() {
-            return;
+    fn find_uses(&self, e: &Expr, state: &BTreeSet<String>, out: &mut Found) {
+        if Self::checked_var(e).is_some() || Self::alloc_target(e).is_some() {
+            return; // the defining assignment is not a use
         }
-        match &e.kind {
-            ExprKind::Ident(name) if state.contains(name) => {
-                out.push((e.span, name.clone()));
-            }
-            ExprKind::Assign { lhs, rhs, .. } => {
-                if Self::alloc_target(e).is_some() {
-                    return; // the defining assignment is not a use
-                }
-                self.find_uses(rhs, state, out);
-                self.find_uses(lhs, state, out);
-            }
-            ExprKind::Call { args, .. } => {
-                for a in args {
-                    self.find_uses(a, state, out);
-                }
-            }
-            ExprKind::Binary { lhs, rhs, .. } => {
-                self.find_uses(lhs, state, out);
-                self.find_uses(rhs, state, out);
-            }
-            ExprKind::Unary { operand, .. } | ExprKind::Postfix { operand, .. } => {
-                self.find_uses(operand, state, out)
-            }
-            ExprKind::Ternary { cond, then, els } => {
-                self.find_uses(cond, state, out);
-                self.find_uses(then, state, out);
-                self.find_uses(els, state, out);
-            }
-            ExprKind::Index { base, index } => {
-                self.find_uses(base, state, out);
-                self.find_uses(index, state, out);
-            }
-            ExprKind::Member { base, .. } => self.find_uses(base, state, out),
-            ExprKind::Cast { expr, .. } => self.find_uses(expr, state, out),
-            ExprKind::Comma(a, b) => {
-                self.find_uses(a, state, out);
-                self.find_uses(b, state, out);
-            }
-            _ => {}
+        if let Some(name) = e.as_ident().filter(|v| state.contains(*v)) {
+            let msg = format!("buffer `{name}` used before checking {DB_ALLOC} for failure");
+            out.push((e.span, msg));
         }
+        violations::for_each_operand!(e, |c| self.find_uses(c, state, out));
     }
 
-    fn process_expr(&mut self, e: &Expr, state: &BTreeSet<String>) -> BTreeSet<String> {
+    fn process_expr(
+        &self,
+        e: &Expr,
+        state: &BTreeSet<String>,
+        found: &mut Found,
+    ) -> BTreeSet<String> {
         let mut next = state.clone();
-        let mut uses = Vec::new();
-        self.find_uses(e, state, &mut uses);
-        self.found
-            .extend(uses.into_iter().map(|(span, var)| (span, var, Vec::new())));
+        self.find_uses(e, state, found);
         // Remove checked variables anywhere inside the expression.
         remove_checked(e, &mut next);
         if let Some(v) = Self::alloc_target(e) {
@@ -163,82 +116,34 @@ fn remove_checked(e: &Expr, state: &mut BTreeSet<String>) {
         state.remove(v);
         return;
     }
-    match &e.kind {
-        ExprKind::Call { args, .. } => {
-            for a in args {
-                remove_checked(a, state);
-            }
-        }
-        ExprKind::Binary { lhs, rhs, .. } | ExprKind::Assign { lhs, rhs, .. } => {
-            remove_checked(lhs, state);
-            remove_checked(rhs, state);
-        }
-        ExprKind::Unary { operand, .. } | ExprKind::Postfix { operand, .. } => {
-            remove_checked(operand, state)
-        }
-        ExprKind::Ternary { cond, then, els } => {
-            remove_checked(cond, state);
-            remove_checked(then, state);
-            remove_checked(els, state);
-        }
-        ExprKind::Comma(a, b) => {
-            remove_checked(a, state);
-            remove_checked(b, state);
-        }
-        _ => {}
-    }
+    violations::for_each_operand!(e, |c| remove_checked(c, state));
 }
 
-impl AllocMachine {
-    /// The transition function proper; the [`PathMachine::step`] wrapper
-    /// stamps witness paths onto any violation this pushes.
-    fn step_inner(
-        &mut self,
-        state: &BTreeSet<String>,
-        event: &PathEvent<'_>,
-    ) -> Vec<BTreeSet<String>> {
-        match event {
-            PathEvent::Stmt(s) => {
-                let next = match &s.kind {
-                    StmtKind::Expr(e) => self.process_expr(e, state),
-                    StmtKind::Decl(d) => {
-                        if let Some(mc_ast::Initializer::Expr(e)) = &d.init {
-                            let mut next = self.process_expr(e, state);
-                            if let Some((flash::DB_ALLOC, _)) = e.as_call() {
-                                next.insert(d.name.clone());
-                            }
-                            next
-                        } else {
-                            state.clone()
-                        }
-                    }
-                    _ => state.clone(),
-                };
-                vec![next]
-            }
-            PathEvent::Branch { cond, .. } => vec![self.process_expr(cond, state)],
-            PathEvent::Case { .. } => vec![state.clone()],
-            PathEvent::Return { .. } => vec![],
-            // Unchecked-handle uses are syntactic (the handle variable is
-            // local), so callee summaries carry nothing for this checker.
-            PathEvent::Call { .. } => vec![state.clone()],
-        }
-    }
-}
-
-impl PathMachine for AllocMachine {
+impl Transition for AllocMachine {
     type State = BTreeSet<String>;
 
     fn step(
-        &mut self,
-        state: &Self::State,
+        &self,
+        state: &BTreeSet<String>,
         event: &PathEvent<'_>,
-        witness: &Witness<'_>,
-    ) -> Vec<Self::State> {
-        let before = self.found.len();
-        let out = self.step_inner(state, event);
-        stamp_witness(&mut self.found[before..], witness);
-        out
+        found: &mut Found,
+    ) -> Vec<BTreeSet<String>> {
+        match event {
+            PathEvent::Stmt(s) => {
+                let Some(e) = violations::stmt_expr(s) else {
+                    return vec![state.clone()];
+                };
+                let mut next = self.process_expr(e, state, found);
+                if let (StmtKind::Decl(d), Some((DB_ALLOC, _))) = (&s.kind, e.as_call()) {
+                    next.insert(d.name.clone());
+                }
+                vec![next]
+            }
+            PathEvent::Branch { cond, .. } => vec![self.process_expr(cond, state, found)],
+            PathEvent::Case { .. } => vec![state.clone()],
+            PathEvent::Return { .. } => vec![],
+            PathEvent::Call { .. } => vec![state.clone()],
+        }
     }
 }
 
@@ -246,6 +151,7 @@ impl PathMachine for AllocMachine {
 mod tests {
     use super::*;
     use mc_cfg::Cfg;
+    use mc_driver::Report;
 
     fn check(src: &str) -> Vec<Report> {
         let tu = mc_ast::parse_translation_unit(src, "t.c").unwrap();
@@ -325,6 +231,18 @@ mod tests {
             }"#,
         );
         assert_eq!(r.len(), 1);
+    }
+
+    #[test]
+    fn a_check_inside_a_cast_counts() {
+        let r = check(
+            r#"void h(void) {
+                nb = DB_ALLOC();
+                if ((int)(nb == DB_FAIL)) { return; }
+                DB_WRITE(nb, 0, x);
+            }"#,
+        );
+        assert!(r.is_empty(), "{r:?}");
     }
 
     #[test]

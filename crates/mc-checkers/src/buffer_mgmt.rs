@@ -17,11 +17,11 @@
 //! that removed over twenty useless annotations in the paper.
 
 use crate::flash::{self, FlashSpec, RoutineKind};
-use crate::{dedup_found, stamp_witness};
-use mc_ast::{Expr, ExprKind, Span, Stmt, StmtKind};
-use mc_cfg::{FnSummary, PathEvent, PathMachine, PathStep, Witness};
-use mc_driver::{CheckSink, Checker, FunctionContext, Report};
-use std::collections::{BTreeMap, HashSet};
+use crate::violations::{self, Found, Transition};
+use mc_ast::{Expr, ExprKind, Span};
+use mc_cfg::{FnSummary, PathEvent, TransferCodec};
+use mc_driver::{CheckSink, Checker, FunctionContext};
+use std::borrow::Cow;
 
 /// Buffer-possession state along a path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -36,26 +36,6 @@ enum BufState {
 
 /// The name of the summary machine this checker publishes transfers under.
 const MACHINE: &str = "buffer_mgmt";
-
-impl BufState {
-    /// Stable name used in summary transfer tables.
-    fn summary_name(self) -> &'static str {
-        match self {
-            BufState::Has => "Has",
-            BufState::None => "None",
-            BufState::Exempt => "Exempt",
-        }
-    }
-
-    fn from_summary_name(name: &str) -> Option<BufState> {
-        match name {
-            "Has" => Some(BufState::Has),
-            "None" => Some(BufState::None),
-            "Exempt" => Some(BufState::Exempt),
-            _ => None,
-        }
-    }
-}
 
 /// What a function must look like when it returns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,21 +104,11 @@ impl Checker for BufferMgmt {
         let Some((init, end_rule)) = self.plan(&ctx.function.name) else {
             return;
         };
-        let mut machine = BufMachine {
+        let machine = BufMachine {
             checker: self,
-            end_rule,
-            found: Vec::new(),
-            ends: None,
+            end_rule: Some(end_rule),
         };
-        let oracle = ctx.summaries.map(|s| s as &dyn mc_cfg::SummaryLookup);
-        mc_cfg::run_traversal_with(ctx.cfg, &mut machine, init, ctx.traversal, oracle);
-        dedup_found(&mut machine.found);
-        for (span, message, steps) in machine.found {
-            let mut report =
-                Report::error("buffer_mgmt", ctx.file, &ctx.function.name, span, message);
-            report.steps = steps;
-            sink.push(report);
-        }
+        violations::check(MACHINE, ctx, &machine, init, true, sink);
     }
 
     /// Publishes a buffer-state transfer table for helpers the spec does
@@ -160,33 +130,11 @@ impl Checker for BufferMgmt {
         if self.plan(name).is_some() || self.spec.cond_free_routines.contains(name) {
             return;
         }
-        let mut table = BTreeMap::new();
-        for start in [BufState::Has, BufState::None, BufState::Exempt] {
-            let mut machine = BufMachine {
-                checker: self,
-                // Unused: `ends` mode records pre-return states instead of
-                // applying the end rule.
-                end_rule: EndRule::MustBeFree,
-                found: Vec::new(),
-                ends: Some(HashSet::new()),
-            };
-            let oracle = ctx.summaries.map(|s| s as &dyn mc_cfg::SummaryLookup);
-            mc_cfg::run_traversal_with(ctx.cfg, &mut machine, start, ctx.traversal, oracle);
-            let mut ends: Vec<String> = machine
-                .ends
-                .unwrap()
-                .into_iter()
-                .map(|s| s.summary_name().to_string())
-                .collect();
-            ends.sort();
-            if ends.len() == 1 && ends[0] == start.summary_name() {
-                continue; // identity transfers are left implicit
-            }
-            table.insert(start.summary_name().to_string(), ends);
-        }
-        if !table.is_empty() {
-            summary.transfers.insert(MACHINE.to_string(), table);
-        }
+        let machine = BufMachine {
+            checker: self,
+            end_rule: None,
+        };
+        violations::summarize(ctx, &machine, summary);
     }
 }
 
@@ -203,14 +151,32 @@ enum Op {
 
 struct BufMachine<'c> {
     checker: &'c BufferMgmt,
-    end_rule: EndRule,
-    /// Violations: location, message, and the witness path that produced
-    /// them (stamped by the [`PathMachine::step`] wrapper).
-    found: Vec<(Span, String, Vec<PathStep>)>,
-    /// When `Some`, the machine runs in summarization mode: return events
-    /// record the pre-return state here instead of checking the end rule,
-    /// and diagnostics accumulated in `found` are discarded by the caller.
-    ends: Option<std::collections::HashSet<BufState>>,
+    /// The obligation at return; `None` for a plain procedure, which has
+    /// none.
+    end_rule: Option<EndRule>,
+}
+
+/// Transfer tables name a state by its variant and start from all three.
+impl TransferCodec for BufMachine<'_> {
+    type State = BufState;
+
+    fn machine_name(&self) -> &str {
+        MACHINE
+    }
+
+    fn start_states(&self) -> Vec<BufState> {
+        vec![BufState::Has, BufState::None, BufState::Exempt]
+    }
+
+    fn state_name(&self, state: &BufState) -> Cow<'_, str> {
+        Cow::Owned(format!("{state:?}"))
+    }
+
+    fn parse_state(&self, name: &str) -> Option<BufState> {
+        self.start_states()
+            .into_iter()
+            .find(|st| self.state_name(st) == name)
+    }
 }
 
 impl BufMachine<'_> {
@@ -233,77 +199,43 @@ impl BufMachine<'_> {
     /// Collects buffer operations from an expression tree in evaluation
     /// order.
     fn collect_ops(&self, e: &Expr, out: &mut Vec<(Op, Span)>) {
-        match &e.kind {
-            ExprKind::Call { callee, args } => {
-                for a in args {
-                    self.collect_ops(a, out);
-                }
-                if let ExprKind::Ident(name) = &callee.kind {
-                    if let Some(op) = self.classify_call(name) {
-                        out.push((op, e.span));
-                    }
-                }
-            }
-            ExprKind::Binary { lhs, rhs, .. } | ExprKind::Assign { lhs, rhs, .. } => {
-                self.collect_ops(rhs, out);
-                self.collect_ops(lhs, out);
-            }
-            ExprKind::Unary { operand, .. } | ExprKind::Postfix { operand, .. } => {
-                self.collect_ops(operand, out)
-            }
-            ExprKind::Ternary { cond, then, els } => {
-                self.collect_ops(cond, out);
-                self.collect_ops(then, out);
-                self.collect_ops(els, out);
-            }
-            ExprKind::Index { base, index } => {
-                self.collect_ops(base, out);
-                self.collect_ops(index, out);
-            }
-            ExprKind::Member { base, .. } => self.collect_ops(base, out),
-            ExprKind::Cast { expr, .. } => self.collect_ops(expr, out),
-            ExprKind::Comma(a, b) => {
-                self.collect_ops(a, out);
-                self.collect_ops(b, out);
-            }
-            _ => {}
+        violations::for_each_operand!(e, |c| self.collect_ops(c, out));
+        if let Some(op) = e.as_call().and_then(|(name, _)| self.classify_call(name)) {
+            out.push((op, e.span));
         }
     }
 
-    fn apply(&mut self, state: BufState, op: Op, span: Span) -> BufState {
+    fn apply(&self, state: BufState, op: Op, span: Span, found: &mut Found) -> BufState {
         match (op, state) {
             (Op::Free, BufState::Has) => BufState::None,
             (Op::Free, BufState::Exempt) => BufState::None,
             (Op::Free, BufState::None) => {
-                self.found.push((
+                found.push((
                     span,
                     "buffer freed twice (or freed while none is held)".to_string(),
-                    Vec::new(),
                 ));
                 BufState::None
             }
             (Op::Alloc, BufState::None) => BufState::Has,
             (Op::Alloc, BufState::Exempt) => BufState::Has,
             (Op::Alloc, BufState::Has) => {
-                self.found.push((
+                found.push((
                     span,
                     "allocation overwrites a live buffer (buffer leak)".to_string(),
-                    Vec::new(),
                 ));
                 BufState::Has
             }
             (Op::Use, BufState::None) => {
-                self.found.push((
+                found.push((
                     span,
                     "buffer used or message sent with no live buffer".to_string(),
-                    Vec::new(),
                 ));
                 BufState::None
             }
             (Op::Use, s) => s,
             // A conditional-free seen outside a branch condition (or with
             // value sensitivity off): conservatively treat as freeing.
-            (Op::CondFree, s) => self.apply(s, Op::Free, span),
+            (Op::CondFree, s) => self.apply(s, Op::Free, span, found),
             (Op::AnnotHasBuffer, _) => BufState::Has,
             (Op::AnnotNoFreeNeeded, _) => BufState::Exempt,
         }
@@ -330,13 +262,17 @@ impl BufMachine<'_> {
     }
 }
 
-impl BufMachine<'_> {
-    /// The transition function proper; the [`PathMachine::step`] wrapper
-    /// stamps witness paths onto any violation this pushes.
-    fn step_inner(&mut self, state: &BufState, event: &PathEvent<'_>) -> Vec<BufState> {
+impl Transition for BufMachine<'_> {
+    type State = BufState;
+
+    fn step(&self, state: &BufState, event: &PathEvent<'_>, found: &mut Found) -> Vec<BufState> {
         let mut ops = Vec::new();
         match event {
-            PathEvent::Stmt(s) => collect_stmt_ops(self, s, &mut ops),
+            PathEvent::Stmt(s) => {
+                if let Some(e) = violations::stmt_expr(s) {
+                    self.collect_ops(e, &mut ops);
+                }
+            }
             PathEvent::Branch { cond, taken } => {
                 if self.checker.value_sensitive {
                     if let Some((_, negated)) = self.cond_free_in_branch(cond) {
@@ -344,7 +280,7 @@ impl BufMachine<'_> {
                         // edge when negated).
                         let freed = *taken != negated;
                         let next = if freed {
-                            self.apply(*state, Op::Free, cond.span)
+                            self.apply(*state, Op::Free, cond.span, found)
                         } else {
                             *state
                         };
@@ -355,29 +291,17 @@ impl BufMachine<'_> {
             }
             PathEvent::Case { .. } => {}
             PathEvent::Return { span, .. } => {
-                if let Some(ends) = &mut self.ends {
-                    ends.insert(*state);
-                    return vec![];
-                }
-                match (self.end_rule, *state) {
-                    (_, BufState::Exempt) => {}
-                    (EndRule::MustBeFree, BufState::Has) => {
-                        self.found.push((
-                            *span,
-                            "exit path still holds a data buffer (buffer leak)".to_string(),
-                            Vec::new(),
-                        ));
+                let leak = match (self.end_rule, *state) {
+                    (Some(EndRule::MustBeFree), BufState::Has) => {
+                        "exit path still holds a data buffer (buffer leak)"
                     }
-                    (EndRule::MustHold, BufState::None) => {
-                        self.found.push((
-                            *span,
-                            "buffer-keeping routine freed its buffer".to_string(),
-                            Vec::new(),
-                        ));
+                    (Some(EndRule::MustHold), BufState::None) => {
+                        "buffer-keeping routine freed its buffer"
                     }
-                    _ => {}
-                }
-                return vec![];
+                    _ => return vec![*state],
+                };
+                found.push((*span, leak.to_string()));
+                return vec![*state];
             }
             PathEvent::Call { name, summary, .. } => {
                 // A callee the spec tables already model was handled as an
@@ -386,50 +310,14 @@ impl BufMachine<'_> {
                 if self.classify_call(name).is_some() {
                     return vec![*state];
                 }
-                if let Some(per_state) = summary.transfers.get(MACHINE) {
-                    if let Some(ends) = per_state.get(state.summary_name()) {
-                        return ends
-                            .iter()
-                            .filter_map(|n| BufState::from_summary_name(n))
-                            .collect();
-                    }
-                }
-                return vec![*state];
+                return mc_cfg::apply_transfer(self, summary, state);
             }
         }
         let mut cur = *state;
         for (op, span) in ops {
-            cur = self.apply(cur, op, span);
+            cur = self.apply(cur, op, span, found);
         }
         vec![cur]
-    }
-}
-
-impl PathMachine for BufMachine<'_> {
-    type State = BufState;
-
-    fn step(
-        &mut self,
-        state: &BufState,
-        event: &PathEvent<'_>,
-        witness: &Witness<'_>,
-    ) -> Vec<BufState> {
-        let before = self.found.len();
-        let out = self.step_inner(state, event);
-        stamp_witness(&mut self.found[before..], witness);
-        out
-    }
-}
-
-fn collect_stmt_ops(m: &BufMachine<'_>, s: &Stmt, out: &mut Vec<(Op, Span)>) {
-    match &s.kind {
-        StmtKind::Expr(e) => m.collect_ops(e, out),
-        StmtKind::Decl(d) => {
-            if let Some(mc_ast::Initializer::Expr(e)) = &d.init {
-                m.collect_ops(e, out);
-            }
-        }
-        _ => {}
     }
 }
 
@@ -437,6 +325,7 @@ fn collect_stmt_ops(m: &BufMachine<'_>, s: &Stmt, out: &mut Vec<(Op, Span)>) {
 mod tests {
     use super::*;
     use mc_cfg::Cfg;
+    use mc_driver::Report;
 
     fn spec() -> FlashSpec {
         let mut s = FlashSpec::new();

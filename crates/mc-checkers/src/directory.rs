@@ -17,11 +17,11 @@
 //! abstraction violation.
 
 use crate::flash::{self, FlashSpec, RoutineKind, DIR_ADDR, DIR_LOAD};
-use crate::{dedup_found, stamp_witness};
-use mc_ast::{Expr, ExprKind, Span, StmtKind};
-use mc_cfg::{FnSummary, PathEvent, PathMachine, PathStep, Witness};
-use mc_driver::{CheckSink, Checker, FunctionContext, Report};
-use std::collections::{BTreeMap, HashSet};
+use crate::violations::{self, Found, Transition};
+use mc_ast::Expr;
+use mc_cfg::{FnSummary, PathEvent, TransferCodec};
+use mc_driver::{CheckSink, Checker, FunctionContext};
+use std::borrow::Cow;
 
 /// The directory-update checker.
 #[derive(Debug, Clone)]
@@ -64,19 +64,8 @@ impl Checker for Directory {
             modified: false,
             naked: false,
         };
-        let mut machine = DirMachine {
-            spec: &self.spec,
-            found: Vec::new(),
-            ends: None,
-        };
-        let oracle = ctx.summaries.map(|s| s as &dyn mc_cfg::SummaryLookup);
-        mc_cfg::run_traversal_with(ctx.cfg, &mut machine, init, ctx.traversal, oracle);
-        dedup_found(&mut machine.found);
-        for (span, msg, steps) in machine.found {
-            let mut report = Report::error("directory", ctx.file, &ctx.function.name, span, msg);
-            report.steps = steps;
-            sink.push(report);
-        }
+        let machine = DirMachine { spec: &self.spec };
+        violations::check(MACHINE, ctx, &machine, init, true, sink);
     }
 
     /// Publishes a directory-state transfer table for plain procedures, so
@@ -100,35 +89,7 @@ impl Checker for Directory {
         {
             return;
         }
-        let mut table = BTreeMap::new();
-        for bits in 0..8u8 {
-            let start = DirState {
-                loaded: bits & 1 != 0,
-                modified: bits & 2 != 0,
-                naked: bits & 4 != 0,
-            };
-            let mut machine = DirMachine {
-                spec: &self.spec,
-                found: Vec::new(),
-                ends: Some(HashSet::new()),
-            };
-            let oracle = ctx.summaries.map(|s| s as &dyn mc_cfg::SummaryLookup);
-            mc_cfg::run_traversal_with(ctx.cfg, &mut machine, start, ctx.traversal, oracle);
-            let mut ends: Vec<String> = machine
-                .ends
-                .unwrap()
-                .into_iter()
-                .map(|s| s.summary_name())
-                .collect();
-            ends.sort();
-            if ends.len() == 1 && ends[0] == start.summary_name() {
-                continue; // identity transfers are left implicit
-            }
-            table.insert(start.summary_name(), ends);
-        }
-        if !table.is_empty() {
-            summary.transfers.insert(MACHINE.to_string(), table);
-        }
+        violations::summarize(ctx, &DirMachine { spec: &self.spec }, summary);
     }
 }
 
@@ -145,33 +106,6 @@ struct DirState {
 
 /// The name of the summary machine this checker publishes transfers under.
 const MACHINE: &str = "directory";
-
-impl DirState {
-    /// Stable encoding used in summary transfer tables: `l{0|1}m{0|1}n{0|1}`.
-    fn summary_name(self) -> String {
-        format!(
-            "l{}m{}n{}",
-            self.loaded as u8, self.modified as u8, self.naked as u8
-        )
-    }
-
-    fn from_summary_name(name: &str) -> Option<DirState> {
-        let b = name.as_bytes();
-        let bit = |i: usize| match b.get(i) {
-            Some(b'0') => Some(false),
-            Some(b'1') => Some(true),
-            _ => None,
-        };
-        if b.len() != 6 || b[0] != b'l' || b[2] != b'm' || b[4] != b'n' {
-            return None;
-        }
-        Some(DirState {
-            loaded: bit(1)?,
-            modified: bit(3)?,
-            naked: bit(5)?,
-        })
-    }
-}
 
 /// Is `name` one of the directory macros (or NAK-carrying send) the machine
 /// models directly? Summaries for these must never be applied on top.
@@ -190,55 +124,50 @@ fn is_dir_op(effect: Option<flash::Effect>) -> bool {
 
 struct DirMachine<'s> {
     spec: &'s FlashSpec,
-    /// Violations: location, message, and the witness path that produced
-    /// them (stamped by the [`PathMachine::step`] wrapper).
-    found: Vec<(Span, String, Vec<PathStep>)>,
-    /// When `Some`, summarization mode: returns record the pre-return state
-    /// instead of checking the write-back obligation.
-    ends: Option<std::collections::HashSet<DirState>>,
+}
+
+/// Transfer tables name a state `l{0|1}m{0|1}n{0|1}` (loaded, modified,
+/// naked) and start from all eight.
+impl TransferCodec for DirMachine<'_> {
+    type State = DirState;
+
+    fn machine_name(&self) -> &str {
+        MACHINE
+    }
+
+    fn start_states(&self) -> Vec<DirState> {
+        (0..8u8)
+            .map(|bits| DirState {
+                loaded: bits & 1 != 0,
+                modified: bits & 2 != 0,
+                naked: bits & 4 != 0,
+            })
+            .collect()
+    }
+
+    fn state_name(&self, st: &DirState) -> Cow<'_, str> {
+        let [l, m, n] = [st.loaded, st.modified, st.naked].map(u8::from);
+        Cow::Owned(format!("l{l}m{m}n{n}"))
+    }
+
+    fn parse_state(&self, name: &str) -> Option<DirState> {
+        self.start_states()
+            .into_iter()
+            .find(|st| self.state_name(st) == name)
+    }
 }
 
 impl DirMachine<'_> {
-    fn process(&mut self, e: &Expr, mut st: DirState) -> DirState {
-        // Recurse first (arguments evaluate before the call acts).
-        match &e.kind {
-            ExprKind::Call { args, .. } => {
-                for a in args {
-                    st = self.process(a, st);
-                }
-            }
-            ExprKind::Binary { lhs, rhs, .. } | ExprKind::Assign { lhs, rhs, .. } => {
-                st = self.process(rhs, st);
-                st = self.process(lhs, st);
-            }
-            ExprKind::Unary { operand, .. } | ExprKind::Postfix { operand, .. } => {
-                st = self.process(operand, st);
-            }
-            ExprKind::Ternary { cond, then, els } => {
-                st = self.process(cond, st);
-                st = self.process(then, st);
-                st = self.process(els, st);
-            }
-            ExprKind::Index { base, index } => {
-                st = self.process(base, st);
-                st = self.process(index, st);
-            }
-            ExprKind::Member { base, .. } => st = self.process(base, st),
-            ExprKind::Cast { expr, .. } => st = self.process(expr, st),
-            ExprKind::Comma(a, b) => {
-                st = self.process(a, st);
-                st = self.process(b, st);
-            }
-            ExprKind::Ident(name) if name == flash::DIR_ADDR_BASE => {
-                // Explicit address arithmetic instead of DIR_ADDR(): the
-                // §9.1 "abstraction error" class.
-                self.found.push((
-                    e.span,
-                    format!("directory address computed explicitly; use {DIR_ADDR}()"),
-                    Vec::new(),
-                ));
-            }
-            _ => {}
+    fn process(&self, e: &Expr, mut st: DirState, found: &mut Found) -> DirState {
+        // Operands first (arguments evaluate before the call acts).
+        violations::for_each_operand!(e, |c| st = self.process(c, st, found));
+        if e.as_ident() == Some(flash::DIR_ADDR_BASE) {
+            // Explicit address arithmetic instead of DIR_ADDR(): the
+            // §9.1 "abstraction error" class.
+            found.push((
+                e.span,
+                format!("directory address computed explicitly; use {DIR_ADDR}()"),
+            ));
         }
         let Some((name, args)) = e.as_call() else {
             return st;
@@ -250,19 +179,14 @@ impl DirMachine<'_> {
             }
             flash::DIR_STATE | flash::DIR_PTR => {
                 if !st.loaded {
-                    self.found.push((
-                        e.span,
-                        format!("directory entry read before {DIR_LOAD}"),
-                        Vec::new(),
-                    ));
+                    found.push((e.span, format!("directory entry read before {DIR_LOAD}")));
                 }
             }
             flash::DIR_SET_STATE | flash::DIR_SET_PTR => {
                 if !st.loaded {
-                    self.found.push((
+                    found.push((
                         e.span,
                         format!("directory entry modified before {DIR_LOAD}"),
-                        Vec::new(),
                     ));
                 } else {
                     st.modified = true;
@@ -288,40 +212,25 @@ impl DirMachine<'_> {
     }
 }
 
-impl DirMachine<'_> {
-    /// The transition function proper; the [`PathMachine::step`] wrapper
-    /// stamps witness paths onto any violation this pushes.
-    fn step_inner(&mut self, state: &DirState, event: &PathEvent<'_>) -> Vec<DirState> {
+impl Transition for DirMachine<'_> {
+    type State = DirState;
+
+    fn step(&self, state: &DirState, event: &PathEvent<'_>, found: &mut Found) -> Vec<DirState> {
         match event {
             PathEvent::Stmt(s) => {
-                let next = match &s.kind {
-                    StmtKind::Expr(e) => self.process(e, *state),
-                    StmtKind::Decl(d) => {
-                        if let Some(mc_ast::Initializer::Expr(e)) = &d.init {
-                            self.process(e, *state)
-                        } else {
-                            *state
-                        }
-                    }
-                    _ => *state,
-                };
-                vec![next]
+                let e = violations::stmt_expr(s);
+                vec![e.map_or(*state, |e| self.process(e, *state, found))]
             }
-            PathEvent::Branch { cond, .. } => vec![self.process(cond, *state)],
+            PathEvent::Branch { cond, .. } => vec![self.process(cond, *state, found)],
             PathEvent::Case { .. } => vec![*state],
             PathEvent::Return { span, .. } => {
-                if let Some(ends) = &mut self.ends {
-                    ends.insert(*state);
-                    return vec![];
-                }
                 if state.modified && !state.naked {
-                    self.found.push((
+                    found.push((
                         *span,
                         "modified directory entry not written back on exit path".to_string(),
-                        Vec::new(),
                     ));
                 }
-                vec![]
+                vec![*state]
             }
             PathEvent::Call { name, summary, .. } => {
                 // Directory macros and annotated write-back routines were
@@ -329,33 +238,9 @@ impl DirMachine<'_> {
                 if is_modeled_call(name) || self.spec.writeback_routines.contains(*name) {
                     return vec![*state];
                 }
-                if let Some(per_state) = summary.transfers.get(MACHINE) {
-                    if let Some(ends) = per_state.get(&state.summary_name()) {
-                        return ends
-                            .iter()
-                            .filter_map(|n| DirState::from_summary_name(n))
-                            .collect();
-                    }
-                }
-                vec![*state]
+                mc_cfg::apply_transfer(self, summary, state)
             }
         }
-    }
-}
-
-impl PathMachine for DirMachine<'_> {
-    type State = DirState;
-
-    fn step(
-        &mut self,
-        state: &DirState,
-        event: &PathEvent<'_>,
-        witness: &Witness<'_>,
-    ) -> Vec<DirState> {
-        let before = self.found.len();
-        let out = self.step_inner(state, event);
-        stamp_witness(&mut self.found[before..], witness);
-        out
     }
 }
 
@@ -368,6 +253,7 @@ pub fn count_dir_ops(func: &mc_ast::Function) -> usize {
 mod tests {
     use super::*;
     use mc_cfg::Cfg;
+    use mc_driver::Report;
 
     fn check_spec(spec: FlashSpec, src: &str) -> Vec<Report> {
         let tu = mc_ast::parse_translation_unit(src, "t.c").unwrap();

@@ -184,7 +184,7 @@ mod tests {
 
     fn check_with(spec: FlashSpec, src: &str) -> Vec<Report> {
         let mut d = Driver::new();
-        d.add_checker(Box::new(Lanes::new(spec)));
+        d.add_checker(Box::new(Lanes::new(spec))).unwrap();
         d.check_source(src, "p.c").unwrap()
     }
 

@@ -18,6 +18,13 @@
 //! The [`flash`] module holds the macro vocabulary and the per-protocol
 //! [`flash::FlashSpec`] tables the native checkers consult.
 //!
+//! Each native state-machine checker supplies only a transition function
+//! (from a state and a path event, the successor states plus any
+//! `(span, message)` violations). One crate-private harness runs it: it
+//! stamps witnesses, dedups and emits the reports, and builds the
+//! `buffer_mgmt` and `directory` summary transfer tables with
+//! [`mc_cfg::transfer_table`].
+//!
 //! # Example
 //!
 //! ```
@@ -50,8 +57,6 @@ pub mod lanes;
 pub mod msglen;
 pub mod send_wait;
 mod violations;
-
-pub(crate) use violations::{dedup_found, stamp_witness};
 
 use mc_driver::{Checker, Driver, DriverError};
 
@@ -94,13 +99,15 @@ pub fn native_checkers(spec: &flash::FlashSpec) -> Vec<Box<dyn Checker>> {
 /// # Errors
 ///
 /// Returns [`DriverError::Metal`] if an embedded metal source fails to
-/// parse (a build-time invariant; the test suite pins it).
+/// parse (a build-time invariant; the test suite pins it), or
+/// [`DriverError::DuplicateChecker`] if `driver` already holds a checker
+/// of one of the suite's names.
 pub fn all_checkers(driver: &mut Driver, spec: &flash::FlashSpec) -> Result<(), DriverError> {
     for src in METAL_SOURCES {
         driver.add_metal_source(src)?;
     }
     for checker in native_checkers(spec) {
-        driver.add_checker(checker);
+        driver.add_checker(checker)?;
     }
     Ok(())
 }

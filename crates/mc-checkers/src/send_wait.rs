@@ -12,10 +12,10 @@
 //! inserted).
 
 use crate::flash::{self, Effect};
-use crate::{dedup_found, stamp_witness};
-use mc_ast::{Expr, ExprKind, Span, StmtKind};
-use mc_cfg::{run_traversal, PathEvent, PathMachine, PathStep, Witness};
-use mc_driver::{CheckSink, Checker, FunctionContext, Report};
+use crate::violations::{self, Found, Transition};
+use mc_ast::Expr;
+use mc_cfg::PathEvent;
+use mc_driver::{CheckSink, Checker, FunctionContext};
 
 /// The send-wait checker.
 #[derive(Debug, Clone, Default)]
@@ -43,14 +43,11 @@ impl Checker for SendWait {
         if flash::is_unimplemented(ctx.function) {
             return;
         }
-        let mut machine = WaitMachine { found: Vec::new() };
-        run_traversal(ctx.cfg, &mut machine, WaitState::Idle, ctx.traversal);
-        dedup_found(&mut machine.found);
-        for (span, msg, steps) in machine.found {
-            let mut report = Report::error("send_wait", ctx.file, &ctx.function.name, span, msg);
-            report.steps = steps;
-            sink.push(report);
-        }
+        // `Pending` carries a `&'static str` interface name that cannot
+        // round-trip through a summary's string encoding, so this checker
+        // stays intraprocedural (the paper's wait obligations are local to
+        // one handler anyway).
+        violations::check("send_wait", ctx, &WaitMachine, WaitState::Idle, false, sink);
     }
 }
 
@@ -63,55 +60,21 @@ enum WaitState {
     Pending(&'static str),
 }
 
-struct WaitMachine {
-    /// Violations: location, message, and the witness path that produced
-    /// them (stamped by the [`PathMachine::step`] wrapper).
-    found: Vec<(Span, String, Vec<PathStep>)>,
-}
+struct WaitMachine;
 
 impl WaitMachine {
-    fn process(&mut self, e: &Expr, mut st: WaitState) -> WaitState {
-        // Children first (evaluation order).
-        match &e.kind {
-            ExprKind::Call { args, .. } => {
-                for a in args {
-                    st = self.process(a, st);
-                }
-            }
-            ExprKind::Binary { lhs, rhs, .. } | ExprKind::Assign { lhs, rhs, .. } => {
-                st = self.process(rhs, st);
-                st = self.process(lhs, st);
-            }
-            ExprKind::Unary { operand, .. } | ExprKind::Postfix { operand, .. } => {
-                st = self.process(operand, st);
-            }
-            ExprKind::Ternary { cond, then, els } => {
-                st = self.process(cond, st);
-                st = self.process(then, st);
-                st = self.process(els, st);
-            }
-            ExprKind::Index { base, index } => {
-                st = self.process(base, st);
-                st = self.process(index, st);
-            }
-            ExprKind::Member { base, .. } => st = self.process(base, st),
-            ExprKind::Cast { expr, .. } => st = self.process(expr, st),
-            ExprKind::Comma(a, b) => {
-                st = self.process(a, st);
-                st = self.process(b, st);
-            }
-            _ => {}
-        }
+    fn process(&self, e: &Expr, mut st: WaitState, found: &mut Found) -> WaitState {
+        // Operands first (evaluation order).
+        violations::for_each_operand!(e, |c| st = self.process(c, st, found));
         let Some((name, args)) = e.as_call() else {
             return st;
         };
         match flash::effect(name) {
             Some(Effect::Send { wait, .. }) => {
                 if let WaitState::Pending(iface) = st {
-                    self.found.push((
+                    found.push((
                         e.span,
                         format!("send issued before waiting for pending {iface}()"),
-                        Vec::new(),
                     ));
                 }
                 if waits(args, wait) {
@@ -125,10 +88,9 @@ impl WaitMachine {
                     st = WaitState::Idle;
                 }
                 WaitState::Pending(expected) => {
-                    self.found.push((
+                    found.push((
                         e.span,
                         format!("wait on wrong interface: expected {expected}(), found {name}()"),
-                        Vec::new(),
                     ));
                     st = WaitState::Idle;
                 }
@@ -147,59 +109,28 @@ fn waits(args: &[Expr], wait: usize) -> bool {
     args.get(wait).and_then(Expr::as_ident) == Some(flash::W_WAIT)
 }
 
-impl WaitMachine {
-    /// The transition function proper; the [`PathMachine::step`] wrapper
-    /// stamps witness paths onto any violation this pushes.
-    fn step_inner(&mut self, state: &WaitState, event: &PathEvent<'_>) -> Vec<WaitState> {
+impl Transition for WaitMachine {
+    type State = WaitState;
+
+    fn step(&self, state: &WaitState, event: &PathEvent<'_>, found: &mut Found) -> Vec<WaitState> {
         match event {
             PathEvent::Stmt(s) => {
-                let next = match &s.kind {
-                    StmtKind::Expr(e) => self.process(e, *state),
-                    StmtKind::Decl(d) => {
-                        if let Some(mc_ast::Initializer::Expr(e)) = &d.init {
-                            self.process(e, *state)
-                        } else {
-                            *state
-                        }
-                    }
-                    _ => *state,
-                };
-                vec![next]
+                let e = violations::stmt_expr(s);
+                vec![e.map_or(*state, |e| self.process(e, *state, found))]
             }
-            PathEvent::Branch { cond, .. } => vec![self.process(cond, *state)],
+            PathEvent::Branch { cond, .. } => vec![self.process(cond, *state, found)],
             PathEvent::Case { .. } => vec![*state],
             PathEvent::Return { span, .. } => {
                 if let WaitState::Pending(iface) = state {
-                    self.found.push((
+                    found.push((
                         *span,
                         format!("send with wait bit never followed by {iface}()"),
-                        Vec::new(),
                     ));
                 }
                 vec![]
             }
-            // `Pending` carries a `&'static str` interface name that cannot
-            // round-trip through a summary's string encoding, so this
-            // checker stays intraprocedural (the paper's wait obligations
-            // are local to one handler anyway).
             PathEvent::Call { .. } => vec![*state],
         }
-    }
-}
-
-impl PathMachine for WaitMachine {
-    type State = WaitState;
-
-    fn step(
-        &mut self,
-        state: &WaitState,
-        event: &PathEvent<'_>,
-        witness: &Witness<'_>,
-    ) -> Vec<WaitState> {
-        let before = self.found.len();
-        let out = self.step_inner(state, event);
-        stamp_witness(&mut self.found[before..], witness);
-        out
     }
 }
 
@@ -217,6 +148,7 @@ pub fn count_send_waits(func: &mc_ast::Function) -> usize {
 mod tests {
     use super::*;
     use mc_cfg::Cfg;
+    use mc_driver::Report;
 
     fn check(src: &str) -> Vec<Report> {
         let tu = mc_ast::parse_translation_unit(src, "t.c").unwrap();

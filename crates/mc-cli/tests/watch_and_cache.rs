@@ -1,7 +1,7 @@
 //! End-to-end CLI behaviour that unit tests cannot cover: a real
 //! `mcheck --watch` session driven through file edits, the documented
 //! process exit codes of the installed binary (on deeply nested input at
-//! one and two workers too), byte-identical reports from
+//! one and two workers too, and for duplicate checker names), byte-identical reports from
 //! a size-capped cache, and `--interproc` resolving a helper that a
 //! per-function run flags.
 
@@ -128,6 +128,63 @@ fn binary_exit_codes_are_0_1_2() {
         Some(2),
         "I/O error"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Two checkers of one name would key their summary transfer tables
+/// alike and read each other's transfers under `--interproc`, so `mcheck`
+/// refuses them at registration with exit 2 and names the duplicate:
+/// two `--checker` files that both declare `sm race`, and a user
+/// `sm directory` beside the built-in `directory` checker.
+#[test]
+fn duplicate_checker_names_exit_2_and_name_the_duplicate() {
+    let dir = temp_dir("dup_names");
+    let src = dir.join("h.c");
+    std::fs::write(
+        &src,
+        "void helper(void) { foo(1); WAIT_FOR_DB_FULL(a); DIR_WRITEBACK(); }\n\
+         void h(void) { helper(); MISCBUS_READ_DB(x, y); }\n",
+    )
+    .unwrap();
+    let metal = |file: &str, src: &str| {
+        let path = dir.join(file);
+        std::fs::write(&path, src).unwrap();
+        path.to_str().unwrap().to_string()
+    };
+    let race = "sm race { decl { scalar } a, b; start: \
+                { WAIT_FOR_DB_FULL(a); } ==> stop | \
+                { MISCBUS_READ_DB(a, b); } ==> { err(\"raw read\"); } ; }";
+    let race1 = metal("race1.metal", race);
+    let race2 = metal(
+        "race2.metal",
+        "sm race { start: { foo(1); } ==> done ; done: { bar(); } ==> start ; }",
+    );
+    let directory = metal("dir.metal", &race.replace("sm race", "sm directory"));
+    let s = src.to_str().unwrap();
+    let bin = env!("CARGO_BIN_EXE_mcheck");
+    for (argv, name, file) in [
+        (
+            vec!["--checker", &race1, "--checker", &race2, "--interproc", s],
+            "race",
+            &race2,
+        ),
+        (
+            vec!["--builtin", "--checker", &directory, "--interproc", s],
+            "directory",
+            &directory,
+        ),
+    ] {
+        let out = Command::new(bin).args(&argv).output().expect("run mcheck");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{argv:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{argv:?}");
+        assert!(
+            stderr.contains(&format!(
+                "{file}: a checker named `{name}` is already registered"
+            )),
+            "{argv:?}: {stderr}"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

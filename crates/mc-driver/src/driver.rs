@@ -43,6 +43,10 @@ pub enum DriverError {
     /// A metal program parsed but could not be lowered to a decision
     /// program (structurally impossible patterns, e.g. too many wildcards).
     MetalCompile(CompileError),
+    /// A checker was registered under a name another registered checker
+    /// already has. Summary transfer tables are keyed by checker name, so
+    /// the two would read each other's transfers.
+    DuplicateChecker(String),
 }
 
 impl fmt::Display for DriverError {
@@ -51,6 +55,9 @@ impl fmt::Display for DriverError {
             DriverError::Parse(e) => write!(f, "{e}"),
             DriverError::Metal(e) => write!(f, "{e}"),
             DriverError::MetalCompile(e) => write!(f, "{e}"),
+            DriverError::DuplicateChecker(name) => {
+                write!(f, "a checker named `{name}` is already registered")
+            }
         }
     }
 }
@@ -356,7 +363,9 @@ pub trait Checker: Send + Sync {
     /// `ctx.summaries` holds every already-summarized callee. `transfers`
     /// is `true` when the engine wants call-site state transfers computed
     /// (interprocedural mode, function not part of a call cycle); counter
-    /// contributions (the lane analysis) should be computed regardless.
+    /// contributions (the lane analysis) should be computed regardless. A
+    /// state machine builds its table with [`mc_cfg::transfer_table`] and
+    /// records it with [`FnSummary::insert_transfers`], under its own name.
     fn summarize_function(
         &self,
         ctx: &FunctionContext<'_>,
@@ -606,8 +615,11 @@ impl Driver {
     ///
     /// Returns [`DriverError::MetalCompile`] if the program cannot be
     /// lowered (see [`mc_metal::CompileError`]; validation findings are
-    /// warnings, not errors, and never reject a program).
+    /// warnings, not errors, and never reject a program), or
+    /// [`DriverError::DuplicateChecker`] if a checker of its name is
+    /// already registered.
     pub fn add_metal_checker(&mut self, prog: MetalProgram) -> Result<&mut Self, DriverError> {
+        self.check_unique(&prog.name)?;
         self.suite.write_str("metal-name:");
         self.suite.write_str(&prog.name);
         self.compiled.push(CompiledProgram::compile(&prog)?);
@@ -619,8 +631,10 @@ impl Driver {
     ///
     /// # Errors
     ///
-    /// Returns [`DriverError::Metal`] if the program does not parse, or
-    /// [`DriverError::MetalCompile`] if it cannot be lowered.
+    /// Returns [`DriverError::Metal`] if the program does not parse,
+    /// [`DriverError::MetalCompile`] if it cannot be lowered, or
+    /// [`DriverError::DuplicateChecker`] if a checker of its name is
+    /// already registered.
     pub fn add_metal_source(&mut self, src: &str) -> Result<&mut Self, DriverError> {
         self.add_metal_source_impl(src, None)
     }
@@ -644,6 +658,7 @@ impl Driver {
         origin: Option<String>,
     ) -> Result<&mut Self, DriverError> {
         let prog = MetalProgram::parse(src)?;
+        self.check_unique(&prog.name)?;
         self.suite.write_str("metal-src:");
         self.suite.write_str(src);
         self.compiled.push(CompiledProgram::compile(&prog)?);
@@ -687,11 +702,27 @@ impl Driver {
     /// (native code has no inspectable source); if a native checker's
     /// behaviour changes, the crate version bump covers built-ins and
     /// [`Driver::set_config_epoch`] covers embedders.
-    pub fn add_checker(&mut self, checker: Box<dyn Checker>) -> &mut Self {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DriverError::DuplicateChecker`] if a checker of its name
+    /// is already registered.
+    pub fn add_checker(&mut self, checker: Box<dyn Checker>) -> Result<&mut Self, DriverError> {
+        self.check_unique(checker.name())?;
         self.suite.write_str("native:");
         self.suite.write_str(checker.name());
         self.native.push(checker);
-        self
+        Ok(self)
+    }
+
+    /// Fails if a registered checker, metal or native, is called `name`.
+    fn check_unique(&self, name: &str) -> Result<(), DriverError> {
+        let taken = self.compiled.iter().any(|c| c.name() == name)
+            || self.native.iter().any(|c| c.name() == name);
+        if taken {
+            return Err(DriverError::DuplicateChecker(name.to_string()));
+        }
+        Ok(())
     }
 
     /// Sets the checker configuration epoch, folded into every cache key.
@@ -1180,7 +1211,7 @@ mod tests {
         let counter = ReturnCounter::new(1);
         let program_calls = counter.program_calls.clone();
         let mut d = Driver::new();
-        d.add_checker(Box::new(counter));
+        d.add_checker(Box::new(counter)).unwrap();
         let reports = d
             .check_source(
                 "void ok(void) { a(); }\nvoid bad(void) { if (x) { return; } b(); }",
@@ -1239,8 +1270,57 @@ mod tests {
     fn checker_count() {
         let mut d = Driver::new();
         d.add_metal_source(SM).unwrap();
-        d.add_checker(Box::new(ReturnCounter::new(0)));
+        d.add_checker(Box::new(ReturnCounter::new(0))).unwrap();
         assert_eq!(d.checker_count(), 2);
+    }
+
+    /// Transfer tables are keyed by checker name, so a second checker of a
+    /// registered name is refused, metal or native, in either order, and
+    /// leaves the suite as it was.
+    #[test]
+    fn a_duplicate_checker_name_is_refused() {
+        let dup = |e: DriverError| match e {
+            DriverError::DuplicateChecker(name) => name,
+            other => panic!("{other}"),
+        };
+        let mut d = Driver::new();
+        d.add_metal_source(SM).unwrap();
+        let key = d.suite_key();
+        let err = d.add_metal_source(SM).map(|_| ()).unwrap_err();
+        assert_eq!(dup(err), "wait_for_db");
+        let prog = MetalProgram::parse(SM).unwrap();
+        assert_eq!(
+            dup(d.add_metal_checker(prog).map(|_| ()).unwrap_err()),
+            "wait_for_db"
+        );
+        d.add_checker(Box::new(ReturnCounter::new(0))).unwrap();
+        let key = (key, d.suite_key());
+        let err = d
+            .add_checker(Box::new(ReturnCounter::new(0)))
+            .map(|_| ())
+            .unwrap_err();
+        assert_eq!(dup(err), "return_counter");
+        let native_name = SM.replace("wait_for_db", "return_counter");
+        let err = d.add_metal_source(&native_name).map(|_| ()).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "a checker named `return_counter` is already registered"
+        );
+        assert_eq!(d.checker_count(), 2);
+        assert_ne!(key.0, key.1);
+        assert_eq!(
+            d.suite_key(),
+            key.1,
+            "a refused checker leaves the suite key alone"
+        );
+
+        // Native first, then a metal program of the same name.
+        let mut d = Driver::new();
+        d.add_checker(Box::new(ReturnCounter::new(0))).unwrap();
+        assert_eq!(
+            dup(d.add_metal_source(&native_name).map(|_| ()).unwrap_err()),
+            "return_counter"
+        );
     }
 
     #[test]
@@ -1313,7 +1393,7 @@ mod tests {
             let program_calls = counter.program_calls.clone();
             let mut d = Driver::new();
             d.add_metal_source(SM).unwrap();
-            d.add_checker(Box::new(counter));
+            d.add_checker(Box::new(counter)).unwrap();
             d.jobs(jobs);
             let reports = d.check_sources(&many).unwrap();
             // No unit calls another, so each is its own component.

@@ -1132,7 +1132,7 @@ mod tests {
     #[test]
     fn memo_tables_stay_bounded_across_many_distinct_edits() {
         let mut d = driver();
-        d.add_checker(Box::new(ComponentCount));
+        d.add_checker(Box::new(ComponentCount)).unwrap();
         let mut srcs = sources();
         let mut engine = CheckEngine::in_memory();
         let (primed, _) = engine.check_sources(&d, &srcs).unwrap();
@@ -1277,7 +1277,7 @@ mod tests {
     #[test]
     fn unit_sensitive_checker_rechecks_every_function_of_a_dirty_unit() {
         let mut d = driver();
-        d.add_checker(Box::new(SiblingSize));
+        d.add_checker(Box::new(SiblingSize)).unwrap();
         let unit = |sibling: &str| {
             format!(
                 "void reader(void) {{ a(); }}\n\

@@ -124,12 +124,11 @@ impl Summaries {
     ///
     /// [`Checker::summarize_function`]: crate::Checker::summarize_function
     pub fn compute(driver: &Driver, units: &[&CheckedUnit], with_transfers: bool) -> Summaries {
-        let mut store =
-            Summaries::compute_memoized(driver, units, with_transfers, &mut HashMap::new());
+        let (defs, adj) = collect_defs(units);
+        let mut store = compute_defs(driver, &defs, &adj, with_transfers, &mut HashMap::new());
         // A call site counts as resolved when its callee ended up in the
         // store.
-        store.stats.call_sites_resolved = collect_defs(units)
-            .0
+        store.stats.call_sites_resolved = defs
             .iter()
             .map(|d| count_resolved_calls(d.function, &store))
             .sum();
@@ -173,113 +172,124 @@ impl Summaries {
         memo: &mut HashMap<u64, FnSummary>,
     ) -> Summaries {
         let (defs, adj) = collect_defs(units);
-
-        let mut store = Summaries::empty();
-        for def in &defs {
-            store.defined.insert(def.function.name.clone());
-        }
-
-        let sccs = tarjan_sccs(&adj);
-        let mut scc_of = vec![0usize; defs.len()];
-        for (si, scc) in sccs.iter().enumerate() {
-            for &m in scc {
-                scc_of[m] = si;
-            }
-        }
-        // `tarjan_sccs` yields callees before callers, so every callee
-        // SCC's level and input keys are final when its caller's are
-        // computed.
-        let suite = driver.suite_key();
-        let unit_sensitive = driver.has_unit_sensitive_checkers();
-        let mut level = vec![0usize; sccs.len()];
-        let mut key_of: Vec<u64> = vec![0; defs.len()];
-        let mut waves: Vec<Vec<(usize, bool)>> = Vec::new();
-        for (si, scc) in sccs.iter().enumerate() {
-            let mut lv = 0;
-            for &m in scc {
-                for &c in &adj[m] {
-                    if scc_of[c] != si {
-                        lv = lv.max(level[scc_of[c]] + 1);
-                    }
-                }
-            }
-            level[si] = lv;
-            // A lone node with a self-loop is still a cycle.
-            let cyclic = scc.len() > 1 || adj[scc[0]].contains(&scc[0]);
-            // Sort members by name so wave item order never depends on
-            // unit order within a cycle.
-            let mut members = scc.clone();
-            members.sort_by(|&a, &b| defs[a].function.name.cmp(&defs[b].function.name));
-            for &m in &members {
-                let def = &defs[m];
-                let mut h = mc_ast::Fnv1a::new();
-                h.write_u64(suite)
-                    .write_u64(u64::from(with_transfers))
-                    .write_u64(u64::from(cyclic));
-                for &s in &members {
-                    let member = &defs[s];
-                    h.write_str(&member.function.name)
-                        .write_str(&member.unit.unit.file)
-                        .write_u64(member.unit.fn_fingerprints()[member.fidx].body);
-                    if unit_sensitive {
-                        h.write_u64(member.unit.env_fp());
-                    }
-                }
-                h.write_str(&def.function.name);
-                for callee in &def.unit.fn_call_names()[def.fidx] {
-                    h.write_str(callee);
-                    match def.callee_index(callee) {
-                        Some(c) if scc_of[c] != si => {
-                            h.write_u64(1).write_u64(key_of[c]);
-                        }
-                        // Same-SCC callees are covered by the member fold
-                        // above; undefined callees resolve `Unknown` and
-                        // fold as name-only.
-                        _ => {
-                            h.write_u64(0);
-                        }
-                    }
-                }
-                key_of[m] = h.finish();
-            }
-            if waves.len() <= lv {
-                waves.resize(lv + 1, Vec::new());
-            }
-            waves[lv].extend(members.into_iter().map(|m| (m, cyclic)));
-        }
-
-        let mut computed = 0;
-        for wave in &waves {
-            // Summarize the memo misses against the lower waves only, then
-            // publish the whole wave: a reused summary must not become
-            // visible to a same-SCC member mid-wave.
-            let todo: Vec<(usize, bool)> = wave
-                .iter()
-                .copied()
-                .filter(|(m, _)| !memo.contains_key(&key_of[*m]))
-                .collect();
-            let batch = driver.pool_map(todo.len(), |i| {
-                let (m, cyclic) = todo[i];
-                summarize_def(driver, &store, &defs[m], cyclic, with_transfers)
-            });
-            computed += batch.len();
-            let mut batch = batch.into_iter();
-            for &(m, _) in wave {
-                let summary = match memo.get(&key_of[m]) {
-                    Some(s) => s.clone(),
-                    None => {
-                        let s = batch.next().expect("one summary per memo miss");
-                        memo.insert(key_of[m], s.clone());
-                        s
-                    }
-                };
-                store.map.insert(summary.function.clone(), summary);
-            }
-        }
-
-        store.stats.computed = computed;
-        store
+        compute_defs(driver, &defs, &adj, with_transfers, memo)
     }
+}
+
+/// The body of [`Summaries::compute_memoized`], over definitions and a
+/// call graph already collected.
+fn compute_defs(
+    driver: &Driver,
+    defs: &[Def<'_>],
+    adj: &[Vec<usize>],
+    with_transfers: bool,
+    memo: &mut HashMap<u64, FnSummary>,
+) -> Summaries {
+    let mut store = Summaries::empty();
+    for def in defs {
+        store.defined.insert(def.function.name.clone());
+    }
+
+    let sccs = tarjan_sccs(adj);
+    let mut scc_of = vec![0usize; defs.len()];
+    for (si, scc) in sccs.iter().enumerate() {
+        for &m in scc {
+            scc_of[m] = si;
+        }
+    }
+    // `tarjan_sccs` yields callees before callers, so every callee
+    // SCC's level and input keys are final when its caller's are
+    // computed.
+    let suite = driver.suite_key();
+    let unit_sensitive = driver.has_unit_sensitive_checkers();
+    let mut level = vec![0usize; sccs.len()];
+    let mut key_of: Vec<u64> = vec![0; defs.len()];
+    let mut waves: Vec<Vec<(usize, bool)>> = Vec::new();
+    for (si, scc) in sccs.iter().enumerate() {
+        let mut lv = 0;
+        for &m in scc {
+            for &c in &adj[m] {
+                if scc_of[c] != si {
+                    lv = lv.max(level[scc_of[c]] + 1);
+                }
+            }
+        }
+        level[si] = lv;
+        // A lone node with a self-loop is still a cycle.
+        let cyclic = scc.len() > 1 || adj[scc[0]].contains(&scc[0]);
+        // Sort members by name so wave item order never depends on
+        // unit order within a cycle.
+        let mut members = scc.clone();
+        members.sort_by(|&a, &b| defs[a].function.name.cmp(&defs[b].function.name));
+        for &m in &members {
+            let def = &defs[m];
+            let mut h = mc_ast::Fnv1a::new();
+            h.write_u64(suite)
+                .write_u64(u64::from(with_transfers))
+                .write_u64(u64::from(cyclic));
+            for &s in &members {
+                let member = &defs[s];
+                h.write_str(&member.function.name)
+                    .write_str(&member.unit.unit.file)
+                    .write_u64(member.unit.fn_fingerprints()[member.fidx].body);
+                if unit_sensitive {
+                    h.write_u64(member.unit.env_fp());
+                }
+            }
+            h.write_str(&def.function.name);
+            for callee in &def.unit.fn_call_names()[def.fidx] {
+                h.write_str(callee);
+                match def.callee_index(callee) {
+                    Some(c) if scc_of[c] != si => {
+                        h.write_u64(1).write_u64(key_of[c]);
+                    }
+                    // Same-SCC callees are covered by the member fold
+                    // above; undefined callees resolve `Unknown` and
+                    // fold as name-only.
+                    _ => {
+                        h.write_u64(0);
+                    }
+                }
+            }
+            key_of[m] = h.finish();
+        }
+        if waves.len() <= lv {
+            waves.resize(lv + 1, Vec::new());
+        }
+        waves[lv].extend(members.into_iter().map(|m| (m, cyclic)));
+    }
+
+    let mut computed = 0;
+    for wave in &waves {
+        // Summarize the memo misses against the lower waves only, then
+        // publish the whole wave: a reused summary must not become
+        // visible to a same-SCC member mid-wave.
+        let todo: Vec<(usize, bool)> = wave
+            .iter()
+            .copied()
+            .filter(|(m, _)| !memo.contains_key(&key_of[*m]))
+            .collect();
+        let batch = driver.pool_map(todo.len(), |i| {
+            let (m, cyclic) = todo[i];
+            summarize_def(driver, &store, &defs[m], cyclic, with_transfers)
+        });
+        computed += batch.len();
+        let mut batch = batch.into_iter();
+        for &(m, _) in wave {
+            let summary = match memo.get(&key_of[m]) {
+                Some(s) => s.clone(),
+                None => {
+                    let s = batch.next().expect("one summary per memo miss");
+                    memo.insert(key_of[m], s.clone());
+                    s
+                }
+            };
+            store.map.insert(summary.function.clone(), summary);
+        }
+    }
+
+    store.stats.computed = computed;
+    store
 }
 
 /// One function definition inside a component, with enough context to
@@ -367,9 +377,7 @@ fn summarize_def(
         let plans = mc_metal::CandidatePlan::build_many(&programs, def.cfg);
         for (cp, plan) in programs.into_iter().zip(&plans) {
             let t = mc_metal::compute_transfers_compiled(cp, plan, def.cfg, traversal, Some(store));
-            if !t.is_empty() {
-                summary.transfers.insert(cp.name().to_string(), t);
-            }
+            summary.insert_transfers(cp.name(), t);
         }
     }
     let ctx = FunctionContext {
@@ -452,7 +460,7 @@ mod tests {
             }
         }
         let mut d = Driver::new();
-        d.add_checker(Box::new(Ping));
+        d.add_checker(Box::new(Ping)).unwrap();
         let us = units(&[
             ("void leaf(void) { PING(); }", "leaf.c"),
             ("void mid(void) { leaf(); leaf(); }", "mid.c"),

@@ -1747,17 +1747,7 @@ impl PathMachine for CompiledMachine<'_> {
                 return;
             }
             PathEvent::Call { summary, .. } => {
-                // Apply the callee's summarized state transfer, exactly as
-                // the interpreter does: no entry for this machine or state
-                // leaves the state alone.
-                if let Some(per_state) = summary.transfers.get(&self.prog.name) {
-                    let cur = &self.prog.state_names[state.0];
-                    if let Some(ends) = per_state.get(cur) {
-                        out.extend(ends.iter().filter_map(|n| self.prog.state_by_name(n)));
-                        return;
-                    }
-                }
-                out.push(*state);
+                out.extend(mc_cfg::apply_transfer(self.prog, summary, state));
                 return;
             }
         };
@@ -1766,6 +1756,27 @@ impl PathMachine for CompiledMachine<'_> {
             .entry(key)
             .expect("plan built from the traversed CFG");
         self.scan_planned(*state, entry, witness, out);
+    }
+}
+
+/// The compiled engine's state names, identical to the interpreter's.
+impl mc_cfg::TransferCodec for CompiledProgram {
+    type State = StateId;
+
+    fn machine_name(&self) -> &str {
+        &self.name
+    }
+
+    fn start_states(&self) -> Vec<StateId> {
+        (0..self.state_names.len()).map(StateId).collect()
+    }
+
+    fn state_name(&self, state: &StateId) -> std::borrow::Cow<'_, str> {
+        std::borrow::Cow::Borrowed(&self.state_names[state.0])
+    }
+
+    fn parse_state(&self, name: &str) -> Option<StateId> {
+        self.state_by_name(name)
     }
 }
 
@@ -1781,24 +1792,9 @@ pub fn compute_transfers_compiled(
     traversal: mc_cfg::Traversal,
     oracle: Option<&dyn mc_cfg::SummaryLookup>,
 ) -> BTreeMap<String, Vec<String>> {
-    let mut transfers = BTreeMap::new();
-    for si in 0..prog.state_names.len() {
-        let mut m = mc_cfg::EndCollector::new(CompiledMachine::with_plan(prog, plan));
-        mc_cfg::run_traversal_with(cfg, &mut m, StateId(si), traversal, oracle);
-        let mut ends: Vec<String> = m
-            .ends
-            .into_iter()
-            .map(|s| prog.state_names[s.0].clone())
-            .collect();
-        ends.sort();
-        ends.dedup();
-        // Identity transfers are omitted, matching the interpreter.
-        if ends.len() == 1 && ends[0] == prog.state_names[si] {
-            continue;
-        }
-        transfers.insert(prog.state_names[si].clone(), ends);
-    }
-    transfers
+    mc_cfg::transfer_table(prog, cfg, traversal, oracle, || {
+        CompiledMachine::with_plan(prog, plan)
+    })
 }
 
 #[cfg(test)]

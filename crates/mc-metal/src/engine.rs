@@ -364,36 +364,42 @@ impl PathMachine for MetalMachine<'_> {
                 )));
             }
             PathEvent::Call { summary, .. } => {
-                // Apply the callee's summarized state transfer for this
-                // machine: from the current state, the callee can leave the
-                // machine in any of the recorded end states. A machine or
-                // state with no entry means the callee is opaque (the call
-                // pattern itself was already offered to `scan` as part of
-                // the enclosing statement, so macro-style patterns that
-                // match the call expression keep working). An empty end set
-                // means every path through the callee stops this machine.
-                if let Some(per_state) = summary.transfers.get(&self.prog.name) {
-                    let cur = &self.prog.states[state.0].name;
-                    if let Some(ends) = per_state.get(cur) {
-                        return ends
-                            .iter()
-                            .filter_map(|n| self.prog.state_by_name(n))
-                            .collect();
-                    }
-                }
-                return vec![*state];
+                // The call pattern itself was already offered to `scan` as
+                // part of the enclosing statement, so macro-style patterns
+                // that match the call expression keep working.
+                return mc_cfg::apply_transfer(self.prog, summary, state);
             }
         }
         self.scan(*state, &cands, witness)
     }
 }
 
-/// Computes the state transfer of one function for `prog`: for each start
-/// state, the set of states the machine can be in when the function
-/// returns. This is the `transfers` entry a callee contributes to its
-/// [`mc_cfg::FnSummary`] — the summary engine runs it bottom-up, passing
-/// the already-summarized callees as `oracle` so transfers compose through
-/// call chains.
+/// The interpreter's state names: a program's table in
+/// [`mc_cfg::FnSummary::transfers`] is keyed by its `sm` name and starts
+/// from every declared state.
+impl mc_cfg::TransferCodec for MetalProgram {
+    type State = StateId;
+
+    fn machine_name(&self) -> &str {
+        &self.name
+    }
+
+    fn start_states(&self) -> Vec<StateId> {
+        (0..self.states.len()).map(StateId).collect()
+    }
+
+    fn state_name(&self, state: &StateId) -> std::borrow::Cow<'_, str> {
+        std::borrow::Cow::Borrowed(&self.states[state.0].name)
+    }
+
+    fn parse_state(&self, name: &str) -> Option<StateId> {
+        self.state_by_name(name)
+    }
+}
+
+/// Computes the state transfer of one function for `prog`
+/// ([`mc_cfg::transfer_table`] over the interpreter) — the reference the
+/// compiled engine's [`crate::compute_transfers_compiled`] is held to.
 ///
 /// Reports produced while exploring are discarded: the callee's own errors
 /// are found when the callee itself is checked, and a summary application
@@ -404,26 +410,7 @@ pub fn compute_transfers(
     traversal: mc_cfg::Traversal,
     oracle: Option<&dyn mc_cfg::SummaryLookup>,
 ) -> std::collections::BTreeMap<String, Vec<String>> {
-    let mut transfers = std::collections::BTreeMap::new();
-    for (si, st) in prog.states.iter().enumerate() {
-        let mut m = mc_cfg::EndCollector::new(MetalMachine::new(prog));
-        mc_cfg::run_traversal_with(cfg, &mut m, StateId(si), traversal, oracle);
-        let mut ends: Vec<String> = m
-            .ends
-            .into_iter()
-            .map(|s| prog.states[s.0].name.clone())
-            .collect();
-        ends.sort();
-        ends.dedup();
-        // Identity transfers are omitted: a missing entry already means
-        // "the call leaves this state alone", and omitting them keeps
-        // summaries small and call-site stepping cheap.
-        if ends.len() == 1 && ends[0] == st.name {
-            continue;
-        }
-        transfers.insert(st.name.clone(), ends);
-    }
-    transfers
+    mc_cfg::transfer_table(prog, cfg, traversal, oracle, || MetalMachine::new(prog))
 }
 
 #[cfg(test)]

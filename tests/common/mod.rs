@@ -52,9 +52,7 @@ impl Checker for InterpChecker {
         if transfers {
             let oracle = ctx.summaries.map(|s| s as &dyn SummaryLookup);
             let t = compute_transfers(&self.0, ctx.cfg, ctx.traversal, oracle);
-            if !t.is_empty() {
-                summary.transfers.insert(self.0.name.clone(), t);
-            }
+            summary.insert_transfers(&self.0.name, t);
         }
     }
 }
@@ -65,9 +63,9 @@ impl Checker for InterpChecker {
 pub fn interp_suite(driver: &mut Driver, spec: &FlashSpec) {
     for src in METAL_SOURCES {
         let prog = MetalProgram::parse(src).expect("built-in metal parses");
-        driver.add_checker(Box::new(InterpChecker(prog)));
+        driver.add_checker(Box::new(InterpChecker(prog))).unwrap();
     }
     for checker in native_checkers(spec) {
-        driver.add_checker(checker);
+        driver.add_checker(checker).unwrap();
     }
 }

@@ -583,3 +583,55 @@ fn memoized_summaries_after_a_body_edit_equal_a_fresh_computation() {
         }
     }
 }
+
+/// FNV digest of every summary transfer table (machine, start state, end
+/// states) over the scale-3 fleet, whose first family is the seed corpus.
+const TRANSFER_TABLES_DIGEST: u64 = 0x1ca7_1142_3eaa_db00;
+
+/// Pins the transfer tables `Summaries::compute` builds for the built-in
+/// suite — the metal programs' and the native state machines' — so a
+/// change to how tables are built or applied shows up as a digest change.
+#[test]
+fn summary_transfer_tables_are_pinned_on_the_seed_corpus_and_scale_3_fleet() {
+    use flash_mc::ast::parse_translation_unit;
+    use flash_mc::corpus::generate_fleet;
+    use flash_mc::driver::{CheckedUnit, Summaries};
+
+    let mut rows: Vec<String> = Vec::new();
+    let mut machines = std::collections::BTreeSet::new();
+    for proto in generate_fleet(DEFAULT_SEED, 3) {
+        let units: Vec<CheckedUnit> = proto
+            .sources()
+            .iter()
+            .map(|(src, file)| CheckedUnit::new(parse_translation_unit(src, file).expect("parses")))
+            .collect();
+        let refs: Vec<&CheckedUnit> = units.iter().collect();
+        let driver = driver_for(&proto.spec, 2);
+        for summary in Summaries::compute(&driver, &refs, true).iter() {
+            for (machine, table) in &summary.transfers {
+                machines.insert(machine.clone());
+                for (start, ends) in table {
+                    rows.push(format!(
+                        "{} {} {machine} {start} -> {}",
+                        proto.name,
+                        summary.function,
+                        ends.join(",")
+                    ));
+                }
+            }
+        }
+    }
+    let machines: Vec<&str> = machines.iter().map(String::as_str).collect();
+    assert_eq!(
+        machines,
+        ["buffer_mgmt", "directory", "msglen_check", "wait_for_db"],
+        "machines with a non-identity transfer"
+    );
+    let digest = flash_mc::ast::fnv1a(rows.join("\n").as_bytes());
+    assert_eq!(
+        digest,
+        TRANSFER_TABLES_DIGEST,
+        "digest {digest:#018x} over {} rows",
+        rows.len()
+    );
+}
