@@ -97,6 +97,16 @@ pub fn parse_stmt(src: &str) -> Result<Stmt, ParseError> {
     Ok(s)
 }
 
+/// How deeply statements and expressions may nest, in units: an
+/// expression level (an operand, an assignment, an initializer list) costs
+/// one, a statement two. Every later pass — CFG construction,
+/// fingerprinting, printing, the checkers, refutation — walks the tree
+/// recursively on a check thread's 8 MiB stack (`CHECK_STACK_BYTES` in
+/// mc-driver). In a release build those walks take about 0.85 KiB per unit
+/// on the costliest shapes (nested `if` blocks, nested parentheses and
+/// calls), so input at this bound needs about 5 MiB.
+const MAX_NESTING: usize = 6_000;
+
 /// The parser state. Tokens borrow their text from the source; the parser
 /// copies it into the AST only where a node keeps it.
 #[derive(Debug)]
@@ -105,6 +115,8 @@ pub struct Parser<'src> {
     /// never moves past it.
     tokens: Vec<Token<'src>>,
     pos: usize,
+    /// Nesting units in use (see [`MAX_NESTING`]).
+    depth: usize,
     file: String,
     typedefs: HashSet<String>,
     wildcards: HashSet<String>,
@@ -124,6 +136,7 @@ impl<'src> Parser<'src> {
         Parser {
             tokens,
             pos: 0,
+            depth: 0,
             file: file.to_string(),
             typedefs: HashSet::new(),
             wildcards: HashSet::new(),
@@ -143,6 +156,22 @@ impl<'src> Parser<'src> {
     /// Registers a typedef name so subsequent declarations can use it.
     pub fn add_typedef(&mut self, name: &str) {
         self.typedefs.insert(name.to_string());
+    }
+
+    /// Runs `parse` one level deeper, `cost` units of [`MAX_NESTING`]; an
+    /// input nested deeper is refused where it crosses the bound.
+    fn nested<T>(
+        &mut self,
+        cost: usize,
+        parse: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth + cost > MAX_NESTING {
+            return self.err("statements or expressions nested too deeply");
+        }
+        self.depth += cost;
+        let parsed = parse(self);
+        self.depth -= cost;
+        parsed
     }
 
     fn err<T>(&self, message: impl Into<String>) -> Result<T, ParseError> {
@@ -538,6 +567,10 @@ impl<'src> Parser<'src> {
     }
 
     fn initializer(&mut self) -> Result<Initializer, ParseError> {
+        self.nested(1, Self::initializer_level)
+    }
+
+    fn initializer_level(&mut self) -> Result<Initializer, ParseError> {
         if self.eat_punct(Punct::LBrace) {
             let mut list = Vec::new();
             while !self.eat_punct(Punct::RBrace) {
@@ -572,6 +605,10 @@ impl<'src> Parser<'src> {
     ///
     /// Returns [`ParseError`] on malformed input.
     pub fn stmt(&mut self) -> Result<Stmt, ParseError> {
+        self.nested(2, Self::stmt_level)
+    }
+
+    fn stmt_level(&mut self) -> Result<Stmt, ParseError> {
         let span = self.peek_span();
         // Label: `ident :` not followed by another colon-ish construct.
         if let TokenKind::Ident(s) = self.peek() {
@@ -782,6 +819,10 @@ impl<'src> Parser<'src> {
     }
 
     fn assignment_expr(&mut self) -> Result<Expr, ParseError> {
+        self.nested(1, Self::assignment_level)
+    }
+
+    fn assignment_level(&mut self) -> Result<Expr, ParseError> {
         let lhs = self.ternary_expr()?;
         let op = match self.peek() {
             TokenKind::Punct(Punct::Assign) => None,
@@ -872,6 +913,10 @@ impl<'src> Parser<'src> {
     }
 
     fn unary_expr(&mut self) -> Result<Expr, ParseError> {
+        self.nested(1, Self::unary_level)
+    }
+
+    fn unary_level(&mut self) -> Result<Expr, ParseError> {
         let span = self.peek_span();
         let op = match self.peek() {
             TokenKind::Punct(Punct::Minus) => Some(UnaryOp::Neg),
@@ -903,7 +948,7 @@ impl<'src> Parser<'src> {
     }
 
     /// `sizeof(type)` or a cast. This and [`Parser::postfix_expr`] stay out
-    /// of `unary_expr`'s frame, which repeats once per prefix operator, so
+    /// of `unary_level`'s frame, which repeats once per prefix operator, so
     /// long `- - - x` chains fit the stack.
     #[inline(never)]
     fn sizeof_or_cast(&mut self, span: Span) -> Result<Expr, ParseError> {
@@ -1300,6 +1345,33 @@ mod tests {
         let e = p.expr().unwrap();
         let (_, args) = e.as_call().unwrap();
         assert!(matches!(&args[0].kind, ExprKind::Wildcard(w) if w == "addr"));
+    }
+
+    #[test]
+    fn nesting_beyond_the_bound_is_a_located_error() {
+        // On a check thread's stack, as the checker parses.
+        let parse = |src: String| {
+            std::thread::Builder::new()
+                .stack_size(8 << 20)
+                .spawn(move || parse_translation_unit(&src, "t.c").map(|_| ()))
+                .unwrap()
+                .join()
+                .unwrap()
+        };
+        let ifs = |n: usize| {
+            let (open, close) = ("if (c) {\n".repeat(n), "}".repeat(n));
+            format!("void f(void) {{ {open} x(); {close} }}")
+        };
+        assert!(parse(ifs(1_000)).is_ok());
+        let err = parse(ifs(3_000)).unwrap_err();
+        assert_eq!(err.message, "statements or expressions nested too deeply");
+        assert_eq!((err.file.as_str(), err.span.line), ("t.c", 1_501));
+        let parens = |n: usize| {
+            let (open, close) = ("(".repeat(n), ")".repeat(n));
+            format!("int f(void) {{ return {open}x{close}; }}")
+        };
+        assert!(parse(parens(2_000)).is_ok());
+        assert!(parse(parens(100_000)).is_err());
     }
 
     #[test]

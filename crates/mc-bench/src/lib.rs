@@ -3,7 +3,7 @@
 //! Reproduction harness for the paper's evaluation: one binary per table
 //! (`table1` … `table7`, plus `experiments` which prints all of them as
 //! the `EXPERIMENTS.md` report), and Criterion benchmarks of the framework
-//! (`framework`, `scaling`).
+//! (`framework`, `parallel`).
 //!
 //! All table binaries run the full checker suite over the generated corpus
 //! at the canonical seed and classify reports against the corpus manifest,

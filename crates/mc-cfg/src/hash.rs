@@ -1,10 +1,10 @@
 //! Word-at-a-time multiply-xor hasher for the traversal's interior tables
-//! (witness interning, visited keys, state dedup), in the style of rustc's
+//! (visited keys, state dedup), in the style of rustc's
 //! FxHash. These tables never face adversarial keys, and SipHash's
 //! per-insert setup is measurable at hundreds of thousands of inserts per
 //! corpus pass.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::hash::BuildHasherDefault;
 
 #[derive(Default)]
@@ -48,4 +48,3 @@ impl std::hash::Hasher for FastHasher {
 }
 
 pub(crate) type FastSet<T> = HashSet<T, BuildHasherDefault<FastHasher>>;
-pub(crate) type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;

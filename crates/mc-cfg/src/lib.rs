@@ -8,11 +8,9 @@
 //!    Table 1 of the paper ("the number of unique exit paths from the
 //!    beginning of the function to all returns").
 //! 2. **Path-sensitive traversal** ([`run_machine`]) — the engine that
-//!    applies a checker state machine "down every path", with a choice
-//!    between exhaustive path enumeration (what the paper describes) and a
-//!    state-set worklist that merges identical checker states at join
-//!    points (same reports, polynomial time). The ablation between the two
-//!    is one of the benchmarks.
+//!    applies a checker state machine "down every path", as a state-set
+//!    worklist that merges identical checker states at join points: the
+//!    reports of walking each path separately, in polynomial time.
 //! 3. **Path-feasibility pruning** ([`feasibility`], [`run_traversal`]) —
 //!    a predicate-tracking domain that refutes branch edges contradicting
 //!    facts accumulated along the path, killing the paper's dominant
@@ -53,8 +51,8 @@ mod witness;
 pub use build::{Block, BlockId, Cfg, Node, Terminator};
 pub use feasibility::FactSet;
 pub use machine::{
-    feasibility_stats, run_machine, run_traversal, run_traversal_with, Mode, PathEvent,
-    PathMachine, Traversal, TraversalStats,
+    feasibility_stats, run_machine, run_traversal, run_traversal_with, PathEvent, PathMachine,
+    Traversal, TraversalStats,
 };
 pub use stats::PathStats;
 pub use summary::{

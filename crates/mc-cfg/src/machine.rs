@@ -6,22 +6,17 @@
 //! metal patterns may fork — or none, which prunes the path, as the `stop`
 //! state does).
 //!
-//! Two traversal [`Mode`]s are provided:
-//!
-//! * [`Mode::Exhaustive`] — literally walk every path (bounded by a path
-//!   budget and by taking each back edge at most once per path). This is
-//!   what the paper describes.
-//! * [`Mode::StateSet`] — a worklist over `(block, state)` pairs that merges
-//!   identical checker states at join points. For a finite-state checker
-//!   this reports exactly the same violations in polynomial time; the
-//!   `scaling` benchmark quantifies the difference.
+//! The traversal is a worklist over `(block, state, facts)` keys that
+//! merges identical checker states at join points. For a finite-state
+//! checker this reports exactly what walking every path separately would,
+//! in polynomial time. The literal walk the paper describes lives in the
+//! test-only `mc-oracle` crate, which holds this traversal to its reports.
 
 use crate::build::{BlockId, Cfg, Terminator};
 use crate::feasibility::{const_of, Const, FactSet};
 use crate::summary::{calls_in_expr, calls_in_stmt, FnSummary, SummaryLookup};
 use crate::witness::{StepKind, Witness, WitnessArena, WitnessId};
 use mc_ast::{Expr, Span, Stmt};
-use std::collections::HashSet;
 use std::hash::Hash;
 
 /// An observable event along an execution path.
@@ -74,7 +69,7 @@ pub enum PathEvent<'a> {
 
 /// A path-sensitive state machine to run over a CFG.
 pub trait PathMachine {
-    /// Checker state. Must be finite-ish and hashable so the state-set mode
+    /// Checker state. Must be finite-ish and hashable so the traversal
     /// can merge; metal SM states are.
     type State: Clone + Eq + Hash;
 
@@ -112,58 +107,39 @@ pub trait PathMachine {
     }
 }
 
-/// Traversal strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mode {
-    /// Merge identical states at join points (polynomial, default).
-    StateSet,
-    /// Walk each path separately, visiting each back edge at most once per
-    /// path and exploring at most the given number of paths.
-    Exhaustive {
-        /// Upper bound on explored paths; exploration stops silently when
-        /// the budget is exhausted (matching xg++'s bounded analysis).
-        max_paths: usize,
-    },
-}
-
-/// Traversal settings: a [`Mode`] plus whether infeasible edges are pruned
-/// by the [`crate::feasibility`] analysis.
+/// Traversal settings: whether infeasible edges are pruned by the
+/// [`crate::feasibility`] analysis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Traversal {
-    /// Path enumeration strategy.
-    pub mode: Mode,
     /// When `true`, branch/switch edges whose condition contradicts the
     /// facts accumulated along the path are not followed.
     pub prune: bool,
 }
 
 impl Traversal {
-    /// A pruning traversal in the given mode (the driver default).
-    pub fn new(mode: Mode) -> Traversal {
-        Traversal { mode, prune: true }
+    /// A pruning traversal (the driver default).
+    pub fn new() -> Traversal {
+        Traversal { prune: true }
     }
 
     /// A traversal that walks every syntactic path, feasible or not —
     /// the paper's original behavior.
-    pub fn without_pruning(mode: Mode) -> Traversal {
-        Traversal { mode, prune: false }
+    pub fn without_pruning() -> Traversal {
+        Traversal { prune: false }
     }
 
     /// A stable token identifying these settings, for content-addressed
-    /// cache keys: traversal mode and pruning both change checker output,
-    /// so results computed under different settings must never alias.
+    /// cache keys: pruning changes checker output, so results computed
+    /// under different settings must never alias. The `state-set` prefix
+    /// is kept so that existing cache records stay valid.
     pub fn cache_token(&self) -> String {
-        let mode = match self.mode {
-            Mode::StateSet => "state-set".to_string(),
-            Mode::Exhaustive { max_paths } => format!("exhaustive:{max_paths}"),
-        };
-        format!("{mode}+{}", if self.prune { "prune" } else { "noprune" })
+        format!("state-set+{}", if self.prune { "prune" } else { "noprune" })
     }
 }
 
 impl Default for Traversal {
     fn default() -> Traversal {
-        Traversal::new(Mode::StateSet)
+        Traversal::new()
     }
 }
 
@@ -175,10 +151,10 @@ pub struct TraversalStats {
     pub refuted_edges: usize,
 }
 
-/// Runs `machine` over `cfg` starting from `init` in the given mode,
-/// walking every syntactic path without feasibility pruning.
-pub fn run_machine<M: PathMachine>(cfg: &Cfg, machine: &mut M, init: M::State, mode: Mode) {
-    run_traversal(cfg, machine, init, Traversal::without_pruning(mode));
+/// Runs `machine` over `cfg` starting from `init`, walking every
+/// syntactic path without feasibility pruning.
+pub fn run_machine<M: PathMachine>(cfg: &Cfg, machine: &mut M, init: M::State) {
+    run_traversal(cfg, machine, init, Traversal::without_pruning());
 }
 
 /// Runs `machine` over `cfg` starting from `init` with the given traversal
@@ -203,273 +179,14 @@ pub fn run_traversal_with<M: PathMachine>(
     traversal: Traversal,
     oracle: Option<&dyn SummaryLookup>,
 ) -> TraversalStats {
-    let init_facts = initial_facts(cfg, traversal.prune);
+    let prune = traversal.prune;
+    let init_facts = initial_facts(cfg, prune);
     let mut refuted: FastSet<(BlockId, usize)> = FastSet::default();
     // A single-state machine visits each event about once, so the node
     // count is the right order of magnitude for the arena; wide state sets
-    // merely grow it once more. StateSet visits each key once and never
-    // re-extends, so it skips the interning table entirely; Exhaustive
-    // re-walks shared suffixes and needs interning to stay linear.
+    // merely grow it once more.
     let events: usize = cfg.blocks.iter().map(|b| b.nodes.len() + 1).sum();
-    let mut arena = match traversal.mode {
-        Mode::StateSet => WitnessArena::append_only(events),
-        Mode::Exhaustive { .. } => WitnessArena::with_capacity(events),
-    };
-    match traversal.mode {
-        Mode::StateSet => run_state_set(
-            cfg,
-            machine,
-            init,
-            init_facts,
-            traversal.prune,
-            &mut refuted,
-            &mut arena,
-            oracle,
-        ),
-        Mode::Exhaustive { max_paths } => {
-            let mut budget = max_paths;
-            let mut back_counts = vec![0u8; cfg.blocks.len()];
-            run_exhaustive(
-                cfg,
-                machine,
-                cfg.entry,
-                vec![init],
-                init_facts,
-                traversal.prune,
-                &mut refuted,
-                &mut back_counts,
-                &mut budget,
-                &mut arena,
-                oracle,
-            );
-        }
-    }
-    TraversalStats {
-        refuted_edges: refuted.len(),
-    }
-}
-
-/// Steps every state through the resolved calls of one statement or
-/// terminator expression, in evaluation order. Each resolved call first
-/// drops the facts its summary clobbers, then fires a [`PathEvent::Call`].
-/// Unresolved calls are skipped entirely (no event), so machines written
-/// before summaries existed keep their exact behavior.
-fn fire_calls<M: PathMachine>(
-    machine: &mut M,
-    states: Vec<M::State>,
-    calls: &[(&str, Span)],
-    oracle: &dyn SummaryLookup,
-    mut facts: Option<&mut FactSet>,
-    arena: &mut WitnessArena,
-    mut wid: Option<WitnessId>,
-) -> (Vec<M::State>, Option<WitnessId>) {
-    let mut states = states;
-    let mut next: Vec<M::State> = Vec::new();
-    for (name, span) in calls {
-        let Some(summary) = oracle.lookup(name) else {
-            continue;
-        };
-        if let Some(f) = facts.as_deref_mut() {
-            for key in &summary.clobbers {
-                f.invalidate_key(key);
-            }
-        }
-        let ev = PathEvent::Call {
-            name,
-            span: *span,
-            summary,
-        };
-        wid = Some(arena.extend(wid, *span, StepKind::Call(name.to_string())));
-        let witness = arena.witness(wid);
-        next.clear();
-        for s in &states {
-            machine.step_into(s, &ev, &witness, &mut next);
-        }
-        std::mem::swap(&mut states, &mut next);
-        dedup_in_place(&mut states);
-        if states.is_empty() {
-            break;
-        }
-    }
-    (states, wid)
-}
-
-/// The calls inside a terminator's expression, in evaluation order —
-/// empty without an oracle so no work happens on the common path.
-fn terminator_calls<'a>(
-    term: &'a Terminator,
-    oracle: Option<&dyn SummaryLookup>,
-) -> Vec<(&'a str, Span)> {
-    let mut calls = Vec::new();
-    if oracle.is_none() {
-        return calls;
-    }
-    match term {
-        Terminator::Jump(_) => {}
-        Terminator::Branch { cond, .. } => calls_in_expr(cond, &mut calls),
-        Terminator::Switch { scrutinee, .. } => calls_in_expr(scrutinee, &mut calls),
-        Terminator::Return { value, .. } => {
-            if let Some(v) = value {
-                calls_in_expr(v, &mut calls);
-            }
-        }
-    }
-    calls
-}
-
-/// Counts how many CFG edges of `cfg` the feasibility analysis refutes,
-/// independent of any checker. The driver uses this as the `pruned_paths`
-/// evidence on reports: a function with refuted edges is exactly the shape
-/// where unpruned traversals manufacture correlated-branch false positives.
-pub fn feasibility_stats(cfg: &Cfg) -> TraversalStats {
-    /// A stateless machine that just rides along every edge.
-    struct Unit;
-    impl PathMachine for Unit {
-        type State = ();
-        fn step(&mut self, _: &(), _: &PathEvent<'_>, _: &Witness<'_>) -> Vec<()> {
-            vec![()]
-        }
-    }
-    run_traversal(cfg, &mut Unit, (), Traversal::new(Mode::StateSet))
-}
-
-/// Feeds the events of one block to the machine, expanding the state set.
-/// Returns the states alive at the terminator. When `facts` is provided,
-/// statements with side effects invalidate the feasibility facts they
-/// clobber.
-#[allow(clippy::too_many_arguments)]
-fn flow_block<M: PathMachine>(
-    cfg: &Cfg,
-    machine: &mut M,
-    block: BlockId,
-    states: &mut Vec<M::State>,
-    scratch: &mut Vec<M::State>,
-    mut facts: Option<&mut FactSet>,
-    arena: &mut WitnessArena,
-    mut wid: Option<WitnessId>,
-    oracle: Option<&dyn SummaryLookup>,
-) -> Option<WitnessId> {
-    for node in &cfg.block(block).nodes {
-        // With no facts on the path, invalidation cannot drop anything, and
-        // the escape registration it would perform is already covered by the
-        // function-wide seed in `initial_facts` — so the AST walk is skipped.
-        if let Some(f) = facts.as_deref_mut() {
-            if !f.is_empty() {
-                f.invalidate_stmt(&node.stmt);
-            }
-        }
-        wid = Some(arena.extend(wid, node.stmt.span, StepKind::Stmt));
-        let witness = arena.witness(wid);
-        scratch.clear();
-        for s in states.iter() {
-            machine.step_into(s, &PathEvent::Stmt(&node.stmt), &witness, scratch);
-        }
-        std::mem::swap(states, scratch);
-        dedup_in_place(states);
-        if states.is_empty() {
-            break;
-        }
-        if let Some(oracle) = oracle {
-            let mut calls = Vec::new();
-            calls_in_stmt(&node.stmt, &mut calls);
-            if !calls.is_empty() {
-                let (next, next_wid) = fire_calls(
-                    machine,
-                    std::mem::take(states),
-                    &calls,
-                    oracle,
-                    facts.as_deref_mut(),
-                    arena,
-                    wid,
-                );
-                *states = next;
-                wid = next_wid;
-                if states.is_empty() {
-                    break;
-                }
-            }
-        }
-    }
-    wid
-}
-
-/// The starting fact set for a pruning traversal: empty facts, but with the
-/// escape set seeded from every `&lvalue` in the function. A store through
-/// an untracked lvalue (`*p = …`) must clobber a variable's facts even when
-/// its address was taken before the fact was established or in a sibling
-/// branch, so the seed covers the whole function, not just the current path.
-fn initial_facts(cfg: &Cfg, prune: bool) -> FactSet {
-    if !prune {
-        return FactSet::new();
-    }
-    // The scan happened once in `Cfg::build`; starting a traversal only
-    // bumps the shared escape set's refcount.
-    FactSet::from_escapes(cfg.escapes.clone())
-}
-
-/// The labelled constants of a switch, for default-edge exclusion facts.
-fn switch_consts(targets: &[(Option<Expr>, BlockId)]) -> Vec<Const> {
-    targets
-        .iter()
-        .filter_map(|(v, _)| v.as_ref().and_then(const_of))
-        .collect()
-}
-
-use crate::hash::FastSet;
-
-/// In-place form of [`dedup`]: keeps the first occurrence of every state, in
-/// order, like `dedup`, but without consuming the vector. State sets of zero
-/// or one element (the overwhelmingly common case — most statements carry a
-/// single checker state) return immediately, and small sets use a linear
-/// scan, so the per-statement hash-set allocation of `dedup` is only paid on
-/// genuinely wide state sets.
-fn dedup_in_place<S: Eq + Hash + Clone>(v: &mut Vec<S>) {
-    if v.len() <= 1 {
-        return;
-    }
-    if v.len() <= 8 {
-        let mut i = 1;
-        while i < v.len() {
-            if v[..i].contains(&v[i]) {
-                v.remove(i);
-            } else {
-                i += 1;
-            }
-        }
-        return;
-    }
-    let mut seen = FastSet::with_capacity_and_hasher(v.len(), Default::default());
-    v.retain(|s| seen.insert(s.clone()));
-}
-
-fn dedup<S: Eq + Hash + Clone>(v: Vec<S>) -> Vec<S> {
-    // Membership is checked before inserting so only the states that are
-    // kept get cloned — metal states carry owned strings, and this runs
-    // once per block per state set.
-    let mut seen = HashSet::with_capacity(v.len());
-    v.into_iter()
-        .filter(|s| {
-            if seen.contains(s) {
-                false
-            } else {
-                seen.insert(s.clone());
-                true
-            }
-        })
-        .collect()
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_state_set<M: PathMachine>(
-    cfg: &Cfg,
-    machine: &mut M,
-    init: M::State,
-    init_facts: FactSet,
-    prune: bool,
-    refuted: &mut FastSet<(BlockId, usize)>,
-    arena: &mut WitnessArena,
-    oracle: Option<&dyn SummaryLookup>,
-) {
+    let mut arena = WitnessArena::append_only(events);
     // The fact set is part of the visited key: identical checker states
     // with incompatible facts stay distinct (the sound join — merging them
     // would let facts from one path suppress the other). Without pruning
@@ -503,7 +220,7 @@ fn run_state_set<M: PathMachine>(
             &mut states,
             &mut scratch,
             prune.then_some(&mut facts),
-            arena,
+            &mut arena,
             wid,
             oracle,
         );
@@ -520,7 +237,7 @@ fn run_state_set<M: PathMachine>(
                 &term_calls,
                 oracle.expect("term_calls nonempty implies oracle"),
                 prune.then_some(&mut facts),
-                arena,
+                &mut arena,
                 wid,
             );
             states = next;
@@ -609,12 +326,12 @@ fn run_state_set<M: PathMachine>(
                 let case_facts: Vec<Option<FactSet>> = targets
                     .iter()
                     .enumerate()
-                    .map(|(arm, (value, _))| edge_facts(value.as_ref(), arm, refuted))
+                    .map(|(arm, (value, _))| edge_facts(value.as_ref(), arm, &mut refuted))
                     .collect();
                 let fall_facts = if has_default {
                     None
                 } else {
-                    edge_facts(None, targets.len(), refuted)
+                    edge_facts(None, targets.len(), &mut refuted)
                 };
                 let case_wids: Vec<Option<WitnessId>> = targets
                     .iter()
@@ -677,238 +394,200 @@ fn run_state_set<M: PathMachine>(
             }
         }
     }
+    TraversalStats {
+        refuted_edges: refuted.len(),
+    }
 }
 
-/// One entry of the explicit DFS stack in [`run_exhaustive`].
-///
-/// `Enter` visits a block with the states alive on this path; `Exit` runs
-/// after the whole subtree below the block finished and releases its
-/// per-path revisit slot. The recursion this replaces overflowed the thread
-/// stack on functions whose CFG forms a long block chain (thousands of
-/// sequential conditionals); the explicit stack grows on the heap instead.
-enum Frame<S> {
-    Enter {
-        block: BlockId,
-        states: Vec<S>,
-        facts: FactSet,
-        wid: Option<WitnessId>,
-    },
-    Exit {
-        block: BlockId,
-    },
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_exhaustive<M: PathMachine>(
-    cfg: &Cfg,
+/// Steps every state through the resolved calls of one statement or
+/// terminator expression, in evaluation order. Each resolved call first
+/// drops the facts its summary clobbers, then fires a [`PathEvent::Call`].
+/// Unresolved calls are skipped entirely (no event), so machines written
+/// before summaries existed keep their exact behavior.
+fn fire_calls<M: PathMachine>(
     machine: &mut M,
-    entry: BlockId,
-    init: Vec<M::State>,
-    init_facts: FactSet,
-    prune: bool,
-    refuted: &mut FastSet<(BlockId, usize)>,
-    back_counts: &mut [u8],
-    budget: &mut usize,
+    states: Vec<M::State>,
+    calls: &[(&str, Span)],
+    oracle: &dyn SummaryLookup,
+    mut facts: Option<&mut FactSet>,
     arena: &mut WitnessArena,
-    oracle: Option<&dyn SummaryLookup>,
-) {
-    let mut stack: Vec<Frame<M::State>> = vec![Frame::Enter {
-        block: entry,
-        states: init,
-        facts: init_facts,
-        wid: None,
-    }];
-    // Stepping scratch buffer, reused across every block.
-    let mut scratch: Vec<M::State> = Vec::new();
-    while let Some(frame) = stack.pop() {
-        let (block, states, mut facts, wid) = match frame {
-            Frame::Exit { block } => {
-                back_counts[block.0] -= 1;
-                continue;
-            }
-            Frame::Enter {
-                block,
-                states,
-                facts,
-                wid,
-            } => (block, states, facts, wid),
+    mut wid: Option<WitnessId>,
+) -> (Vec<M::State>, Option<WitnessId>) {
+    let mut states = states;
+    let mut next: Vec<M::State> = Vec::new();
+    for (name, span) in calls {
+        let Some(summary) = oracle.lookup(name) else {
+            continue;
         };
-        if *budget == 0 {
-            continue;
+        if let Some(f) = facts.as_deref_mut() {
+            for key in &summary.clobbers {
+                f.invalidate_key(key);
+            }
         }
-        // Per-path revisit limit: each block may appear at most twice on one
-        // path (enough for a loop body to execute once and be re-examined at
-        // the head). The revisit slot is held until this block's `Exit`
-        // frame, i.e. exactly while the block is on the current path.
-        if back_counts[block.0] >= 2 {
-            *budget = budget.saturating_sub(1);
-            continue;
+        let ev = PathEvent::Call {
+            name,
+            span: *span,
+            summary,
+        };
+        wid = Some(arena.extend(wid, *span, StepKind::Call(name.to_string())));
+        let witness = arena.witness(wid);
+        next.clear();
+        for s in &states {
+            machine.step_into(s, &ev, &witness, &mut next);
         }
-        back_counts[block.0] += 1;
-
-        let mut states = states;
-        let mut wid = flow_block(
-            cfg,
-            machine,
-            block,
-            &mut states,
-            &mut scratch,
-            prune.then_some(&mut facts),
-            arena,
-            wid,
-            oracle,
-        );
+        std::mem::swap(&mut states, &mut next);
+        dedup_in_place(&mut states);
         if states.is_empty() {
-            back_counts[block.0] -= 1;
-            continue;
+            break;
         }
-        // Terminator-expression calls fire before the terminator events,
-        // mirroring run_state_set.
-        let term_calls = terminator_calls(&cfg.block(block).term, oracle);
-        if !term_calls.is_empty() {
-            let (next, next_wid) = fire_calls(
-                machine,
-                states,
-                &term_calls,
-                oracle.expect("term_calls nonempty implies oracle"),
-                prune.then_some(&mut facts),
-                arena,
-                wid,
-            );
-            states = next;
-            wid = next_wid;
-            if states.is_empty() {
-                back_counts[block.0] -= 1;
-                continue;
-            }
-        }
-        // The `Exit` frame goes below the children so it pops after the
-        // whole subtree; children are pushed in reverse so they pop in
-        // the original left-to-right order.
-        stack.push(Frame::Exit { block });
-        match &cfg.block(block).term {
-            Terminator::Jump(t) => {
-                stack.push(Frame::Enter {
-                    block: *t,
-                    states,
-                    facts,
-                    wid,
-                });
-            }
-            Terminator::Branch {
-                cond,
-                then_to,
-                else_to,
-            } => {
-                // Condition side effects clobber facts on every arm.
-                if prune && !facts.is_empty() {
-                    facts.invalidate_expr(cond);
-                }
-                let mut children = Vec::new();
-                for (arm, (taken, target)) in [(true, *then_to), (false, *else_to)]
-                    .into_iter()
-                    .enumerate()
-                {
-                    let next_facts = if prune {
-                        match facts.assume(cond, taken) {
-                            Some(f) => f,
-                            None => {
-                                refuted.insert((block, arm));
-                                continue;
-                            }
-                        }
-                    } else {
-                        facts.clone()
-                    };
-                    let arm_wid = Some(arena.extend(wid, cond.span, StepKind::Branch(taken)));
-                    let witness = arena.witness(arm_wid);
-                    let mut next = Vec::new();
-                    for s in &states {
-                        next.extend(machine.step(s, &PathEvent::Branch { cond, taken }, &witness));
-                    }
-                    if !next.is_empty() {
-                        children.push(Frame::Enter {
-                            block: target,
-                            states: dedup(next),
-                            facts: next_facts,
-                            wid: arm_wid,
-                        });
-                    }
-                }
-                stack.extend(children.into_iter().rev());
-            }
-            Terminator::Switch {
-                scrutinee,
-                targets,
-                fallthrough,
-            } => {
-                // Scrutinee side effects apply before any case is matched.
-                if prune && !facts.is_empty() {
-                    facts.invalidate_expr(scrutinee);
-                }
-                let has_default = targets.iter().any(|(v, _)| v.is_none());
-                let consts = switch_consts(targets);
-                let mut edges: Vec<(Option<&Expr>, BlockId)> =
-                    targets.iter().map(|(v, t)| (v.as_ref(), *t)).collect();
-                if !has_default {
-                    edges.push((None, *fallthrough));
-                }
-                let mut children = Vec::new();
-                for (arm, (value, target)) in edges.into_iter().enumerate() {
-                    let next_facts = if prune {
-                        match facts.assume_case(scrutinee, value, &consts) {
-                            Some(f) => f,
-                            None => {
-                                refuted.insert((block, arm));
-                                continue;
-                            }
-                        }
-                    } else {
-                        facts.clone()
-                    };
-                    let kind = if value.is_some() {
-                        StepKind::Case
-                    } else {
-                        StepKind::CaseDefault
-                    };
-                    let case_wid = Some(arena.extend(wid, scrutinee.span, kind));
-                    let witness = arena.witness(case_wid);
-                    let mut next = Vec::new();
-                    for s in &states {
-                        next.extend(machine.step(
-                            s,
-                            &PathEvent::Case { scrutinee, value },
-                            &witness,
-                        ));
-                    }
-                    if !next.is_empty() {
-                        children.push(Frame::Enter {
-                            block: target,
-                            states: dedup(next),
-                            facts: next_facts,
-                            wid: case_wid,
-                        });
-                    }
-                }
-                stack.extend(children.into_iter().rev());
-            }
-            Terminator::Return { value, span } => {
-                let ret_wid = Some(arena.extend(wid, *span, StepKind::Return));
-                let witness = arena.witness(ret_wid);
-                for s in &states {
-                    let _ = machine.step(
-                        s,
-                        &PathEvent::Return {
-                            value: value.as_ref(),
-                            span: *span,
-                        },
-                        &witness,
-                    );
-                }
-                *budget = budget.saturating_sub(1);
+    }
+    (states, wid)
+}
+
+/// The calls inside a terminator's expression, in evaluation order —
+/// empty without an oracle so no work happens on the common path.
+fn terminator_calls<'a>(
+    term: &'a Terminator,
+    oracle: Option<&dyn SummaryLookup>,
+) -> Vec<(&'a str, Span)> {
+    let mut calls = Vec::new();
+    if oracle.is_none() {
+        return calls;
+    }
+    match term {
+        Terminator::Jump(_) => {}
+        Terminator::Branch { cond, .. } => calls_in_expr(cond, &mut calls),
+        Terminator::Switch { scrutinee, .. } => calls_in_expr(scrutinee, &mut calls),
+        Terminator::Return { value, .. } => {
+            if let Some(v) = value {
+                calls_in_expr(v, &mut calls);
             }
         }
     }
+    calls
+}
+
+/// Counts how many CFG edges of `cfg` the feasibility analysis refutes,
+/// independent of any checker. The driver uses this as the `pruned_paths`
+/// evidence on reports: a function with refuted edges is exactly the shape
+/// where unpruned traversals manufacture correlated-branch false positives.
+pub fn feasibility_stats(cfg: &Cfg) -> TraversalStats {
+    /// A stateless machine that just rides along every edge.
+    struct Unit;
+    impl PathMachine for Unit {
+        type State = ();
+        fn step(&mut self, _: &(), _: &PathEvent<'_>, _: &Witness<'_>) -> Vec<()> {
+            vec![()]
+        }
+    }
+    run_traversal(cfg, &mut Unit, (), Traversal::new())
+}
+
+/// Feeds the events of one block to the machine, expanding the state set.
+/// Returns the states alive at the terminator. When `facts` is provided,
+/// statements with side effects invalidate the feasibility facts they
+/// clobber.
+#[allow(clippy::too_many_arguments)]
+fn flow_block<M: PathMachine>(
+    cfg: &Cfg,
+    machine: &mut M,
+    block: BlockId,
+    states: &mut Vec<M::State>,
+    scratch: &mut Vec<M::State>,
+    mut facts: Option<&mut FactSet>,
+    arena: &mut WitnessArena,
+    mut wid: Option<WitnessId>,
+    oracle: Option<&dyn SummaryLookup>,
+) -> Option<WitnessId> {
+    for node in &cfg.block(block).nodes {
+        // With no facts on the path, invalidation cannot drop anything, and
+        // the escape registration it would perform is already covered by the
+        // function-wide seed in `initial_facts` — so the AST walk is skipped.
+        if let Some(f) = facts.as_deref_mut() {
+            if !f.is_empty() {
+                f.invalidate_stmt(&node.stmt);
+            }
+        }
+        wid = Some(arena.extend(wid, node.stmt.span, StepKind::Stmt));
+        let witness = arena.witness(wid);
+        scratch.clear();
+        for s in states.iter() {
+            machine.step_into(s, &PathEvent::Stmt(&node.stmt), &witness, scratch);
+        }
+        std::mem::swap(states, scratch);
+        dedup_in_place(states);
+        if states.is_empty() {
+            break;
+        }
+        if let Some(oracle) = oracle {
+            let mut calls = Vec::new();
+            calls_in_stmt(&node.stmt, &mut calls);
+            if !calls.is_empty() {
+                let (next, next_wid) = fire_calls(
+                    machine,
+                    std::mem::take(states),
+                    &calls,
+                    oracle,
+                    facts.as_deref_mut(),
+                    arena,
+                    wid,
+                );
+                *states = next;
+                wid = next_wid;
+                if states.is_empty() {
+                    break;
+                }
+            }
+        }
+    }
+    wid
+}
+
+/// The starting fact set for a pruning traversal: empty facts, but with the
+/// escape set seeded from every `&lvalue` in the function. A store through
+/// an untracked lvalue (`*p = …`) must clobber a variable's facts even when
+/// its address was taken before the fact was established or in a sibling
+/// branch, so the seed covers the whole function, not just the current path.
+fn initial_facts(cfg: &Cfg, prune: bool) -> FactSet {
+    if !prune {
+        return FactSet::new();
+    }
+    // The scan happened once in `Cfg::build`; starting a traversal only
+    // bumps the shared escape set's refcount.
+    FactSet::from_escapes(cfg.escapes.clone())
+}
+
+/// The labelled constants of a switch, for default-edge exclusion facts.
+fn switch_consts(targets: &[(Option<Expr>, BlockId)]) -> Vec<Const> {
+    targets
+        .iter()
+        .filter_map(|(v, _)| v.as_ref().and_then(const_of))
+        .collect()
+}
+
+use crate::hash::FastSet;
+
+/// Keeps the first occurrence of every state, in order. State sets of zero
+/// or one element (the overwhelmingly common case — most statements carry a
+/// single checker state) return immediately, and small sets use a linear
+/// scan, so a hash set is only built for genuinely wide state sets.
+fn dedup_in_place<S: Eq + Hash + Clone>(v: &mut Vec<S>) {
+    if v.len() <= 1 {
+        return;
+    }
+    if v.len() <= 8 {
+        let mut i = 1;
+        while i < v.len() {
+            if v[..i].contains(&v[i]) {
+                v.remove(i);
+            } else {
+                i += 1;
+            }
+        }
+        return;
+    }
+    let mut seen = FastSet::with_capacity_and_hasher(v.len(), Default::default());
+    v.retain(|s| seen.insert(s.clone()));
 }
 
 #[cfg(test)]
@@ -945,25 +624,38 @@ mod tests {
         }
     }
 
+    /// A machine whose state is the calls seen so far, so paths with
+    /// different histories never merge: one end state per path.
+    #[derive(Default)]
+    struct Paths {
+        ends: Vec<String>,
+    }
+
+    impl PathMachine for Paths {
+        type State = String;
+
+        fn step(&mut self, state: &String, event: &PathEvent<'_>, _: &Witness<'_>) -> Vec<String> {
+            match event {
+                PathEvent::Stmt(s) => match &s.kind {
+                    mc_ast::StmtKind::Expr(e) => match e.as_call() {
+                        Some((name, _)) => vec![format!("{state}{name};")],
+                        None => vec![state.clone()],
+                    },
+                    _ => vec![state.clone()],
+                },
+                PathEvent::Return { .. } => {
+                    self.ends.push(state.clone());
+                    vec![]
+                }
+                _ => vec![state.clone()],
+            }
+        }
+    }
+
     fn cfg_of(body: &str) -> Cfg {
         let src = format!("void f(void) {{ {body} }}");
         let tu = parse_translation_unit(&src, "t.c").unwrap();
         Cfg::build(tu.function("f").unwrap())
-    }
-
-    #[test]
-    fn exhaustive_visits_both_arms() {
-        let cfg = cfg_of("if (x) { a(); } else { b(); } c();");
-        let mut m = Tracer {
-            visits: vec![],
-            returns: 0,
-        };
-        run_machine(&cfg, &mut m, 0, Mode::Exhaustive { max_paths: 100 });
-        assert_eq!(m.returns, 2);
-        assert!(m.visits.contains(&"a".to_string()));
-        assert!(m.visits.contains(&"b".to_string()));
-        // c() is seen on both paths
-        assert_eq!(m.visits.iter().filter(|v| *v == "c").count(), 2);
     }
 
     #[test]
@@ -973,27 +665,22 @@ mod tests {
             visits: vec![],
             returns: 0,
         };
-        run_machine(&cfg, &mut m, 0, Mode::StateSet);
+        run_machine(&cfg, &mut m, 0);
         // After the join, both paths carry state 0, so c() is seen once.
         assert_eq!(m.visits.iter().filter(|v| *v == "c").count(), 1);
         assert_eq!(m.returns, 1);
     }
 
     #[test]
-    fn loops_terminate_in_both_modes() {
+    fn loops_terminate() {
         let cfg = cfg_of("while (x) { a(); } b();");
         let mut m = Tracer {
             visits: vec![],
             returns: 0,
         };
-        run_machine(&cfg, &mut m, 0, Mode::StateSet);
+        run_machine(&cfg, &mut m, 0);
         assert!(m.visits.contains(&"a".to_string()));
-        let mut m2 = Tracer {
-            visits: vec![],
-            returns: 0,
-        };
-        run_machine(&cfg, &mut m2, 0, Mode::Exhaustive { max_paths: 1000 });
-        assert!(m2.returns >= 1);
+        assert!(m.returns >= 1);
     }
 
     #[test]
@@ -1023,57 +710,8 @@ mod tests {
         }
         let cfg = cfg_of("stop_here(); after();");
         let mut m = Pruner { after: 0 };
-        run_machine(&cfg, &mut m, (), Mode::StateSet);
+        run_machine(&cfg, &mut m, ());
         assert_eq!(m.after, 0);
-    }
-
-    #[test]
-    fn exhaustive_budget_caps_explosion() {
-        // 2^20 paths would hang; the budget keeps it bounded.
-        let body = "if (a) x(); ".repeat(20) + "z();";
-        let cfg = cfg_of(&body);
-        let mut m = Tracer {
-            visits: vec![],
-            returns: 0,
-        };
-        run_machine(&cfg, &mut m, 0, Mode::Exhaustive { max_paths: 500 });
-        assert!(m.returns <= 500);
-        assert!(m.returns > 0);
-    }
-
-    #[test]
-    fn exhaustive_handles_very_long_functions() {
-        // A chain of 50k sequential conditionals produces a CFG whose
-        // longest path is ~150k blocks. The recursive traversal this
-        // replaced overflowed the thread stack here; the explicit stack
-        // must walk it to completion.
-        let body = "if (c) { a(); } ".repeat(50_000) + "z();";
-        let cfg = cfg_of(&body);
-        let mut m = Tracer {
-            visits: vec![],
-            returns: 0,
-        };
-        run_machine(&cfg, &mut m, 0, Mode::Exhaustive { max_paths: 8 });
-        assert!(m.returns >= 1);
-        assert!(m.visits.contains(&"z".to_string()));
-    }
-
-    #[test]
-    fn dedup_clones_only_kept_states() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        static CLONES: AtomicUsize = AtomicUsize::new(0);
-        #[derive(PartialEq, Eq, Hash)]
-        struct S(u32);
-        impl Clone for S {
-            fn clone(&self) -> S {
-                CLONES.fetch_add(1, Ordering::Relaxed);
-                S(self.0)
-            }
-        }
-        let out = dedup(vec![S(1), S(2), S(1), S(2), S(1)]);
-        assert_eq!(out.len(), 2);
-        // One clone per *kept* state; duplicates are dropped without cloning.
-        assert_eq!(CLONES.load(Ordering::Relaxed), 2);
     }
 
     #[test]
@@ -1084,7 +722,7 @@ mod tests {
             visits: vec![],
             returns: 0,
         };
-        run_machine(&cfg, &mut m, 0, Mode::StateSet);
+        run_machine(&cfg, &mut m, 0);
         for callee in ["a", "b", "c", "d"] {
             assert!(m.visits.contains(&callee.to_string()), "missing {callee}");
         }
@@ -1093,41 +731,23 @@ mod tests {
     #[test]
     fn pruning_drops_correlated_branch_paths() {
         // The canonical paper FP shape: `gMode` cannot be both true and
-        // false, so only 2 of the 4 syntactic paths are feasible. Both
-        // modes must agree.
-        let body = "if (gMode) { a(); } mid(); if (!gMode) { b(); } end();";
-        for mode in [Mode::StateSet, Mode::Exhaustive { max_paths: 100 }] {
-            let cfg = cfg_of(body);
-            let mut m = Tracer {
-                visits: vec![],
-                returns: 0,
-            };
-            let stats = run_traversal(&cfg, &mut m, 0, Traversal::new(mode));
-            // a-then-b and neither-a-nor-b are infeasible; every feasible
-            // path sees exactly one of a/b.
-            let a = m.visits.iter().filter(|v| *v == "a").count();
-            let b = m.visits.iter().filter(|v| *v == "b").count();
-            assert_eq!((a, b), (1, 1), "{mode:?}");
-            assert!(stats.refuted_edges >= 2, "{mode:?}: {stats:?}");
-            assert!(m.visits.contains(&"end".to_string()));
-        }
+        // false, so only 2 of the 4 syntactic paths are feasible.
+        let cfg = cfg_of("if (gMode) { a(); } mid(); if (!gMode) { b(); } end();");
+        let mut m = Paths::default();
+        let stats = run_traversal(&cfg, &mut m, String::new(), Traversal::new());
+        // a-then-b and neither-a-nor-b are infeasible; every feasible
+        // path sees exactly one of a/b.
+        m.ends.sort();
+        assert_eq!(m.ends, ["a;mid;end;", "mid;b;end;"]);
+        assert!(stats.refuted_edges >= 2, "{stats:?}");
     }
 
     #[test]
     fn no_pruning_keeps_all_syntactic_paths() {
-        let body = "if (gMode) { a(); } if (!gMode) { b(); } end();";
-        let cfg = cfg_of(body);
-        let mut m = Tracer {
-            visits: vec![],
-            returns: 0,
-        };
-        let stats = run_traversal(
-            &cfg,
-            &mut m,
-            0,
-            Traversal::without_pruning(Mode::Exhaustive { max_paths: 100 }),
-        );
-        assert_eq!(m.returns, 4);
+        let cfg = cfg_of("if (gMode) { a(); } if (!gMode) { b(); } end();");
+        let mut m = Paths::default();
+        let stats = run_traversal(&cfg, &mut m, String::new(), Traversal::without_pruning());
+        assert_eq!(m.ends.len(), 4);
         assert_eq!(stats.refuted_edges, 0);
     }
 
@@ -1137,17 +757,9 @@ mod tests {
         // pruned: all 4 paths are feasible.
         let body = "if (gMode) { a(); } gMode = next(); if (!gMode) { b(); } end();";
         let cfg = cfg_of(body);
-        let mut m = Tracer {
-            visits: vec![],
-            returns: 0,
-        };
-        let stats = run_traversal(
-            &cfg,
-            &mut m,
-            0,
-            Traversal::new(Mode::Exhaustive { max_paths: 100 }),
-        );
-        assert_eq!(m.returns, 4);
+        let mut m = Paths::default();
+        let stats = run_traversal(&cfg, &mut m, String::new(), Traversal::new());
+        assert_eq!(m.ends.len(), 4);
         assert_eq!(stats.refuted_edges, 0);
     }
 
@@ -1162,7 +774,7 @@ mod tests {
             visits: vec![],
             returns: 0,
         };
-        run_traversal(&cfg, &mut m, 0, Traversal::new(Mode::StateSet));
+        run_traversal(&cfg, &mut m, 0, Traversal::new());
         assert!(!m.visits.contains(&"dead".to_string()));
         assert!(m.visits.contains(&"a".to_string()));
         assert!(m.visits.contains(&"d".to_string()));
@@ -1181,7 +793,7 @@ mod tests {
             visits: vec![],
             returns: 0,
         };
-        run_traversal(&cfg, &mut m, 0, Traversal::new(Mode::StateSet));
+        run_traversal(&cfg, &mut m, 0, Traversal::new());
         assert!(m.visits.contains(&"c".to_string()));
         assert!(m.visits.contains(&"d".to_string()));
         // mid() is seen twice: the two fact sets do not merge.
@@ -1191,18 +803,16 @@ mod tests {
     #[test]
     fn condition_side_effects_invalidate_facts() {
         // `n--` in the loop condition rewrites `n`, so the later `n != 3`
-        // test must not be refuted by the stale `n == 3` fact. Both modes.
+        // test must not be refuted by the stale `n == 3` fact.
         let body = "if (n == 3) { while (n--) { a(); } if (n != 3) { b(); } } end();";
-        for mode in [Mode::StateSet, Mode::Exhaustive { max_paths: 100 }] {
-            let cfg = cfg_of(body);
-            let mut m = Tracer {
-                visits: vec![],
-                returns: 0,
-            };
-            let stats = run_traversal(&cfg, &mut m, 0, Traversal::new(mode));
-            assert!(m.visits.contains(&"b".to_string()), "{mode:?}");
-            assert_eq!(stats.refuted_edges, 0, "{mode:?}");
-        }
+        let cfg = cfg_of(body);
+        let mut m = Tracer {
+            visits: vec![],
+            returns: 0,
+        };
+        let stats = run_traversal(&cfg, &mut m, 0, Traversal::new());
+        assert!(m.visits.contains(&"b".to_string()));
+        assert_eq!(stats.refuted_edges, 0);
     }
 
     #[test]
@@ -1211,16 +821,14 @@ mod tests {
         // `op != 1` test stays feasible.
         let body = "if (op == 1) { switch (op++) { case 2: a(); break; default: d(); } \
                     if (op != 1) { b(); } } end();";
-        for mode in [Mode::StateSet, Mode::Exhaustive { max_paths: 100 }] {
-            let cfg = cfg_of(body);
-            let mut m = Tracer {
-                visits: vec![],
-                returns: 0,
-            };
-            let stats = run_traversal(&cfg, &mut m, 0, Traversal::new(mode));
-            assert!(m.visits.contains(&"b".to_string()), "{mode:?}");
-            assert_eq!(stats.refuted_edges, 0, "{mode:?}");
-        }
+        let cfg = cfg_of(body);
+        let mut m = Tracer {
+            visits: vec![],
+            returns: 0,
+        };
+        let stats = run_traversal(&cfg, &mut m, 0, Traversal::new());
+        assert!(m.visits.contains(&"b".to_string()));
+        assert_eq!(stats.refuted_edges, 0);
     }
 
     #[test]
@@ -1229,17 +837,15 @@ mod tests {
         // fact is established; the `*p = …` store must still clobber it.
         let body = "if (c) { p = &gMode; } if (gMode) { a(); } *p = next(); \
                     if (!gMode) { b(); } end();";
-        for mode in [Mode::StateSet, Mode::Exhaustive { max_paths: 100 }] {
-            let cfg = cfg_of(body);
-            let mut m = Tracer {
-                visits: vec![],
-                returns: 0,
-            };
-            let stats = run_traversal(&cfg, &mut m, 0, Traversal::new(mode));
-            assert!(m.visits.contains(&"a".to_string()), "{mode:?}");
-            assert!(m.visits.contains(&"b".to_string()), "{mode:?}");
-            assert_eq!(stats.refuted_edges, 0, "{mode:?}");
-        }
+        let cfg = cfg_of(body);
+        let mut m = Tracer {
+            visits: vec![],
+            returns: 0,
+        };
+        let stats = run_traversal(&cfg, &mut m, 0, Traversal::new());
+        assert!(m.visits.contains(&"a".to_string()));
+        assert!(m.visits.contains(&"b".to_string()));
+        assert_eq!(stats.refuted_edges, 0);
     }
 
     #[test]
@@ -1253,12 +859,9 @@ mod tests {
     #[test]
     fn run_machine_never_prunes() {
         let cfg = cfg_of("if (gMode) { a(); } if (!gMode) { b(); } end();");
-        let mut m = Tracer {
-            visits: vec![],
-            returns: 0,
-        };
-        run_machine(&cfg, &mut m, 0, Mode::Exhaustive { max_paths: 100 });
-        assert_eq!(m.returns, 4);
+        let mut m = Paths::default();
+        run_machine(&cfg, &mut m, String::new());
+        assert_eq!(m.ends.len(), 4);
     }
 
     #[test]
@@ -1277,7 +880,7 @@ mod tests {
         }
         let cfg = cfg_of("if (x > 1) a();");
         let mut m = CondSpy { conds: vec![] };
-        run_machine(&cfg, &mut m, (), Mode::StateSet);
+        run_machine(&cfg, &mut m, ());
         assert!(m.conds.contains(&("x > 1".to_string(), true)));
         assert!(m.conds.contains(&("x > 1".to_string(), false)));
     }

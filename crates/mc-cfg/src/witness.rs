@@ -2,21 +2,19 @@
 //! error state.
 //!
 //! The paper stresses that metal reports were triaged by reading the *path*
-//! that reaches the violation, not just its location. Both traversal modes
-//! therefore record, per in-flight state, a chain of `(span, event)` steps.
+//! that reaches the violation, not just its location. The traversal
+//! therefore records, per in-flight state, a chain of `(span, event)` steps.
 //! Paths share long prefixes (every fork copies the history up to the
-//! branch), so the chains are stored as hash-consed parent-pointer nodes in
-//! a [`WitnessArena`]: extending a path is one interning lookup, two states
-//! with the same history share one node, and the StateSet worklist keeps
-//! carrying a cheap `Option<WitnessId>` next to each `(block, state, facts)`
-//! key — the dedup key itself is unchanged, so the first witness to reach a
-//! deduplicated state is the one that is kept.
+//! branch), so the chains are stored as parent-pointer nodes in a
+//! [`WitnessArena`]: extending a path appends one node, and the worklist
+//! keeps carrying a cheap `Option<WitnessId>` next to each `(block, state,
+//! facts)` key — the dedup key itself is unchanged, so the first witness to
+//! reach a deduplicated state is the one that is kept.
 //!
 //! A machine only pays for materialization when a violation actually fires:
 //! [`Witness::steps`] walks the parent chain once and reverses it into
 //! entry-to-violation order.
 
-use crate::hash::FastMap;
 use mc_ast::Span;
 use mc_json::{FromJson, Json, JsonError, ToJson};
 
@@ -101,104 +99,35 @@ impl FromJson for PathStep {
     }
 }
 
-/// Handle to one hash-consed witness node in a [`WitnessArena`].
+/// Handle to one witness node in a [`WitnessArena`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct WitnessId(u32);
 
-/// Hash-consed parent-pointer storage for witness chains.
+/// Append-only parent-pointer storage for witness chains.
 ///
-/// Cost model: arena size is bounded by the number of *distinct* `(parent,
-/// span, event)` extensions, not by the number of paths. StateSet traversal
-/// visits each `(block, state, facts)` key once, so the arena grows linearly
-/// with visited keys; Exhaustive traversal re-walks shared suffixes but the
-/// interning table collapses identical re-extensions (the 50k-conditional
-/// stress function stays linear instead of quadratic).
+/// Cost model: every extension is a fresh node, so the arena grows linearly
+/// with the events a traversal steps. The worklist visits each `(block,
+/// state, facts)` key once and so never re-extends the same parent with the
+/// same step; materialization walks parent chains and never compares ids.
 #[derive(Debug)]
 pub struct WitnessArena {
     /// `(parent, span, kind)` per node, indexed by [`WitnessId`].
     nodes: Vec<(Option<WitnessId>, Span, StepKind)>,
-    interned: FastMap<(Option<WitnessId>, Span, StepKind), WitnessId>,
-    /// Whether [`WitnessArena::extend`] dedups identical extensions.
-    ///
-    /// Interning is what keeps the Exhaustive traversal linear (it re-walks
-    /// shared path suffixes, and the table collapses the re-extensions).
-    /// The StateSet traversal visits each `(block, state, facts)` key once,
-    /// so every extension is new with high probability and the interning
-    /// probe is a pure per-event hash tax: an append-only arena produces
-    /// witnesses with byte-identical *contents* (materialization walks
-    /// parent chains, never compares ids) while growing at most linearly
-    /// with events — which is exactly what the probe table cost anyway.
-    intern: bool,
-}
-
-impl Default for WitnessArena {
-    fn default() -> WitnessArena {
-        WitnessArena {
-            nodes: Vec::new(),
-            interned: FastMap::default(),
-            intern: true,
-        }
-    }
 }
 
 impl WitnessArena {
-    /// Creates an empty arena.
-    pub fn new() -> WitnessArena {
-        WitnessArena::default()
-    }
-
-    /// Creates an empty interning arena sized for roughly `nodes`
-    /// extensions, so the hot per-event interning probe doesn't pay the
-    /// doubling rehashes while a traversal warms up.
-    pub fn with_capacity(nodes: usize) -> WitnessArena {
-        WitnessArena {
-            nodes: Vec::with_capacity(nodes),
-            interned: FastMap::with_capacity_and_hasher(nodes, Default::default()),
-            intern: true,
-        }
-    }
-
-    /// Creates an append-only arena sized for roughly `nodes` extensions:
-    /// no interning table, every extension is a fresh node. For traversals
-    /// that never re-extend the same parent (StateSet), this trades nothing
-    /// for one hash-map probe per event.
+    /// Creates an empty arena sized for roughly `nodes` extensions.
     pub fn append_only(nodes: usize) -> WitnessArena {
         WitnessArena {
             nodes: Vec::with_capacity(nodes),
-            interned: FastMap::default(),
-            intern: false,
         }
     }
 
-    /// Extends `parent` by one step, reusing an existing node when the same
-    /// extension was recorded before (interning arenas only; append-only
-    /// arenas always record a fresh node with identical contents).
+    /// Extends `parent` by one step, recording a fresh node.
     pub fn extend(&mut self, parent: Option<WitnessId>, span: Span, kind: StepKind) -> WitnessId {
         let next = WitnessId(u32::try_from(self.nodes.len()).expect("witness arena overflow"));
-        if !self.intern {
-            self.nodes.push((parent, span, kind));
-            return next;
-        }
-        // Most extensions are new nodes, so the map is probed through the
-        // entry API: one hash covers both the lookup and the insert.
-        match self.interned.entry((parent, span, kind)) {
-            std::collections::hash_map::Entry::Occupied(e) => *e.get(),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                self.nodes.push(e.key().clone());
-                e.insert(next);
-                next
-            }
-        }
-    }
-
-    /// Number of distinct nodes recorded so far.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether no node was recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.nodes.push((parent, span, kind));
+        next
     }
 
     /// A borrowing handle for the chain ending at `tip`.
@@ -251,7 +180,7 @@ mod tests {
 
     #[test]
     fn chains_materialize_in_execution_order() {
-        let mut arena = WitnessArena::new();
+        let mut arena = WitnessArena::append_only(0);
         let a = arena.extend(None, Span::new(1, 1), StepKind::Stmt);
         let b = arena.extend(Some(a), Span::new(2, 3), StepKind::Branch(true));
         let c = arena.extend(Some(b), Span::new(3, 5), StepKind::Return);
@@ -265,22 +194,8 @@ mod tests {
     }
 
     #[test]
-    fn identical_extensions_are_shared() {
-        let mut arena = WitnessArena::new();
-        let a = arena.extend(None, Span::new(1, 1), StepKind::Stmt);
-        let b1 = arena.extend(Some(a), Span::new(2, 1), StepKind::Branch(false));
-        let b2 = arena.extend(Some(a), Span::new(2, 1), StepKind::Branch(false));
-        assert_eq!(b1, b2);
-        assert_eq!(arena.len(), 2);
-        // A different event at the same location is a distinct node.
-        let c = arena.extend(Some(a), Span::new(2, 1), StepKind::Branch(true));
-        assert_ne!(b1, c);
-        assert_eq!(arena.len(), 3);
-    }
-
-    #[test]
     fn empty_witness_has_no_steps() {
-        let arena = WitnessArena::new();
+        let arena = WitnessArena::append_only(0);
         let w = arena.witness(None);
         assert!(w.is_empty());
         assert!(w.steps().is_empty());
@@ -288,7 +203,7 @@ mod tests {
 
     #[test]
     fn call_steps_name_the_callee() {
-        let mut arena = WitnessArena::new();
+        let mut arena = WitnessArena::append_only(0);
         let a = arena.extend(None, Span::new(4, 2), StepKind::Call("free_buf".into()));
         let steps = arena.steps(Some(a));
         assert_eq!(steps[0].note, "call `free_buf`");

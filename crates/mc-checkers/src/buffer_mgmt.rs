@@ -459,10 +459,7 @@ mod tests {
             let mut sink = CheckSink::new();
             let f = tu.functions().next().unwrap();
             let cfg = Cfg::build(f);
-            let traversal = mc_cfg::Traversal {
-                prune,
-                ..mc_cfg::Traversal::default()
-            };
+            let traversal = mc_cfg::Traversal { prune };
             let ctx = FunctionContext {
                 file: "t.c",
                 unit: &tu,

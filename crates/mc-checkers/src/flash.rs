@@ -92,6 +92,14 @@ impl ToJson for FlashSpec {
 
 impl FromJson for FlashSpec {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
+        // A misspelt table name would otherwise leave that table silently
+        // empty, and the checkers would run on defaults. The known names
+        // are the ones `to_json` writes.
+        let fields = v.as_object().ok_or_else(|| JsonError::expected("object"))?;
+        let known = FlashSpec::default().to_json();
+        if let Some((key, _)) = fields.iter().find(|(k, _)| known.get(k).is_none()) {
+            return Err(JsonError(format!("unknown field `{key}`")));
+        }
         // Every field is optional with a `Default` fallback, mirroring the
         // hand-written spec files which usually set only a few tables.
         Ok(FlashSpec {
@@ -211,6 +219,15 @@ mod tests {
         assert_eq!(wait_for_send(NI_SEND), Some(NI_WAIT));
         assert!(matches!(effect(IO_SEND), Some(Effect::Send { .. })));
         assert_eq!(effect(IO_WAIT), Some(Effect::Wait(Iface::Io)));
+    }
+
+    #[test]
+    fn unknown_spec_fields_are_refused() {
+        let err = mc_json::from_str::<FlashSpec>(r#"{"free_routine": ["releaseBuf"]}"#);
+        assert_eq!(err.unwrap_err().0, "unknown field `free_routine`");
+        assert!(mc_json::from_str::<FlashSpec>("[]").is_err());
+        let spec = mc_json::from_str::<FlashSpec>(r#"{"free_routines": ["releaseBuf"]}"#);
+        assert!(spec.unwrap().free_routines.contains("releaseBuf"));
     }
 
     #[test]

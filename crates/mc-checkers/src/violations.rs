@@ -6,8 +6,8 @@
 //!
 //! * [`check`] runs the machine over one function, stamps the current
 //!   witness onto each violation as it fires, dedups by `(span, message)`
-//!   — keeping the first witness, which under StateSet traversal is the
-//!   first path that reached the deduplicated state — and pushes the
+//!   — keeping the first witness, which under the state-set traversal is
+//!   the first path that reached the deduplicated state — and pushes the
 //!   survivors as errors under the checker's name;
 //! * [`summarize`] builds the machine's transfer table with
 //!   [`mc_cfg::transfer_table`], dropping violations without materializing
@@ -98,7 +98,7 @@ pub(crate) fn check<T: Transition>(
     let mut harness = Harness::new(machine, true);
     let oracle = ctx.summaries.filter(|_| interproc);
     let oracle = oracle.map(|s| s as &dyn SummaryLookup);
-    mc_cfg::run_traversal_with(ctx.cfg, &mut harness, init, ctx.traversal, oracle);
+    traverse(ctx.cfg, &mut harness, init, ctx.traversal, oracle);
     let mut found = harness.found.unwrap_or_default();
     dedup_found(&mut found);
     for (span, message, steps) in found {
@@ -107,6 +107,11 @@ pub(crate) fn check<T: Transition>(
         sink.push(report);
     }
 }
+
+#[cfg(not(test))]
+use mc_cfg::run_traversal_with as traverse;
+#[cfg(test)]
+use tests::traverse;
 
 /// Records `machine`'s transfer table for `ctx`'s function in `summary`.
 pub(crate) fn summarize<T>(ctx: &FunctionContext<'_>, machine: &T, summary: &mut FnSummary)
@@ -188,6 +193,116 @@ fn dedup_found(found: &mut Vec<(Span, String, Vec<PathStep>)>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flash::FlashSpec;
+    use crate::{alloc_check, buffer_mgmt, directory, send_wait};
+    use mc_cfg::{Cfg, Traversal};
+    use mc_driver::Checker;
+    use mc_json::{FromJson, ToJson};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// While `Some(max_paths)`, [`check`] walks each path separately.
+        static NAIVE_PATHS: Cell<Option<usize>> = const { Cell::new(None) };
+    }
+
+    /// [`check`]'s traversal in this crate's tests: the state-set worklist,
+    /// or the naive path enumerator while [`NAIVE_PATHS`] holds a budget.
+    pub(super) fn traverse<M: PathMachine>(
+        cfg: &Cfg,
+        machine: &mut M,
+        init: M::State,
+        traversal: Traversal,
+        oracle: Option<&dyn SummaryLookup>,
+    ) {
+        match NAIVE_PATHS.with(Cell::get) {
+            Some(max) => mc_oracle::run_naive(cfg, machine, init, traversal, oracle, max),
+            None => mc_cfg::run_traversal_with(cfg, machine, init, traversal, oracle),
+        };
+    }
+
+    /// Functions where a stale feasibility fact would prune a real path:
+    /// each tests `gMode`, rewrites it (directly, or through a pointer to
+    /// it) and tests it again, freeing the buffer on the then-arms.
+    const STALE_FACT_PROBES: &str = "
+        void PIGuardReassigned(void) {
+            if (gMode) { DB_FREE(); }
+            gMode = next_mode();
+            if (!gMode) { DB_FREE(); }
+        }
+        void PIGuardWrittenThroughPointer(void) {
+            int *p;
+            p = &gMode;
+            if (gMode) { DB_FREE(); }
+            *p = 0;
+            if (!gMode) { DB_FREE(); }
+        }
+    ";
+
+    /// Each native machine's reports for every loop-free function of
+    /// `src`, from the start state its checker picks, under the state-set
+    /// traversal (`naive` false) or the naive path enumerator.
+    fn native_reports(spec: &FlashSpec, src: &str, file: &str, naive: bool) -> Vec<Report> {
+        let checkers: [Box<dyn Checker>; 4] = [
+            Box::new(alloc_check::AllocCheck::new()),
+            Box::new(buffer_mgmt::BufferMgmt::new(spec.clone())),
+            Box::new(directory::Directory::new(spec.clone())),
+            Box::new(send_wait::SendWait::new()),
+        ];
+        let unit = mc_ast::parse_translation_unit(src, file).unwrap();
+        let mut sink = CheckSink::new();
+        NAIVE_PATHS.with(|n| n.set(naive.then_some(1_000_000)));
+        for function in unit.functions() {
+            let cfg = Cfg::build(function);
+            if !cfg.back_edges().is_empty() {
+                continue;
+            }
+            for prune in [true, false] {
+                let ctx = FunctionContext {
+                    file,
+                    unit: &unit,
+                    function,
+                    cfg: &cfg,
+                    traversal: Traversal { prune },
+                    summaries: None,
+                };
+                for checker in &checkers {
+                    checker.check_function(&ctx, &mut sink);
+                }
+            }
+        }
+        NAIVE_PATHS.with(|n| n.set(None));
+        sink.into_reports()
+    }
+
+    #[test]
+    fn native_machines_agree_with_naive_paths() {
+        let probes = native_reports(&FlashSpec::new(), STALE_FACT_PROBES, "probes.c", false);
+        assert_eq!(
+            probes,
+            native_reports(&FlashSpec::new(), STALE_FACT_PROBES, "probes.c", true)
+        );
+        // Each probe reports its double free, pruned or not, on the path
+        // the rewrite opens.
+        let double_frees = probes
+            .iter()
+            .filter(|r| r.message.contains("freed twice"))
+            .count();
+        assert_eq!(double_frees, 4, "{probes:#?}");
+        for proto in mc_corpus::generate_all(mc_corpus::DEFAULT_SEED) {
+            // The corpus links its own build of this crate: its spec crosses
+            // as JSON.
+            let spec = FlashSpec::from_json(&proto.spec.to_json()).unwrap();
+            for f in &proto.files {
+                assert_eq!(
+                    native_reports(&spec, &f.source, &f.name, false),
+                    native_reports(&spec, &f.source, &f.name, true),
+                    "{}/{}",
+                    proto.name,
+                    f.name
+                );
+            }
+        }
+    }
 
     #[test]
     fn dedup_keeps_first_witness_per_key() {

@@ -1,7 +1,9 @@
 //! End-to-end CLI behaviour that unit tests cannot cover: a real
 //! `mcheck --watch` session driven through file edits, the documented
 //! process exit codes of the installed binary (on deeply nested input at
-//! one and two workers too, and for duplicate checker names), byte-identical reports from
+//! one and two workers too, beyond the parser's nesting bound, for
+//! duplicate checker names and for a misspelt spec table), byte-identical
+//! reports from
 //! a size-capped cache, and `--interproc` resolving a helper that a
 //! per-function run flags.
 
@@ -247,6 +249,84 @@ fn deep_nesting_reports_identically_at_one_and_two_workers() {
             "{shape}: --jobs 2 printed different reports"
         );
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Input nested beyond the parser's bound is a located parse error (exit
+/// 2, nothing on stdout) at any worker count, never a stack overflow: a
+/// handler of 3,000 nested `if` blocks and a `return` of 100,000 nested
+/// parentheses.
+#[test]
+fn nesting_beyond_the_parser_bound_exits_2() {
+    let dir = temp_dir("too_deep");
+    let ifs = format!(
+        "void PIDeep(void) {{\n{}DB_FREE();\n{}}}\n",
+        "if (c) {\n".repeat(3_000),
+        "}\n".repeat(3_000)
+    );
+    let parens = format!(
+        "int PIDeep(void) {{ return {}x{}; }}\n",
+        "(".repeat(100_000),
+        ")".repeat(100_000)
+    );
+    for (name, src, at) in [("ifs.c", ifs, ":1502:1:"), ("parens.c", parens, ":1:")] {
+        let path = dir.join(name);
+        std::fs::write(&path, src).unwrap();
+        for jobs in ["1", "2"] {
+            let out = Command::new(env!("CARGO_BIN_EXE_mcheck"))
+                .args(["--builtin", "--jobs", jobs])
+                .arg(&path)
+                .output()
+                .expect("run mcheck");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{name} --jobs {jobs}: {stderr}");
+            assert!(out.stdout.is_empty(), "{name} --jobs {jobs}");
+            let located = format!("{}{at}", path.display());
+            assert!(stderr.contains(&located), "{name}: {stderr}");
+            assert!(stderr.contains("nested too deeply"), "{name}: {stderr}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A spec file naming a table the checkers do not know is refused (exit 2,
+/// nothing on stdout, the field and the file named on stderr). Accepted, a
+/// misspelt `free_routines` left the table empty, and `buffer_mgmt` then
+/// reported a handler that frees through `releaseBuf()` as still holding
+/// its buffer.
+#[test]
+fn an_unknown_spec_field_exits_2_and_names_it() {
+    let dir = temp_dir("spec_field");
+    let src = dir.join("h.c");
+    std::fs::write(
+        &src,
+        "void releaseBuf(void) { PROC_DEFS(); PROC_PROLOGUE(); DB_FREE(); }\n\
+         void PIRelease(void) { HANDLER_DEFS(); HANDLER_PROLOGUE(); releaseBuf(); }\n",
+    )
+    .unwrap();
+    let spec = dir.join("spec.json");
+    let check = |json: &str| {
+        std::fs::write(&spec, json).unwrap();
+        Command::new(env!("CARGO_BIN_EXE_mcheck"))
+            .args(["--builtin", "--spec"])
+            .args([&spec, &src])
+            .output()
+            .expect("run mcheck")
+    };
+    let out = check(r#"{"free_routine": ["releaseBuf"]}"#);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(out.stdout.is_empty());
+    let named = format!("{}: json: unknown field `free_routine`", spec.display());
+    assert!(stderr.contains(&named), "{stderr}");
+    // Spelt right, the table takes effect and the handler is clean.
+    let out = check(r#"{"free_routines": ["releaseBuf"]}"#);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -4,19 +4,24 @@
 //!    runs with, the checker suite finds every planted defect and nothing
 //!    else — with path-feasibility pruning on (the driver default), which
 //!    also proves pruning never drops a planted true positive.
-//! 2. The two traversal modes agree: on loop-free functions (the whole
-//!    corpus), StateSet-with-pruning and Exhaustive-with-pruning produce
-//!    identical reports.
+//! 2. The traversal agrees with the naive path enumerator: on loop-free
+//!    functions (the whole corpus but its spin loops), every built-in metal
+//!    program reports the same violations, witnesses included, and refutes
+//!    the same number of edges under the state-set traversal with pruning
+//!    as when each path is walked separately with its own facts. (The
+//!    native machines' half of this property is mc-checkers' own test.)
 
-use mc_checkers::all_checkers;
+use mc_cfg::{run_traversal, Cfg, Traversal};
+use mc_checkers::{all_checkers, METAL_SOURCES};
 use mc_corpus::eval::evaluate;
 use mc_corpus::{generate, plan::plan_for, PlantedKind};
 use mc_driver::Driver;
+use mc_metal::{CandidatePlan, CompiledMachine, CompiledProgram, MetalProgram};
+use mc_oracle::run_naive;
 use proptest::prelude::*;
 
-fn checked(proto: &mc_corpus::Protocol, mode: mc_cfg::Mode) -> Vec<mc_driver::Report> {
+fn checked(proto: &mc_corpus::Protocol) -> Vec<mc_driver::Report> {
     let mut driver = Driver::new();
-    driver.mode = mode;
     all_checkers(&mut driver, &proto.spec).unwrap();
     driver.check_sources(&proto.sources()).unwrap()
 }
@@ -28,7 +33,7 @@ proptest! {
     #[test]
     fn bitvector_manifest_exact_for_any_seed(seed in any::<u64>()) {
         let proto = generate(plan_for("bitvector").unwrap(), seed);
-        let reports = checked(&proto, mc_cfg::Mode::StateSet);
+        let reports = checked(&proto);
         let outcome = evaluate(&proto, &reports);
         prop_assert!(outcome.missed.is_empty(), "missed: {:#?}", outcome.missed);
         prop_assert!(
@@ -41,7 +46,7 @@ proptest! {
     #[test]
     fn sci_manifest_exact_for_any_seed(seed in any::<u64>()) {
         let proto = generate(plan_for("sci").unwrap(), seed);
-        let reports = checked(&proto, mc_cfg::Mode::StateSet);
+        let reports = checked(&proto);
         let outcome = evaluate(&proto, &reports);
         prop_assert!(outcome.missed.is_empty());
         prop_assert!(
@@ -61,7 +66,7 @@ proptest! {
     #[test]
     fn coma_pruning_drops_msglen_fps_but_no_bugs(seed in any::<u64>()) {
         let proto = generate(plan_for("coma").unwrap(), seed);
-        let reports = checked(&proto, mc_cfg::Mode::StateSet);
+        let reports = checked(&proto);
         for p in &proto.manifest {
             let in_slot = reports
                 .iter()
@@ -79,41 +84,47 @@ proptest! {
         }
     }
 
-    // Mode equivalence on loop-free functions: the state-set worklist
-    // (facts folded into traversal state with a sound join) and the
-    // explicit-path stack must refute the same edges and report the same
-    // violations. Functions with back edges (the send-wait FP spin
-    // loops) are excluded — there the exhaustive bounded revisit and the
-    // worklist join legitimately explore different path sets.
+    // The traversal against the naive path enumerator on loop-free
+    // functions: the state-set worklist (facts folded into traversal state
+    // with a sound join) and the per-path walk must refute the same number
+    // of edges and report the same violations. Functions with back edges
+    // (the send-wait FP spin loops) are excluded — there the naive bounded
+    // revisit and the worklist join legitimately explore different path
+    // sets.
     #[test]
-    fn state_set_and_exhaustive_agree_with_pruning_on_loop_free_functions(
+    fn state_set_and_naive_paths_agree_with_pruning_on_loop_free_functions(
         seed in any::<u64>()
     ) {
         let proto = generate(plan_for("bitvector").unwrap(), seed);
-        let loopy: std::collections::HashSet<String> = proto
-            .files
+        let progs: Vec<CompiledProgram> = METAL_SOURCES
             .iter()
-            .flat_map(|f| {
-                mc_ast::parse_translation_unit(&f.source, &f.name)
-                    .unwrap()
-                    .functions()
-                    .filter(|func| !mc_cfg::Cfg::build(func).back_edges().is_empty())
-                    .map(|func| func.name.clone())
-                    .collect::<Vec<_>>()
-            })
+            .map(|src| CompiledProgram::compile(&MetalProgram::parse(src).unwrap()).unwrap())
             .collect();
-        prop_assert!(loopy.len() < 4, "only the spin-loop FP sites may loop");
-        let loop_free = |reports: Vec<mc_driver::Report>| -> Vec<mc_driver::Report> {
-            reports
-                .into_iter()
-                .filter(|r| !loopy.contains(&r.function))
-                .collect()
-        };
-        let state_set = loop_free(checked(&proto, mc_cfg::Mode::StateSet));
-        let exhaustive = loop_free(checked(
-            &proto,
-            mc_cfg::Mode::Exhaustive { max_paths: 1_000_000 },
-        ));
-        prop_assert_eq!(state_set, exhaustive);
+        let mut loopy = 0;
+        for f in &proto.files {
+            let unit = mc_ast::parse_translation_unit(&f.source, &f.name).unwrap();
+            for func in unit.functions() {
+                let cfg = Cfg::build(func);
+                if !cfg.back_edges().is_empty() {
+                    loopy += 1;
+                    continue;
+                }
+                for prog in &progs {
+                    let plan = CandidatePlan::build(prog, &cfg);
+                    let mut merged = CompiledMachine::with_plan(prog, &plan);
+                    let init = merged.start_state();
+                    let a = run_traversal(&cfg, &mut merged, init, Traversal::new());
+                    let mut naive = CompiledMachine::with_plan(prog, &plan);
+                    let b = run_naive(&cfg, &mut naive, init, Traversal::new(), None, 1_000_000);
+                    prop_assert_eq!(a, b, "{} {}", &func.name, prog.name());
+                    let mut merged = merged.reports;
+                    let mut naive = naive.reports;
+                    merged.sort_by(|x, y| (x.span, &x.message).cmp(&(y.span, &y.message)));
+                    naive.sort_by(|x, y| (x.span, &x.message).cmp(&(y.span, &y.message)));
+                    prop_assert_eq!(merged, naive, "{} {}", &func.name, prog.name());
+                }
+            }
+        }
+        prop_assert!(loopy < 4, "only the spin-loop FP sites may loop");
     }
 }

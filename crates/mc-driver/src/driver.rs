@@ -23,9 +23,7 @@ use crate::query::CheckEngine;
 use crate::report::Report;
 use crate::summaries::Summaries;
 use mc_ast::{flash, Fnv1a, Function, ParseError, TranslationUnit};
-use mc_cfg::{
-    feasibility_stats, run_traversal_with, Cfg, FnSummary, Mode, SummaryLookup, Traversal,
-};
+use mc_cfg::{feasibility_stats, run_traversal_with, Cfg, FnSummary, SummaryLookup, Traversal};
 use mc_metal::{
     CompileError, CompiledMachine, CompiledProgram, MetalParseError, MetalProgram, MetalReport,
 };
@@ -196,9 +194,9 @@ pub struct FunctionContext<'a> {
     pub function: &'a Function,
     /// Its control-flow graph.
     pub cfg: &'a Cfg,
-    /// The traversal settings (mode and feasibility pruning) the driver was
+    /// The traversal settings (feasibility pruning) the driver was
     /// configured with; path-sensitive checkers should honor these instead
-    /// of hard-coding a mode.
+    /// of hard-coding them.
     pub traversal: Traversal,
     /// The function-summary store, when available.
     ///
@@ -450,8 +448,6 @@ pub struct Driver {
     /// known; used to locate load-time diagnostics.
     metal_origins: Vec<Option<String>>,
     native: Vec<Box<dyn Checker>>,
-    /// Path traversal mode used for metal machines.
-    pub mode: Mode,
     prune: bool,
     interproc: bool,
     refute: bool,
@@ -473,7 +469,6 @@ impl fmt::Debug for Driver {
                 "native",
                 &self.native.iter().map(|c| c.name()).collect::<Vec<_>>(),
             )
-            .field("mode", &self.mode)
             .field("prune", &self.prune)
             .field("interproc", &self.interproc)
             .field("refute", &self.refute)
@@ -496,7 +491,6 @@ impl Driver {
             compiled: Vec::new(),
             metal_origins: Vec::new(),
             native: Vec::new(),
-            mode: Mode::StateSet,
             prune: true,
             interproc: false,
             refute: false,
@@ -568,10 +562,7 @@ impl Driver {
 
     /// The traversal settings the next check run will use.
     pub fn traversal(&self) -> Traversal {
-        Traversal {
-            mode: self.mode,
-            prune: self.prune,
-        }
+        Traversal { prune: self.prune }
     }
 
     /// Sets the worker-pool size used for parsing and function checking.
@@ -743,7 +734,7 @@ impl Driver {
     /// The key every cached artifact of this driver is scoped under.
     ///
     /// Folds the crate version, the cache format version, the registered
-    /// checker suite, the config epoch, and the traversal settings (mode +
+    /// checker suite, the config epoch, and the traversal settings (the
     /// prune flag). Two drivers with equal suite keys produce byte-identical
     /// reports for identical sources, so their cache entries may alias; any
     /// configuration difference this key cannot observe must be expressed

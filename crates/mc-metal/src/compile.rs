@@ -1,11 +1,11 @@
 //! Compilation of metal programs to indexed decision programs — the
 //! engine the driver runs.
 //!
-//! The interpreter ([`crate::MetalMachine`]) walks the pattern AST
-//! recursively for every `(candidate, pattern)` pair and re-derives a
+//! The interpreter in the test-only `mc-oracle` crate walks the pattern
+//! AST recursively for every `(candidate, pattern)` pair and re-derives a
 //! per-candidate identifier set for the `required_idents` pre-filter; it is
-//! kept as the reference semantics the tests hold this module to. This
-//! module lowers a parsed [`MetalProgram`] once, at load time, into a
+//! the reference semantics the tests hold this module to. This module
+//! lowers a parsed [`MetalProgram`] once, at load time, into a
 //! [`CompiledProgram`]:
 //!
 //! * a **dispatch index** per state, keyed on the candidate's root
@@ -25,14 +25,14 @@
 //! only replays the plan down each path. The reports are byte-identical to
 //! the interpreter's: the index only skips patterns that cannot match, rule
 //! order is preserved by merging index buckets on rule/pattern ordinals,
-//! and the bytecode replays exactly the comparison and binding order of
-//! [`crate::matcher`].
+//! and the bytecode replays exactly the interpreter's comparison and
+//! binding order.
 
-use crate::engine::{interpolate, Candidate, MetalReport};
 use crate::lang::{
     Action, MetalProgram, Pattern, PatternKind, Rule, RuleTarget, StateId, TypeClass,
 };
 use crate::matcher::{exprs_equal, Bindings};
+use crate::report::{interpolate, Candidate, MetalReport};
 use mc_ast::{BinaryOp, Expr, ExprKind, Initializer, Span, Stmt, StmtKind, Type, UnaryOp};
 use mc_cfg::{PathEvent, PathMachine, Witness};
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -1202,7 +1202,7 @@ fn exec<'a>(
 /// of the CFG it runs over: the engine the driver runs.
 ///
 /// It gives the same reports, application counts and candidate counts as
-/// the reference interpreter ([`crate::MetalMachine`]): the plan holds, per
+/// the reference interpreter in `mc-oracle`: the plan holds, per
 /// event node and state, the first match the interpreter's rule-order
 /// search would find, so a step only replays it.
 #[derive(Debug)]
@@ -1216,8 +1216,8 @@ pub struct CompiledMachine<'p> {
     /// Number of rule firings (pattern matches), including ones with no
     /// action.
     pub applications: usize,
-    /// Number of candidate nodes visited (comparable with
-    /// [`crate::MetalMachine::candidates`]). The match work is spent once,
+    /// Number of candidate nodes visited (comparable with the interpreter's
+    /// `candidates` count). The match work is spent once,
     /// when the plan is built: see [`CandidatePlan::attempts`].
     pub candidates: u64,
 }
@@ -1780,11 +1780,11 @@ impl mc_cfg::TransferCodec for CompiledProgram {
     }
 }
 
-/// Computes the state transfer of one function for a compiled program —
-/// the compiled-engine counterpart of [`crate::compute_transfers`], with
-/// identical output. `plan` is `prog`'s candidate plan for `cfg`
-/// ([`CandidatePlan::build_many`] builds those of several programs in one
-/// walk); it serves every per-state traversal.
+/// Computes the state transfer of one function for a compiled program,
+/// with the same output as the interpreter's transfer tables. `plan` is
+/// `prog`'s candidate plan for `cfg` ([`CandidatePlan::build_many`] builds
+/// those of several programs in one walk); it serves every per-state
+/// traversal.
 pub fn compute_transfers_compiled(
     prog: &CompiledProgram,
     plan: &CandidatePlan<'_>,
@@ -1800,9 +1800,7 @@ pub fn compute_transfers_compiled(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{compute_transfers, MetalMachine};
-    use mc_ast::{parse_stmt, parse_translation_unit};
-    use mc_cfg::{run_machine, Cfg, Mode, Traversal};
+    use mc_ast::parse_stmt;
 
     const WAIT_SM: &str = r#"
         sm wait_for_db {
@@ -1839,128 +1837,6 @@ mod tests {
                 send_nodata ==> { err("nodata send, nonzero len"); } ;
         }
     "#;
-
-    /// Runs a source through the interpreter and the planned compiled
-    /// machine and asserts identical reports, application and candidate
-    /// counts; returns the compiled-engine reports.
-    fn both(sm_src: &str, c_src: &str) -> Vec<MetalReport> {
-        let prog = MetalProgram::parse(sm_src).unwrap();
-        let cp = CompiledProgram::compile(&prog).unwrap();
-        let tu = parse_translation_unit(c_src, "t.c").unwrap();
-        let mut out = Vec::new();
-        for f in tu.functions() {
-            let cfg = Cfg::build(f);
-            let mut interp = MetalMachine::new(&prog);
-            let init = interp.start_state();
-            run_machine(&cfg, &mut interp, init, Mode::StateSet);
-            let plan = CandidatePlan::build(&cp, &cfg);
-            let mut comp = CompiledMachine::with_plan(&cp, &plan);
-            run_machine(&cfg, &mut comp, init, Mode::StateSet);
-            assert_eq!(interp.reports, comp.reports, "engine reports diverge");
-            assert_eq!(
-                interp.applications, comp.applications,
-                "application counts diverge"
-            );
-            assert_eq!(
-                interp.candidates, comp.candidates,
-                "candidate counts diverge"
-            );
-            out.extend(comp.reports);
-        }
-        out
-    }
-
-    #[test]
-    fn wait_for_db_parity() {
-        let cases = [
-            "void h(void) { MISCBUS_READ_DB(a, b); }",
-            "void h(void) { WAIT_FOR_DB_FULL(a); MISCBUS_READ_DB(a, b); }",
-            "void h(void) { if (x) { WAIT_FOR_DB_FULL(a); } MISCBUS_READ_DB(a, b); }",
-            "void h(void) { if (WAIT_FOR_DB_FULL(a)) { } MISCBUS_READ_DB(a, b); }",
-            "void h(void) { x = MISCBUS_READ_DB(a, b) + 1; }",
-            "void h(void) { MISCBUS_READ_DB(a, b); MISCBUS_READ_DB(c, d); }",
-        ];
-        for src in cases {
-            both(WAIT_SM, src);
-        }
-        let r = both(WAIT_SM, "void h(void) { MISCBUS_READ_DB(a, b); }");
-        assert_eq!(r.len(), 1);
-        assert_eq!(r[0].message, "Buffer not synchronized");
-    }
-
-    #[test]
-    fn msglen_parity() {
-        let cases = [
-            r#"void h(void) {
-                HANDLER_GLOBALS(header.nh.len) = LEN_NODATA;
-                PI_SEND(F_DATA, 1, 1, 0, 1, 0);
-            }"#,
-            r#"void h(void) {
-                HANDLER_GLOBALS(header.nh.len) = LEN_CACHELINE;
-                NI_SEND(t, F_DATA, 1, 0, 1, 0);
-                HANDLER_GLOBALS(header.nh.len) = LEN_NODATA;
-                NI_SEND(t, F_NODATA, 1, 0, 1, 0);
-            }"#,
-            r#"void h(void) {
-                if (flag) {
-                    HANDLER_GLOBALS(header.nh.len) = LEN_NODATA;
-                } else {
-                    HANDLER_GLOBALS(header.nh.len) = LEN_WORD;
-                }
-                PI_SEND(F_DATA, 1, 1, 0, 1, 0);
-            }"#,
-            "void h(void) { PI_SEND(F_DATA, 1, 1, 0, 1, 0); }",
-        ];
-        for src in cases {
-            both(MSGLEN_SM, src);
-        }
-    }
-
-    #[test]
-    fn interpolation_parity() {
-        let r = both(
-            r#"sm x {
-                decl { scalar } addr;
-                start: { use_buf(addr); } ==> { err("unsynchronized use of %addr"); } ;
-            }"#,
-            "void h(void) { use_buf(hdr.a); }",
-        );
-        assert_eq!(r[0].message, "unsynchronized use of hdr.a");
-    }
-
-    #[test]
-    fn return_and_decl_patterns_parity() {
-        both(
-            r#"sm r {
-                decl { scalar } v;
-                start: { return v; } ==> { err("returned %v"); } ;
-            }"#,
-            "int h(void) { return x + 1; }",
-        );
-        both(
-            r#"sm d {
-                decl { scalar } v;
-                start: { int len = v; } ==> { err("len decl"); } ;
-            }"#,
-            "void h(void) { int len = 4; f(len); }",
-        );
-    }
-
-    #[test]
-    fn transfers_parity() {
-        let prog = MetalProgram::parse(MSGLEN_SM).unwrap();
-        let cp = CompiledProgram::compile(&prog).unwrap();
-        let src = r#"void h(void) {
-            HANDLER_GLOBALS(header.nh.len) = LEN_NODATA;
-        }"#;
-        let tu = parse_translation_unit(src, "t.c").unwrap();
-        let cfg = Cfg::build(tu.function("h").unwrap());
-        let t1 = compute_transfers(&prog, &cfg, Traversal::default(), None);
-        let plan = CandidatePlan::build(&cp, &cfg);
-        let t2 = compute_transfers_compiled(&cp, &plan, &cfg, Traversal::default(), None);
-        assert_eq!(t1, t2);
-        assert!(t1.contains_key("all"));
-    }
 
     #[test]
     fn builtin_style_programs_have_no_diagnostics() {
@@ -2125,30 +2001,5 @@ mod tests {
         assert!(d
             .iter()
             .all(|d| d.message.contains("pattern alternative 1 in state `start`")));
-    }
-
-    #[test]
-    fn dispatch_skips_unrelated_candidates() {
-        // A program keyed on two macros should attempt far fewer matches
-        // than the interpreter on ident-heavy code that mentions neither.
-        let prog = MetalProgram::parse(WAIT_SM).unwrap();
-        let cp = CompiledProgram::compile(&prog).unwrap();
-        let src = "void h(void) { a = b + c * d; e = f(g, h2) + i; MISCBUS_READ_DB(a, b); }";
-        let tu = parse_translation_unit(src, "t.c").unwrap();
-        let cfg = Cfg::build(tu.function("h").unwrap());
-        let mut interp = MetalMachine::new(&prog);
-        let init = interp.start_state();
-        run_machine(&cfg, &mut interp, init, Mode::StateSet);
-        let plan = CandidatePlan::build(&cp, &cfg);
-        let mut comp = CompiledMachine::with_plan(&cp, &plan);
-        run_machine(&cfg, &mut comp, init, Mode::StateSet);
-        assert_eq!(interp.reports, comp.reports);
-        assert_eq!(interp.candidates, comp.candidates);
-        assert!(
-            plan.attempts <= interp.attempts,
-            "compiled dispatch attempted more matches ({}) than interp ({})",
-            plan.attempts,
-            interp.attempts
-        );
     }
 }

@@ -1,7 +1,7 @@
 //! The metal program representation.
 
 use mc_ast::{Expr, ExprKind, Span, Stmt, StmtKind};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 
 /// The type class of a wildcard variable, from `decl { class } name;`.
 ///
@@ -185,11 +185,6 @@ impl MetalProgram {
     /// Looks up a state id by name.
     pub fn state_by_name(&self, name: &str) -> Option<StateId> {
         self.states.iter().position(|s| s.name == name).map(StateId)
-    }
-
-    /// The set of wildcard names, used when parsing pattern fragments.
-    pub fn wildcard_names(&self) -> HashSet<String> {
-        self.wildcards.keys().cloned().collect()
     }
 }
 

@@ -27,14 +27,17 @@
 //! [`MetalReport`]s when `err(...)` actions fire. This is the engine the
 //! driver runs.
 //!
-//! [`MetalMachine`] interprets a [`MetalProgram`] directly. It is the
+//! The interpreter that runs a [`MetalProgram`] directly by walking its
+//! pattern ASTs lives in the test-only `mc-oracle` crate. It is the
 //! reference semantics: the tests hold the compiled engine to its reports.
+//! This crate exports the few pieces both engines share: [`MetalReport`],
+//! [`Candidate`], [`Bindings`], [`exprs_equal`] and [`interpolate`].
 //!
 //! # Example
 //!
 //! ```
 //! use mc_ast::parse_translation_unit;
-//! use mc_cfg::{run_machine, Cfg, Mode};
+//! use mc_cfg::{run_machine, Cfg};
 //! use mc_metal::{CandidatePlan, CompiledMachine, CompiledProgram, MetalProgram};
 //!
 //! let sm = MetalProgram::parse(r#"
@@ -53,7 +56,7 @@
 //! let plan = CandidatePlan::build(&compiled, &cfg);
 //! let mut machine = CompiledMachine::with_plan(&compiled, &plan);
 //! let start = machine.start_state();
-//! run_machine(&cfg, &mut machine, start, Mode::StateSet);
+//! run_machine(&cfg, &mut machine, start);
 //! assert_eq!(machine.reports.len(), 1);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -61,17 +64,18 @@
 #![warn(missing_docs)]
 
 mod compile;
-mod engine;
 mod lang;
 mod matcher;
 mod parse;
+mod report;
 
 pub use compile::{
     compute_transfers_compiled, CandidatePlan, CompileDiag, CompileDiagKind, CompileError,
     CompiledMachine, CompiledProgram,
 };
-pub use engine::{compute_transfers, MetalMachine, MetalReport};
 pub use lang::{
     Action, MetalProgram, Pattern, PatternKind, Rule, RuleTarget, StateDef, StateId, TypeClass,
 };
+pub use matcher::{exprs_equal, Bindings};
 pub use parse::MetalParseError;
+pub use report::{interpolate, Candidate, MetalReport};

@@ -1,69 +1,14 @@
-//! Structural pattern matching with wildcard binding.
-//!
-//! A pattern is an AST with [`ExprKind::Wildcard`] holes. Matching compares
-//! the pattern and candidate structurally; a wildcard binds the candidate
-//! subexpression (subject to its [`TypeClass`]), and a wildcard appearing
-//! twice must bind structurally equal expressions.
+//! Wildcard bindings and the structural expression equality the compiled
+//! engine matches repeated wildcards with.
 
-use crate::lang::TypeClass;
-use mc_ast::{Expr, ExprKind, Initializer, Stmt, StmtKind};
+use mc_ast::{Expr, ExprKind};
 use std::collections::BTreeMap;
 
 /// Wildcard bindings produced by a successful match.
 pub type Bindings = BTreeMap<String, Expr>;
 
-/// Matches an expression pattern against a candidate expression.
-///
-/// Returns the bindings on success. `classes` gives each wildcard's type
-/// class (wildcards absent from the map behave as [`TypeClass::Any`]).
-pub fn match_expr(
-    pattern: &Expr,
-    candidate: &Expr,
-    classes: &BTreeMap<String, TypeClass>,
-) -> Option<Bindings> {
-    let mut b = Bindings::new();
-    if expr_matches(pattern, candidate, classes, &mut b) {
-        Some(b)
-    } else {
-        None
-    }
-}
-
-/// Matches a statement pattern against a candidate statement.
-pub fn match_stmt(
-    pattern: &Stmt,
-    candidate: &Stmt,
-    classes: &BTreeMap<String, TypeClass>,
-) -> Option<Bindings> {
-    let mut b = Bindings::new();
-    if stmt_matches(pattern, candidate, classes, &mut b) {
-        Some(b)
-    } else {
-        None
-    }
-}
-
-fn bind(
-    name: &str,
-    candidate: &Expr,
-    classes: &BTreeMap<String, TypeClass>,
-    b: &mut Bindings,
-) -> bool {
-    let class = classes.get(name).copied().unwrap_or(TypeClass::Any);
-    if !class.admits(candidate) {
-        return false;
-    }
-    match b.get(name) {
-        Some(prev) => exprs_equal(prev, candidate),
-        None => {
-            b.insert(name.to_string(), candidate.clone());
-            true
-        }
-    }
-}
-
 /// Structural equality ignoring spans (and literal spelling).
-pub(crate) fn exprs_equal(a: &Expr, b: &Expr) -> bool {
+pub fn exprs_equal(a: &Expr, b: &Expr) -> bool {
     use ExprKind::*;
     match (&a.kind, &b.kind) {
         (IntLit(x, _), IntLit(y, _)) => x == y,
@@ -167,261 +112,5 @@ pub(crate) fn exprs_equal(a: &Expr, b: &Expr) -> bool {
         (SizeofType(t1), SizeofType(t2)) => t1 == t2,
         (Comma(a1, b1), Comma(a2, b2)) => exprs_equal(a1, a2) && exprs_equal(b1, b2),
         _ => false,
-    }
-}
-
-fn expr_matches(
-    pat: &Expr,
-    cand: &Expr,
-    classes: &BTreeMap<String, TypeClass>,
-    b: &mut Bindings,
-) -> bool {
-    use ExprKind::*;
-    if let Wildcard(name) = &pat.kind {
-        return bind(name, cand, classes, b);
-    }
-    match (&pat.kind, &cand.kind) {
-        (IntLit(x, _), IntLit(y, _)) => x == y,
-        (FloatLit(x, _), FloatLit(y, _)) => x == y,
-        (CharLit(x), CharLit(y)) => x == y,
-        (StrLit(x), StrLit(y)) => x == y,
-        (Ident(x), Ident(y)) => x == y,
-        (
-            Call {
-                callee: c1,
-                args: a1,
-            },
-            Call {
-                callee: c2,
-                args: a2,
-            },
-        ) => {
-            a1.len() == a2.len()
-                && expr_matches(c1, c2, classes, b)
-                && a1
-                    .iter()
-                    .zip(a2)
-                    .all(|(p, c)| expr_matches(p, c, classes, b))
-        }
-        (
-            Binary {
-                op: o1,
-                lhs: l1,
-                rhs: r1,
-            },
-            Binary {
-                op: o2,
-                lhs: l2,
-                rhs: r2,
-            },
-        ) => o1 == o2 && expr_matches(l1, l2, classes, b) && expr_matches(r1, r2, classes, b),
-        (
-            Unary {
-                op: o1,
-                operand: e1,
-            },
-            Unary {
-                op: o2,
-                operand: e2,
-            },
-        ) => o1 == o2 && expr_matches(e1, e2, classes, b),
-        (
-            Postfix {
-                operand: e1,
-                inc: i1,
-            },
-            Postfix {
-                operand: e2,
-                inc: i2,
-            },
-        ) => i1 == i2 && expr_matches(e1, e2, classes, b),
-        (
-            Assign {
-                op: o1,
-                lhs: l1,
-                rhs: r1,
-            },
-            Assign {
-                op: o2,
-                lhs: l2,
-                rhs: r2,
-            },
-        ) => o1 == o2 && expr_matches(l1, l2, classes, b) && expr_matches(r1, r2, classes, b),
-        (
-            Ternary {
-                cond: c1,
-                then: t1,
-                els: e1,
-            },
-            Ternary {
-                cond: c2,
-                then: t2,
-                els: e2,
-            },
-        ) => {
-            expr_matches(c1, c2, classes, b)
-                && expr_matches(t1, t2, classes, b)
-                && expr_matches(e1, e2, classes, b)
-        }
-        (
-            Index {
-                base: b1,
-                index: i1,
-            },
-            Index {
-                base: b2,
-                index: i2,
-            },
-        ) => expr_matches(b1, b2, classes, b) && expr_matches(i1, i2, classes, b),
-        (
-            Member {
-                base: b1,
-                field: f1,
-                arrow: a1,
-            },
-            Member {
-                base: b2,
-                field: f2,
-                arrow: a2,
-            },
-        ) => f1 == f2 && a1 == a2 && expr_matches(b1, b2, classes, b),
-        (Cast { ty: t1, expr: e1 }, Cast { ty: t2, expr: e2 }) => {
-            t1 == t2 && expr_matches(e1, e2, classes, b)
-        }
-        (SizeofType(t1), SizeofType(t2)) => t1 == t2,
-        (Comma(a1, b1), Comma(a2, b2)) => {
-            expr_matches(a1, a2, classes, b) && expr_matches(b1, b2, classes, b)
-        }
-        _ => false,
-    }
-}
-
-fn stmt_matches(
-    pat: &Stmt,
-    cand: &Stmt,
-    classes: &BTreeMap<String, TypeClass>,
-    b: &mut Bindings,
-) -> bool {
-    use StmtKind::*;
-    match (&pat.kind, &cand.kind) {
-        (Expr(p), Expr(c)) => expr_matches(p, c, classes, b),
-        (Empty, Empty) | (Break, Break) | (Continue, Continue) => true,
-        (Return(None), Return(None)) => true,
-        (Return(Some(p)), Return(Some(c))) => expr_matches(p, c, classes, b),
-        (Decl(p), Decl(c)) => {
-            p.ty == c.ty
-                && p.name == c.name
-                && match (&p.init, &c.init) {
-                    (None, None) => true,
-                    (Some(Initializer::Expr(pe)), Some(Initializer::Expr(ce))) => {
-                        expr_matches(pe, ce, classes, b)
-                    }
-                    _ => false,
-                }
-        }
-        _ => false,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use mc_ast::{parse_expr, parse_stmt, Lexer, Parser};
-    use std::collections::HashSet;
-
-    fn pat(src: &str, wildcards: &[&str]) -> Expr {
-        let (tokens, _) = Lexer::new(src).tokenize().unwrap();
-        let wc: HashSet<String> = wildcards.iter().map(|s| s.to_string()).collect();
-        let mut p = Parser::with_wildcards(tokens, wc);
-        p.expr().unwrap()
-    }
-
-    fn classes(names: &[&str]) -> BTreeMap<String, TypeClass> {
-        names
-            .iter()
-            .map(|n| (n.to_string(), TypeClass::Scalar))
-            .collect()
-    }
-
-    #[test]
-    fn literal_pattern_matches_exactly() {
-        let p = pat("WAIT_FOR_DB_FULL(x)", &[]);
-        let c = parse_expr("WAIT_FOR_DB_FULL(x)").unwrap();
-        assert!(match_expr(&p, &c, &BTreeMap::new()).is_some());
-        let c2 = parse_expr("WAIT_FOR_DB_FULL(y)").unwrap();
-        assert!(match_expr(&p, &c2, &BTreeMap::new()).is_none());
-    }
-
-    #[test]
-    fn wildcard_binds_argument() {
-        let p = pat("WAIT_FOR_DB_FULL(addr)", &["addr"]);
-        let c = parse_expr("WAIT_FOR_DB_FULL(hdr.address + 4)").unwrap();
-        let b = match_expr(&p, &c, &classes(&["addr"])).unwrap();
-        assert_eq!(mc_ast::print_expr(&b["addr"]), "hdr.address + 4");
-    }
-
-    #[test]
-    fn repeated_wildcard_requires_equality() {
-        let p = pat("copy(dst, dst)", &["dst"]);
-        let same = parse_expr("copy(buf, buf)").unwrap();
-        let diff = parse_expr("copy(buf, other)").unwrap();
-        let cls = classes(&["dst"]);
-        assert!(match_expr(&p, &same, &cls).is_some());
-        assert!(match_expr(&p, &diff, &cls).is_none());
-    }
-
-    #[test]
-    fn scalar_class_rejects_strings() {
-        let p = pat("f(x)", &["x"]);
-        let c = parse_expr("f(\"hello\")").unwrap();
-        assert!(match_expr(&p, &c, &classes(&["x"])).is_none());
-        // But Any admits it.
-        let mut cls = BTreeMap::new();
-        cls.insert("x".to_string(), TypeClass::Any);
-        assert!(match_expr(&p, &c, &cls).is_some());
-    }
-
-    #[test]
-    fn assignment_pattern() {
-        let p = pat("HANDLER_GLOBALS(header.nh.len) = LEN_NODATA", &[]);
-        let c = parse_expr("HANDLER_GLOBALS(header.nh.len) = LEN_NODATA").unwrap();
-        assert!(match_expr(&p, &c, &BTreeMap::new()).is_some());
-        let c2 = parse_expr("HANDLER_GLOBALS(header.nh.len) = LEN_WORD").unwrap();
-        assert!(match_expr(&p, &c2, &BTreeMap::new()).is_none());
-    }
-
-    #[test]
-    fn arity_must_match() {
-        let p = pat("NI_SEND(t, F_DATA, k, w, d, n)", &["t", "k", "w", "d", "n"]);
-        let six = parse_expr("NI_SEND(a, F_DATA, b, c, d, e)").unwrap();
-        let five = parse_expr("NI_SEND(a, F_DATA, b, c, d)").unwrap();
-        let cls = classes(&["t", "k", "w", "d", "n"]);
-        assert!(match_expr(&p, &six, &cls).is_some());
-        assert!(match_expr(&p, &five, &cls).is_none());
-    }
-
-    #[test]
-    fn stmt_pattern_matches_expression_statement() {
-        let pstmt = parse_stmt("f();").unwrap();
-        let cstmt = parse_stmt("f();").unwrap();
-        assert!(match_stmt(&pstmt, &cstmt, &BTreeMap::new()).is_some());
-        let other = parse_stmt("g();").unwrap();
-        assert!(match_stmt(&pstmt, &other, &BTreeMap::new()).is_none());
-    }
-
-    #[test]
-    fn spelling_of_literals_ignored() {
-        let p = pat("f(255)", &[]);
-        let c = parse_expr("f(0xff)").unwrap();
-        assert!(match_expr(&p, &c, &BTreeMap::new()).is_some());
-    }
-
-    #[test]
-    fn nested_member_chains() {
-        let p = pat("HANDLER_GLOBALS(header.nh.len)", &[]);
-        let deep = parse_expr("HANDLER_GLOBALS(header.nh.len)").unwrap();
-        let shallow = parse_expr("HANDLER_GLOBALS(header.len)").unwrap();
-        assert!(match_expr(&p, &deep, &BTreeMap::new()).is_some());
-        assert!(match_expr(&p, &shallow, &BTreeMap::new()).is_none());
     }
 }

@@ -3,33 +3,18 @@
 //! [`MetalMachine`] adapts a parsed [`MetalProgram`] to the
 //! [`mc_cfg::PathMachine`] interface so [`mc_cfg::run_machine`] can drive it
 //! down every path of a function, exactly as xg++ applied metal extensions.
-//! The driver runs the compiled engine ([`crate::CompiledMachine`]); the
+//! The driver runs the compiled engine ([`mc_metal::CompiledMachine`]); the
 //! tests hold it to this one.
 
-use crate::lang::*;
-use crate::matcher::{match_expr, match_stmt, Bindings};
+use crate::matcher::{match_expr, match_stmt};
+use crate::operands;
 use mc_ast::{Expr, ExprKind, Initializer, Span, Stmt, StmtKind};
-use mc_cfg::{PathEvent, PathMachine, PathStep, Witness};
+use mc_cfg::{PathEvent, PathMachine, Witness};
+use mc_metal::{
+    interpolate, Action, Bindings, Candidate, MetalProgram, MetalReport, Pattern, PatternKind,
+    Rule, RuleTarget, StateId,
+};
 use std::collections::HashSet;
-
-/// An error or warning produced by a metal `err()`/`warn()` action.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct MetalReport {
-    /// Name of the state machine that fired.
-    pub sm_name: String,
-    /// The action message, with `%wildcard` references interpolated.
-    pub message: String,
-    /// Source location of the matched construct.
-    pub span: Span,
-    /// `true` for `err`, `false` for `warn`.
-    pub is_error: bool,
-    /// Name of the state the machine was in when the rule fired.
-    pub state: String,
-    /// The execution path that drove the machine here, entry-to-violation.
-    /// The path of the *first* firing is kept when several paths reach the
-    /// same `(message, span)` (dedup ignores the steps).
-    pub steps: Vec<PathStep>,
-}
 
 /// A metal program bound to a report sink, ready to run over CFGs.
 ///
@@ -46,11 +31,11 @@ pub struct MetalMachine<'p> {
     /// action.
     pub applications: usize,
     /// Number of candidate nodes scanned (comparable with
-    /// [`crate::CompiledMachine::candidates`]).
+    /// [`mc_metal::CompiledMachine::candidates`]).
     pub candidates: u64,
     /// Number of full structural match attempts (pattern comparisons that
     /// survived the required-identifier pre-filter; comparable with
-    /// [`crate::CandidatePlan::attempts`]).
+    /// [`mc_metal::CandidatePlan::attempts`]).
     pub attempts: u64,
 }
 
@@ -165,62 +150,14 @@ impl<'p> MetalMachine<'p> {
     }
 }
 
-/// A matchable unit extracted from a path event.
-pub(crate) enum Candidate<'a> {
-    /// A whole statement (declarations, returns).
-    Stmt(&'a Stmt),
-    /// A subexpression, in evaluation (post) order.
-    Expr(&'a Expr),
-    /// A synthesized statement (for `return` events), owned.
-    Owned(Stmt),
-}
-
-impl Candidate<'_> {
-    pub(crate) fn span(&self) -> Span {
-        match self {
-            Candidate::Stmt(s) => s.span,
-            Candidate::Expr(e) => e.span,
-            Candidate::Owned(s) => s.span,
-        }
-    }
-}
-
 fn cand_idents<'a>(cand: &'a Candidate<'_>) -> HashSet<&'a str> {
     let mut set = HashSet::new();
     fn collect<'a>(e: &'a Expr, set: &mut HashSet<&'a str>) {
         if let ExprKind::Ident(name) = &e.kind {
             set.insert(name.as_str());
         }
-        match &e.kind {
-            ExprKind::Call { callee, args } => {
-                collect(callee, set);
-                for a in args {
-                    collect(a, set);
-                }
-            }
-            ExprKind::Binary { lhs, rhs, .. } | ExprKind::Assign { lhs, rhs, .. } => {
-                collect(lhs, set);
-                collect(rhs, set);
-            }
-            ExprKind::Unary { operand, .. } | ExprKind::Postfix { operand, .. } => {
-                collect(operand, set)
-            }
-            ExprKind::Ternary { cond, then, els } => {
-                collect(cond, set);
-                collect(then, set);
-                collect(els, set);
-            }
-            ExprKind::Index { base, index } => {
-                collect(base, set);
-                collect(index, set);
-            }
-            ExprKind::Member { base, .. } => collect(base, set),
-            ExprKind::Cast { expr, .. } => collect(expr, set),
-            ExprKind::Comma(a, b) => {
-                collect(a, set);
-                collect(b, set);
-            }
-            _ => {}
+        for o in operands(e) {
+            collect(o, set);
         }
     }
     let stmt: Option<&Stmt> = match cand {
@@ -325,17 +262,6 @@ pub(crate) fn postorder<'a>(e: &'a Expr, out: &mut Vec<Candidate<'a>>) {
     out.push(Candidate::Expr(e));
 }
 
-pub(crate) fn interpolate(msg: &str, bindings: &Bindings) -> String {
-    let mut out = msg.to_string();
-    for (name, expr) in bindings {
-        let needle = format!("%{name}");
-        if out.contains(&needle) {
-            out = out.replace(&needle, &mc_ast::print_expr(expr));
-        }
-    }
-    out
-}
-
 impl PathMachine for MetalMachine<'_> {
     type State = StateId;
 
@@ -367,7 +293,7 @@ impl PathMachine for MetalMachine<'_> {
                 // The call pattern itself was already offered to `scan` as
                 // part of the enclosing statement, so macro-style patterns
                 // that match the call expression keep working.
-                return mc_cfg::apply_transfer(self.prog, summary, state);
+                return mc_cfg::apply_transfer(&Codec(self.prog), summary, state);
             }
         }
         self.scan(*state, &cands, witness)
@@ -376,30 +302,33 @@ impl PathMachine for MetalMachine<'_> {
 
 /// The interpreter's state names: a program's table in
 /// [`mc_cfg::FnSummary::transfers`] is keyed by its `sm` name and starts
-/// from every declared state.
-impl mc_cfg::TransferCodec for MetalProgram {
+/// from every declared state. A newtype, because both the trait and
+/// [`MetalProgram`] live in other crates.
+struct Codec<'p>(&'p MetalProgram);
+
+impl mc_cfg::TransferCodec for Codec<'_> {
     type State = StateId;
 
     fn machine_name(&self) -> &str {
-        &self.name
+        &self.0.name
     }
 
     fn start_states(&self) -> Vec<StateId> {
-        (0..self.states.len()).map(StateId).collect()
+        (0..self.0.states.len()).map(StateId).collect()
     }
 
     fn state_name(&self, state: &StateId) -> std::borrow::Cow<'_, str> {
-        std::borrow::Cow::Borrowed(&self.states[state.0].name)
+        std::borrow::Cow::Borrowed(&self.0.states[state.0].name)
     }
 
     fn parse_state(&self, name: &str) -> Option<StateId> {
-        self.state_by_name(name)
+        self.0.state_by_name(name)
     }
 }
 
 /// Computes the state transfer of one function for `prog`
 /// ([`mc_cfg::transfer_table`] over the interpreter) — the reference the
-/// compiled engine's [`crate::compute_transfers_compiled`] is held to.
+/// compiled engine's [`mc_metal::compute_transfers_compiled`] is held to.
 ///
 /// Reports produced while exploring are discarded: the callee's own errors
 /// are found when the callee itself is checked, and a summary application
@@ -410,14 +339,17 @@ pub fn compute_transfers(
     traversal: mc_cfg::Traversal,
     oracle: Option<&dyn mc_cfg::SummaryLookup>,
 ) -> std::collections::BTreeMap<String, Vec<String>> {
-    mc_cfg::transfer_table(prog, cfg, traversal, oracle, || MetalMachine::new(prog))
+    mc_cfg::transfer_table(&Codec(prog), cfg, traversal, oracle, || {
+        MetalMachine::new(prog)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run_naive;
     use mc_ast::parse_translation_unit;
-    use mc_cfg::{run_machine, Cfg, Mode};
+    use mc_cfg::{run_machine, Cfg, Traversal};
 
     const WAIT_SM: &str = r#"
         sm wait_for_db {
@@ -437,7 +369,7 @@ mod tests {
             let cfg = Cfg::build(f);
             let mut m = MetalMachine::new(&prog);
             let init = m.start_state();
-            run_machine(&cfg, &mut m, init, Mode::StateSet);
+            run_machine(&cfg, &mut m, init);
             all.extend(m.reports);
         }
         all
@@ -616,7 +548,7 @@ mod tests {
         let cfg = Cfg::build(tu.function("h").unwrap());
         let mut m = MetalMachine::new(&prog);
         let init = m.start_state();
-        run_machine(&cfg, &mut m, init, Mode::StateSet);
+        run_machine(&cfg, &mut m, init);
         assert_eq!(m.applications, 2);
     }
 
@@ -633,7 +565,7 @@ mod tests {
     }
 
     #[test]
-    fn exhaustive_and_state_set_agree() {
+    fn naive_paths_and_state_set_agree() {
         let prog = MetalProgram::parse(MSGLEN_SM).unwrap();
         let src = r#"void h(void) {
             if (a) { HANDLER_GLOBALS(header.nh.len) = LEN_NODATA; }
@@ -646,10 +578,17 @@ mod tests {
 
         let mut m1 = MetalMachine::new(&prog);
         let init = m1.start_state();
-        run_machine(&cfg, &mut m1, init, Mode::StateSet);
+        run_machine(&cfg, &mut m1, init);
 
         let mut m2 = MetalMachine::new(&prog);
-        run_machine(&cfg, &mut m2, init, Mode::Exhaustive { max_paths: 10_000 });
+        run_naive(
+            &cfg,
+            &mut m2,
+            init,
+            Traversal::without_pruning(),
+            None,
+            10_000,
+        );
 
         let mut r1: Vec<_> = m1.reports.iter().map(|r| (&r.message, r.span)).collect();
         let mut r2: Vec<_> = m2.reports.iter().map(|r| (&r.message, r.span)).collect();

@@ -2,15 +2,17 @@
 //! metal programs over random loop-free bodies, the compiled machine
 //! replaying its candidate plan must produce reports byte-identical to the
 //! interpreter — same messages, same spans, same witness paths, same order
-//! — and the same number of rule applications, in both traversal modes.
+//! — and the same number of rule applications, under the state-set
+//! traversal and the naive path enumerator.
 //!
 //! This is the oracle that keeps the compiled engine — the only one the
 //! driver runs — honest: the interpreter is the semantics, the compiler is
 //! only allowed to be faster.
 
 use mc_ast::parse_translation_unit;
-use mc_cfg::{run_machine, Cfg, Mode};
-use mc_metal::{CandidatePlan, CompiledMachine, CompiledProgram, MetalMachine, MetalProgram};
+use mc_cfg::{run_machine, Cfg, Traversal};
+use mc_metal::{CandidatePlan, CompiledMachine, CompiledProgram, MetalProgram};
+use mc_oracle::{run_naive, MetalMachine};
 use proptest::prelude::*;
 
 /// The pattern vocabulary random programs draw rules from. Each entry is a
@@ -110,21 +112,21 @@ proptest! {
         // Oracle: the interpreter.
         let mut interp = MetalMachine::new(&prog);
         let init = interp.start_state();
-        run_machine(&cfg, &mut interp, init, Mode::StateSet);
+        run_machine(&cfg, &mut interp, init);
 
         // The compiled machine replaying its candidate plan — the path the
         // driver takes.
         let plan = CandidatePlan::build(&compiled, &cfg);
         let mut planned = CompiledMachine::with_plan(&compiled, &plan);
         let cinit = planned.start_state();
-        run_machine(&cfg, &mut planned, cinit, Mode::StateSet);
+        run_machine(&cfg, &mut planned, cinit);
 
         prop_assert_eq!(&planned.reports, &interp.reports, "planned compiled diverged\n{}", &sm_src);
         prop_assert_eq!(planned.applications, interp.applications, "planned application counts diverged\n{}", &sm_src);
     }
 
     #[test]
-    fn compiled_engine_matches_interpreter_exhaustive(
+    fn compiled_engine_matches_interpreter_on_naive_paths(
         (sm_src, body) in (arb_program(), arb_body())
     ) {
         let prog = MetalProgram::parse(&sm_src).unwrap();
@@ -134,15 +136,15 @@ proptest! {
         let tu = parse_translation_unit(&src, "p.c").unwrap();
         let cfg = Cfg::build(tu.function("f").unwrap());
 
-        let mode = Mode::Exhaustive { max_paths: 100_000 };
+        let paths = Traversal::without_pruning();
         let mut interp = MetalMachine::new(&prog);
         let init = interp.start_state();
-        run_machine(&cfg, &mut interp, init, mode);
+        run_naive(&cfg, &mut interp, init, paths, None, 100_000);
 
         let plan = CandidatePlan::build(&compiled, &cfg);
         let mut planned = CompiledMachine::with_plan(&compiled, &plan);
         let cinit = planned.start_state();
-        run_machine(&cfg, &mut planned, cinit, mode);
+        run_naive(&cfg, &mut planned, cinit, paths, None, 100_000);
 
         prop_assert_eq!(&planned.reports, &interp.reports, "{}", &sm_src);
         prop_assert_eq!(planned.applications, interp.applications, "{}", &sm_src);

@@ -1,10 +1,10 @@
-//! Property test: for loop-free functions, the state-set worklist and
-//! exhaustive path enumeration produce exactly the same metal reports —
-//! the correctness half of the DESIGN.md traversal ablation.
+//! Property test: for loop-free functions, the state-set worklist and the
+//! naive path enumerator produce exactly the same metal reports.
 
 use mc_ast::parse_translation_unit;
-use mc_cfg::{run_machine, Cfg, Mode};
-use mc_metal::{MetalMachine, MetalProgram};
+use mc_cfg::{run_machine, Cfg, Traversal};
+use mc_metal::MetalProgram;
+use mc_oracle::{run_naive, MetalMachine};
 use proptest::prelude::*;
 
 const SM: &str = r#"
@@ -49,10 +49,10 @@ proptest! {
 
         let mut a = MetalMachine::new(&prog);
         let init = a.start_state();
-        run_machine(&cfg, &mut a, init, Mode::StateSet);
+        run_machine(&cfg, &mut a, init);
 
         let mut b = MetalMachine::new(&prog);
-        run_machine(&cfg, &mut b, init, Mode::Exhaustive { max_paths: 1_000_000 });
+        run_naive(&cfg, &mut b, init, Traversal::without_pruning(), None, 1_000_000);
 
         let mut ra: Vec<_> = a.reports.iter().map(|r| (r.span, r.message.clone())).collect();
         let mut rb: Vec<_> = b.reports.iter().map(|r| (r.span, r.message.clone())).collect();

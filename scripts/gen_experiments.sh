@@ -266,14 +266,7 @@ interleaved runs of both sides.
 
 `cargo bench -p mc-bench` (Criterion). `framework` measures front end,
 CFG construction, each checker end-to-end over bitvector, and simulator
-throughput. `scaling` runs the two ablations from DESIGN.md: state-set
-worklist vs. exhaustive path enumeration as sequential branching grows
-(4→16 branches ≈ 16→65 536 paths; in two runs on a 2-core host,
-state-set stayed at 17–58 µs while exhaustive grew from ~87 µs to
-0.3–0.5 s), and pattern pre-filtering vs. naive matching beside the
-compiled decision program, every bar asserting the interpreter's
-reports (the compiled bar ran 2.4–2.8× faster than either interpreter
-bar in the same two runs). `parallel` times the corpus at 1/2/4/8
+throughput. `parallel` times the corpus at 1/2/4/8
 workers with pruning on and off. Full numbers are recorded in
 `bench_output.txt`.
 EOF

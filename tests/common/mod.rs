@@ -6,16 +6,20 @@
 //! [`InterpChecker`]s instead of metal sources. Each adapter does what the
 //! driver does for a compiled program: it runs the machine down the
 //! function's paths (resolving calls through `ctx.summaries` when present),
-//! converts its reports, and contributes state transfers to summaries.
+//! converts its reports, and contributes state transfers to summaries. The
+//! paths are walked by the driver's state-set traversal, or one at a time
+//! by the naive path enumerator.
 
 use flash_mc::cfg::{run_traversal_with, FnSummary, SummaryLookup};
 use flash_mc::checkers::flash::FlashSpec;
 use flash_mc::checkers::{native_checkers, METAL_SOURCES};
 use flash_mc::driver::{CheckSink, Checker, Driver, FunctionContext, Report};
-use flash_mc::metal::{compute_transfers, MetalMachine, MetalProgram};
+use flash_mc::metal::MetalProgram;
+use mc_oracle::{compute_transfers, run_naive, MetalMachine};
 
-/// One metal program, run by the interpreter.
-struct InterpChecker(MetalProgram);
+/// One metal program, run by the interpreter; with `Some` path budget, down
+/// each path separately.
+struct InterpChecker(MetalProgram, Option<usize>);
 
 impl Checker for InterpChecker {
     fn name(&self) -> &str {
@@ -26,7 +30,10 @@ impl Checker for InterpChecker {
         let mut machine = MetalMachine::new(&self.0);
         let init = machine.start_state();
         let oracle = ctx.summaries.map(|s| s as &dyn SummaryLookup);
-        run_traversal_with(ctx.cfg, &mut machine, init, ctx.traversal, oracle);
+        match self.1 {
+            None => run_traversal_with(ctx.cfg, &mut machine, init, ctx.traversal, oracle),
+            Some(max) => run_naive(ctx.cfg, &mut machine, init, ctx.traversal, oracle, max),
+        };
         for r in &machine.reports {
             let (file, function) = (ctx.file, ctx.function.name.as_str());
             let mut report = if r.is_error {
@@ -59,11 +66,14 @@ impl Checker for InterpChecker {
 
 /// Registers the built-in suite on `driver` with interpreted metal: the
 /// embedded metal sources as [`InterpChecker`]s, then the native checkers,
-/// in `all_checkers` order.
-pub fn interp_suite(driver: &mut Driver, spec: &FlashSpec) {
+/// in `all_checkers` order. With `Some(max_paths)`, the metal programs walk
+/// each path separately ([`run_naive`]).
+pub fn interp_suite(driver: &mut Driver, spec: &FlashSpec, max_paths: Option<usize>) {
     for src in METAL_SOURCES {
         let prog = MetalProgram::parse(src).expect("built-in metal parses");
-        driver.add_checker(Box::new(InterpChecker(prog))).unwrap();
+        driver
+            .add_checker(Box::new(InterpChecker(prog, max_paths)))
+            .unwrap();
     }
     for checker in native_checkers(spec) {
         driver.add_checker(checker).unwrap();

@@ -9,6 +9,8 @@ use flash_mc::driver::Verdict;
 use flash_mc::prelude::*;
 use flash_mc::sim::{Machine, Program, SimConfig, SimEvent};
 
+mod common;
+
 #[test]
 fn facade_reexports_compose() {
     let tu = parse_translation_unit("void f(void) { g(); }", "t.c").unwrap();
@@ -132,23 +134,23 @@ fn custom_spec_tables_change_checker_behavior() {
 }
 
 #[test]
-fn exhaustive_and_state_set_modes_agree_on_a_protocol() {
-    // The ablation's correctness side: both traversal modes produce the
-    // same msglen reports on real protocol code.
+fn naive_paths_and_state_set_agree_on_a_protocol() {
+    // The traversal's correctness on real protocol code: the built-in
+    // suite as the product runs it (compiled metal, state-set traversal)
+    // and with its metal programs interpreted down each path separately
+    // give the same reports, witnesses included.
     let proto = generate(plan_for("rac").unwrap(), DEFAULT_SEED.wrapping_add(4));
-    let run = |mode| {
-        let mut driver = Driver::new();
-        driver.mode = mode;
-        driver
-            .add_metal_source(flash_mc::checkers::MSGLEN_METAL)
-            .unwrap();
+    let mut product = Driver::new();
+    all_checkers(&mut product, &proto.spec).unwrap();
+    let mut naive = Driver::new();
+    common::interp_suite(&mut naive, &proto.spec, Some(200_000));
+    let run = |driver: &Driver| {
         let mut reports = driver.check_sources(&proto.sources()).unwrap();
         reports.sort();
         reports
     };
-    let a = run(flash_mc::cfg::Mode::StateSet);
-    let b = run(flash_mc::cfg::Mode::Exhaustive { max_paths: 200_000 });
-    assert_eq!(a, b);
+    let a = run(&product);
+    assert_eq!(a, run(&naive));
     assert_eq!(a.iter().filter(|r| r.checker == "msglen_check").count(), 8);
 }
 

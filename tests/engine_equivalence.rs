@@ -31,7 +31,7 @@ fn check_protocol(
     driver.prune(prune);
     driver.interproc(interproc);
     if interp {
-        common::interp_suite(&mut driver, &proto.spec);
+        common::interp_suite(&mut driver, &proto.spec, None);
     } else {
         all_checkers(&mut driver, &proto.spec).expect("suite registers");
     }

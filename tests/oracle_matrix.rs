@@ -86,7 +86,7 @@ fn run_interp(args: &[String]) -> (u8, Vec<u8>) {
         .interproc(opts.interproc)
         .refute(opts.refute)
         .set_jobs(opts.jobs);
-    common::interp_suite(&mut driver, &spec);
+    common::interp_suite(&mut driver, &spec, None);
     let sources: Vec<(String, String)> = opts
         .files
         .iter()
